@@ -24,25 +24,21 @@ from .mahavier import (
     EPSequence,
     ShiftSpace,
     TransitionMatrix,
-    mahavier_trace_check,
     mixing_index,
-    shift_forward,
-    shift_two_sided,
 )
 from .relations import (
     BoxRelation,
     Cell,
     CellDecomposition,
-    EventualOrbit,
     FiniteRelation,
     IterateAutomaton,
+    Orbit,
     OrbitSegment,
     cell_decomposition,
     cell_image,
     cell_of,
     check_surjectivity,
     iterate_automaton,
-    point_orbit,
 )
 from .sets import (
     FiniteMetricSpace,

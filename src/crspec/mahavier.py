@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import NoPreimageError
-from .relations import FiniteRelation, check_surjectivity  # noqa: F401  (re-export)
+from .relations import FiniteRelation
 from .sets import FiniteMetricSpace, rat
 from .specifications import TraceEntry, TraceReport
 
@@ -137,14 +137,6 @@ class BiEPSequence:
             + right
         )
         return all(self.symbol(p) == other.symbol(p) for p in range(lo, hi + 1))
-
-
-def shift_forward(seq: EPSequence) -> EPSequence:
-    return seq.shift()
-
-
-def shift_two_sided(seq: BiEPSequence, direction: str) -> BiEPSequence:
-    return seq.shift(direction)
 
 
 @dataclass(frozen=True)
@@ -367,9 +359,3 @@ class ShiftSpace:
         prefix = tuple(reversed(word))[:-1]
         return EPSequence(prefix + tail.preperiod, tail.cycle)
 
-
-def mahavier_trace_check(
-    space: ShiftSpace, spec: Sequence[tuple[EPSequence, int, int]], y: EPSequence, eps
-) -> TraceReport:
-    """Classical tracing in the one-sided shift system; see ShiftSpace.trace_check."""
-    return space.trace_check(spec, y, eps)

@@ -16,13 +16,19 @@ search and "for all y" refutations exact rather than sampled.  Iterates of a
 cell range over unions of the ``B_i``, a finite lattice, so the sequence
 ``j -> F^j(y)`` is eventually periodic; :func:`iterate_automaton` returns its
 preperiod and cycle per cell, turning "for all j" claims into finite checks.
+
+Every iterate ``F^j`` with ``j >= 1`` is read off one :class:`Orbit` per cell
+(box relations) or per point (finite relations).  The orbit is swept once,
+one image at a time and only as far as some caller has asked; it stops for
+good at the first repeated set, and it is memoized on the relation object,
+so it lives and dies with the relation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Union
 
 from .errors import BadRangeError, EmptyImageError
@@ -39,28 +45,136 @@ from .sets import (
 AmbientSet = Union[IntervalUnion, PointSet]
 
 
+class Orbit:
+    """The iterates F^1(y), F^2(y), ... shared by every y of one cell or point.
+
+    The sweep applies the relation's image map one step at a time, only as
+    far as some caller has asked, and it stops for good at the first repeated
+    set: from there on the sequence is periodic and every exponent is read
+    off ``preperiod`` and ``cycle``.  An orbit that dies raises
+    EmptyImageError naming its first empty step, whenever an exponent at or
+    beyond that step is asked for.
+    """
+
+    def __init__(self, relation, first: AmbientSet):
+        self._relation = relation
+        self._sets: list[AmbientSet] = []
+        self._seen: dict[AmbientSet, int] = {}
+        self._cycle_start: int | None = None
+        self._death: int | None = None
+        self._push(first)
+
+    def _push(self, s: AmbientSet) -> None:
+        """Record s as the next iterate, or as the repeat or death that ends the sweep."""
+        if s.is_empty:
+            self._death = len(self._sets) + 1
+        elif s in self._seen:
+            self._cycle_start = self._seen[s]
+        else:
+            self._seen[s] = len(self._sets)
+            self._sets.append(s)
+
+    def _sweep(self, j: int | None) -> None:
+        """Extend the orbit to exponent j, or to its first repeat when j is None."""
+        sets = self._sets
+        while self._cycle_start is None and self._death is None and (j is None or len(sets) < j):
+            self._push(self._relation.image(sets[-1]))
+        if self._death is not None and (j is None or j >= self._death):
+            raise EmptyImageError(self._death)
+
+    def value_at(self, j: int) -> AmbientSet:
+        """F^j(y) for j >= 1."""
+        if j < 1:
+            raise ValueError("an orbit holds exponents j >= 1")
+        self._sweep(j)
+        idx = j - 1
+        if idx >= len(self._sets):
+            start = self._cycle_start
+            idx = start + (idx - start) % (len(self._sets) - start)
+        return self._sets[idx]
+
+    def close(self) -> "Orbit":
+        """Sweep to the first repeat, so that transient and period are known."""
+        self._sweep(None)
+        return self
+
+    @property
+    def preperiod(self) -> tuple[AmbientSet, ...]:
+        return tuple(self.close()._sets[: self._cycle_start])
+
+    @property
+    def cycle(self) -> tuple[AmbientSet, ...]:
+        return tuple(self.close()._sets[self._cycle_start :])
+
+    @property
+    def transient(self) -> int:
+        return self.close()._cycle_start
+
+    @property
+    def period(self) -> int:
+        return len(self.close()._sets) - self._cycle_start
+
+
 @dataclass(frozen=True)
 class OrbitSegment:
-    """The materialized tuple of sets F^first(x), ..., F^last(x)."""
+    """The sets F^first(x), ..., F^last(x), read off the orbit of x.
+
+    Building a segment sweeps the orbit to ``last`` (or to its first repeat),
+    so a segment whose orbit dies is rejected here, naming the empty step.
+    """
 
     base: object
     first: int
     last: int
-    sets: tuple[AmbientSet, ...]
+    origin: AmbientSet
+    orbit: Orbit = field(repr=False)
 
     def __post_init__(self):
         if self.first > self.last:
             raise BadRangeError(f"segment range [{self.first}, {self.last}] is empty")
-        if len(self.sets) != self.last - self.first + 1:
-            raise ValueError("segment must hold one set per exponent")
+        if self.last >= 1:
+            self.orbit.value_at(self.last)
 
     def set_at(self, j: int) -> AmbientSet:
         """The set F^j(base); j must lie within [first, last]."""
-        return self.sets[j - self.first]
+        return self.origin if j == 0 else self.orbit.value_at(j)
+
+    @property
+    def sets(self) -> tuple[AmbientSet, ...]:
+        return tuple(self.set_at(j) for j in range(self.first, self.last + 1))
+
+
+class _Iterates:
+    """Iterates of either relation kind, read off one memoized orbit per region.
+
+    A region is a cell of a box relation or a point of a finite space.
+    Subclasses name the region of a point and its first image.
+    """
+
+    @cached_property
+    def _orbits(self) -> dict:
+        return {}
+
+    def orbit(self, x) -> Orbit:
+        """The orbit of x's region; x is a point, or a cell of a box relation."""
+        region = self._region(x)
+        orbit = self._orbits.get(region)
+        if orbit is None:
+            orbit = self._orbits[region] = Orbit(self, self._first_image(region))
+        return orbit
+
+    def iterate(self, x, j: int) -> AmbientSet:
+        """F^j(x) exactly; F^0(x) = {x}."""
+        return self.point_set(x) if j == 0 else self.orbit(x).value_at(j)
+
+    def orbit_segment(self, x, first: int, last: int) -> OrbitSegment:
+        """F^first(x), ..., F^last(x); the orbit of x is swept to last here."""
+        origin = self.point_set(x)
+        return OrbitSegment(origin.min_point(), first, last, origin, self.orbit(x))
 
 
 @dataclass(frozen=True)
-class BoxRelation:
+class BoxRelation(_Iterates):
     """A closed relation on an interval, as a finite union of boxes A_i x B_i."""
 
     space: IntervalSpace
@@ -85,28 +199,11 @@ class BoxRelation:
                 hit.append(b)
         return normalize(hit)
 
-    def iterate(self, x, j: int) -> IntervalUnion:
-        """F^j(x) exactly; F^0(x) = {x}."""
-        current = self.point_set(x)
-        for step in range(1, j + 1):
-            current = self.image(current)
-            if current.is_empty:
-                raise EmptyImageError(step)
-        return current
+    def _region(self, x) -> "Cell":
+        return x if isinstance(x, Cell) else cell_of(self, rat(x))
 
-    def orbit_segment(self, x, first: int, last: int) -> OrbitSegment:
-        if first > last:
-            raise BadRangeError(f"segment range [{first}, {last}] is empty")
-        x = rat(x)
-        current = self.point_set(x)
-        sets = [current] if first == 0 else []
-        for step in range(1, last + 1):
-            current = self.image(current)
-            if current.is_empty:
-                raise EmptyImageError(step)
-            if step >= first:
-                sets.append(current)
-        return OrbitSegment(x, first, last, tuple(sets))
+    def _first_image(self, cell: "Cell") -> IntervalUnion:
+        return cell_image(self, cell)
 
     def project(self, which: int) -> IntervalUnion:
         if which not in (1, 2):
@@ -129,7 +226,7 @@ class BoxRelation:
 
 
 @dataclass(frozen=True)
-class FiniteRelation:
+class FiniteRelation(_Iterates):
     """A relation on a finite metric space, as a boolean adjacency matrix."""
 
     space: FiniteMetricSpace
@@ -165,26 +262,11 @@ class FiniteRelation:
             j for i in s.members for j in range(self.space.n) if self.adjacency[i][j]
         )
 
-    def iterate(self, x: int, j: int) -> PointSet:
-        current = self.point_set(x)
-        for step in range(1, j + 1):
-            current = self.image(current)
-            if current.is_empty:
-                raise EmptyImageError(step)
-        return current
+    def _region(self, x: int) -> int:
+        return x
 
-    def orbit_segment(self, x: int, first: int, last: int) -> OrbitSegment:
-        if first > last:
-            raise BadRangeError(f"segment range [{first}, {last}] is empty")
-        current = self.point_set(x)
-        sets = [current] if first == 0 else []
-        for step in range(1, last + 1):
-            current = self.image(current)
-            if current.is_empty:
-                raise EmptyImageError(step)
-            if step >= first:
-                sets.append(current)
-        return OrbitSegment(x, first, last, tuple(sets))
+    def _first_image(self, x: int) -> PointSet:
+        return self.image(self.point_set(x))
 
     def project(self, which: int) -> PointSet:
         if which not in (1, 2):
@@ -279,15 +361,18 @@ def _pattern_at(relation: BoxRelation, x: Fraction) -> frozenset[int]:
     return frozenset(i for i, (a, _) in enumerate(relation.boxes) if a.contains(x))
 
 
-@lru_cache(maxsize=None)
 def cell_decomposition(relation: BoxRelation) -> CellDecomposition:
     """Split the ambient interval by the domain-side box endpoints.
 
     Elementary pieces (breakpoint singletons and the open intervals between
     them) are tagged with their pattern and then adjacent pieces with equal
     patterns are merged, so e.g. {0} merges into [0, 1/2) when the pattern
-    does not change at 0.
+    does not change at 0.  The result is kept on the relation object (a
+    frozen dataclass still has a ``__dict__``), so it is freed with it.
     """
+    memo = relation.__dict__
+    if "_cell_decomposition" in memo:
+        return memo["_cell_decomposition"]
     amb = relation.space
     points = {amb.lo, amb.hi}
     for a, _ in relation.boxes:
@@ -310,7 +395,8 @@ def cell_decomposition(relation: BoxRelation) -> CellDecomposition:
             merged[-1] = Cell(prev.lo, piece.hi, prev.lo_closed, piece.hi_closed, prev.pattern)
         else:
             merged.append(piece)
-    return CellDecomposition(breaks, tuple(merged))
+    memo["_cell_decomposition"] = CellDecomposition(breaks, tuple(merged))
+    return memo["_cell_decomposition"]
 
 
 def cell_of(relation: BoxRelation, x: Fraction) -> Cell:
@@ -326,63 +412,16 @@ def cell_image(relation: BoxRelation, cell: Cell) -> IntervalUnion:
 
 
 @dataclass(frozen=True)
-class EventualOrbit:
-    """The eventually periodic tail F^1(y), F^2(y), ... of one cell or point."""
-
-    preperiod: tuple[AmbientSet, ...]
-    cycle: tuple[AmbientSet, ...]
-
-    def value_at(self, j: int) -> AmbientSet:
-        """F^j(y) for j >= 1."""
-        if j < 1:
-            raise ValueError("the automaton describes exponents j >= 1")
-        idx = j - 1
-        if idx < len(self.preperiod):
-            return self.preperiod[idx]
-        return self.cycle[(idx - len(self.preperiod)) % len(self.cycle)]
-
-    @property
-    def transient(self) -> int:
-        return len(self.preperiod)
-
-    @property
-    def period(self) -> int:
-        return len(self.cycle)
-
-
-def _eventual_orbit(relation: Relation, seed: AmbientSet) -> EventualOrbit:
-    """Iterate the image map from `seed` (= F^1) until the first repeat."""
-    seen: dict[AmbientSet, int] = {}
-    seq: list[AmbientSet] = []
-    current = seed
-    step = 1
-    while True:
-        if current.is_empty:
-            raise EmptyImageError(step)
-        if current in seen:
-            start = seen[current]
-            return EventualOrbit(tuple(seq[:start]), tuple(seq[start:]))
-        seen[current] = len(seq)
-        seq.append(current)
-        current = relation.image(current)
-        step += 1
-
-
-@dataclass(frozen=True)
 class IterateAutomaton:
     """Per-cell eventually periodic description of all iterates j >= 1."""
 
     decomposition: CellDecomposition
-    orbits: tuple[EventualOrbit, ...]
+    orbits: tuple[Orbit, ...]
 
-    def orbit_for(self, cell: Cell) -> EventualOrbit:
+    def orbit_for(self, cell: Cell) -> Orbit:
         return self.orbits[self.decomposition.cells.index(cell)]
 
-    def value_at(self, cell: Cell, j: int) -> AmbientSet:
-        return self.orbit_for(cell).value_at(j)
 
-
-@lru_cache(maxsize=None)
 def iterate_automaton(relation: BoxRelation) -> IterateAutomaton:
     """The eventually periodic sequence (F^j(y))_{j>=1} for each cell.
 
@@ -390,13 +429,7 @@ def iterate_automaton(relation: BoxRelation) -> IterateAutomaton:
     the failing exponent.
     """
     decomp = cell_decomposition(relation)
-    orbits = tuple(_eventual_orbit(relation, cell_image(relation, c)) for c in decomp.cells)
-    return IterateAutomaton(decomp, orbits)
-
-
-def point_orbit(relation: FiniteRelation, x: int) -> EventualOrbit:
-    """Finite-space analogue of the per-cell automaton, for a single point."""
-    return _eventual_orbit(relation, relation.image(relation.point_set(x)))
+    return IterateAutomaton(decomp, tuple(relation.orbit(c).close() for c in decomp.cells))
 
 
 def check_surjectivity(relation: Relation) -> tuple[bool, bool]:

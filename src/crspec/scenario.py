@@ -23,12 +23,11 @@ from .errors import CRSpecError, ScenarioParseError, ScenarioValidationError
 from .mahavier import EPSequence, ShiftSpace
 from .relations import BoxRelation, FiniteRelation
 from .sets import FiniteMetricSpace, Interval, IntervalSpace, validate_metric
-from .specifications import InitialSpecification, Specification
-from .verdicts import InitialTemplate, SpacedTemplate
+from .specifications import MODES, InitialSpecification, Specification
+from .verdicts import INITIAL_PROPERTIES, PROPERTIES, InitialTemplate, SpacedTemplate
 
 _RATIONAL = re.compile(r"^-?\d+(?:/\d+)?$")
 
-MODES = ("plain", "hausdorff")
 EXPECTATIONS = (
     "pass",
     "fail",
@@ -118,12 +117,17 @@ def _split_expect(tokens: list[str], line: int) -> tuple[list[str], str | None]:
     return tokens[:idx], rest[0]
 
 
-def _keyvals(tokens: list[str], line: int, keys: set[str]) -> dict[str, list[str]]:
-    """Parse `key value [value ...]` runs for a known set of keys."""
+# How many values a key takes; each arity names itself in error messages.
+ONE, TWO, SOME = "one value", "two values", "one or more values"
+_EXACT = {ONE: 1, TWO: 2}
+
+
+def _keyvals(tokens: list[str], line: int, arity: dict[str, str]) -> dict[str, list[str]]:
+    """Parse `key value [value ...]` runs; each key takes the values its arity allows."""
     out: dict[str, list[str]] = {}
     key = None
     for tok in tokens:
-        if tok in keys:
+        if tok in arity:
             key = tok
             if key in out:
                 raise ScenarioParseError(line, f"duplicate key {key!r}")
@@ -132,6 +136,9 @@ def _keyvals(tokens: list[str], line: int, keys: set[str]) -> dict[str, list[str
             raise ScenarioParseError(line, f"unexpected token {tok!r}")
         else:
             out[key].append(tok)
+    for key, values in out.items():
+        if not values or len(values) != _EXACT.get(arity[key], len(values)):
+            raise ScenarioParseError(line, f"{key!r} needs {arity[key]}")
     return out
 
 
@@ -205,8 +212,8 @@ class _Builder:
         name = tokens[0]
         gaps = None
         if initial:
-            kv = _keyvals(tokens[1:], line, {"gaps"})
-            if list(kv) != ["gaps"] or not kv["gaps"]:
+            kv = _keyvals(tokens[1:], line, {"gaps": SOME})
+            if list(kv) != ["gaps"]:
                 raise ScenarioParseError(line, "ispec needs 'gaps M1 [M2 ...]'")
             gaps = tuple(_integer(t, line) for t in kv["gaps"])
         elif tokens[1:]:
@@ -215,13 +222,13 @@ class _Builder:
         for segline, segtokens in body:
             if segtokens[0] != "segment":
                 raise ScenarioParseError(segline, "spec blocks hold 'segment ...' lines")
-            kv = _keyvals(segtokens[2:], segline, {"k", "l"})
+            kv = _keyvals(segtokens[2:], segline, {"k": ONE, "l": ONE})
             if initial:
-                if list(kv) != ["l"] or len(kv["l"]) != 1:
+                if list(kv) != ["l"]:
                     raise ScenarioParseError(segline, "initial segment needs 'BASE l L'")
                 segments.append((segtokens[1], None, _integer(kv["l"][0], segline), segline))
             else:
-                if list(kv) != ["k", "l"] or len(kv["k"]) != 1 or len(kv["l"]) != 1:
+                if list(kv) != ["k", "l"]:
                     raise ScenarioParseError(segline, "segment needs 'BASE k K l L'")
                 segments.append(
                     (segtokens[1], _integer(kv["k"][0], segline), _integer(kv["l"][0], segline), segline)
@@ -234,8 +241,8 @@ class _Builder:
         if not tokens:
             raise ScenarioParseError(line, "seq needs a name")
         name = tokens[0]
-        kv = _keyvals(tokens[1:], line, {"pre", "cycle"})
-        if "cycle" not in kv or not kv["cycle"] or set(kv) - {"pre", "cycle"}:
+        kv = _keyvals(tokens[1:], line, {"pre": SOME, "cycle": SOME})
+        if "cycle" not in kv:
             raise ScenarioParseError(line, "seq needs '[pre S ...] cycle S [S ...]'")
         pre = tuple(_integer(t, line) for t in kv.get("pre", []))
         cycle = tuple(_integer(t, line) for t in kv["cycle"])
@@ -248,7 +255,7 @@ class _Builder:
         for segline, segtokens in body:
             if segtokens[0] != "segment" or len(segtokens) != 6:
                 raise ScenarioParseError(segline, "mspec segments need 'segment SEQ k K l L'")
-            kv = _keyvals(segtokens[2:], segline, {"k", "l"})
+            kv = _keyvals(segtokens[2:], segline, {"k": ONE, "l": ONE})
             if list(kv) != ["k", "l"]:
                 raise ScenarioParseError(segline, "mspec segments need 'segment SEQ k K l L'")
             segments.append(
@@ -266,13 +273,12 @@ class _Builder:
 
     def refute_block(self, line, tokens, body):
         tokens, expect = _split_expect(tokens, line)
-        if not tokens or tokens[0] not in ("SP", "HSP", "ISP", "HISP"):
-            raise ScenarioParseError(line, "refute needs a property: SP, HSP, ISP or HISP")
+        if not tokens or tokens[0] not in PROPERTIES:
+            raise ScenarioParseError(line, f"refute needs a property: {', '.join(PROPERTIES)}")
         prop = tokens[0]
-        kv = _keyvals(tokens[1:], line, {"eps", "n", "gaps"})
-        initial = prop in ("ISP", "HISP")
-        range_key = "gaps" if initial else "n"
-        if set(kv) != {"eps", range_key} or len(kv["eps"]) != 1 or len(kv[range_key]) != 2:
+        kv = _keyvals(tokens[1:], line, {"eps": ONE, "n": TWO, "gaps": TWO})
+        range_key = "gaps" if prop in INITIAL_PROPERTIES else "n"
+        if set(kv) != {"eps", range_key}:
             raise ScenarioParseError(
                 line, f"refute {prop} needs 'eps Q {range_key} LO HI'"
             )
@@ -283,9 +289,9 @@ class _Builder:
             raise ScenarioValidationError(line, "range bounds must satisfy 1 <= LO <= HI")
         segments = []
         for segline, segtokens in body:
-            if segtokens[0] != "segment":
-                raise ScenarioParseError(segline, "refute blocks hold 'segment ...' lines")
-            kv_seg = _keyvals(segtokens[2:], segline, {"k", "l", "len"})
+            if segtokens[0] != "segment" or len(segtokens) < 2:
+                raise ScenarioParseError(segline, "refute blocks hold 'segment BASE ...' lines")
+            kv_seg = _keyvals(segtokens[2:], segline, {"k": ONE, "l": ONE, "len": ONE})
             segments.append((segtokens[1], kv_seg, segline))
         if not segments:
             raise ScenarioValidationError(line, "a refutation template needs segments")
@@ -393,13 +399,13 @@ class _Builder:
         line = command.line
         if command.kind == "refute":
             prop = command.params["property"]
-            initial = prop in ("ISP", "HISP")
+            initial = prop in INITIAL_PROPERTIES
             head = None
             tail = []
             for idx, (base_tok, kv, segline) in enumerate(command.params["segments"]):
                 base = self._point(base_tok, segline, relation)
                 if initial:
-                    if list(kv) != ["l"] or len(kv["l"]) != 1:
+                    if list(kv) != ["l"]:
                         raise ScenarioParseError(segline, "initial template segments need 'BASE l L'")
                     tail.append((base, _integer(kv["l"][0], segline)))
                 elif idx == 0:
@@ -407,7 +413,7 @@ class _Builder:
                         raise ScenarioParseError(segline, "the head segment needs 'BASE k K l L'")
                     head = (base, _integer(kv["k"][0], segline), _integer(kv["l"][0], segline))
                 else:
-                    if list(kv) != ["len"] or len(kv["len"]) != 1:
+                    if list(kv) != ["len"]:
                         raise ScenarioParseError(segline, "tail segments need 'BASE len L'")
                     tail.append((base, _integer(kv["len"][0], segline)))
             if initial:
@@ -431,8 +437,8 @@ class _Builder:
             if not tokens or tokens[0] not in scenario.specs:
                 raise ScenarioValidationError(line, f"unknown specification {tokens[:1]}")
             name = tokens[0]
-            kv = _keyvals(tokens[1:], line, {"y", "eps", "mode"})
-            if "eps" not in kv or "mode" not in kv or len(kv["mode"]) != 1:
+            kv = _keyvals(tokens[1:], line, {"y": ONE, "eps": ONE, "mode": ONE})
+            if "eps" not in kv or "mode" not in kv:
                 raise ScenarioParseError(line, "trace needs '[y P] eps Q mode M'")
             mode = kv["mode"][0]
             if mode not in MODES:
@@ -448,9 +454,9 @@ class _Builder:
             if not tokens:
                 raise ScenarioParseError(line, "certify needs a condition name")
             condition = tokens[0]
-            kv = _keyvals(tokens[1:], line, {"eps", "n0max"})
+            kv = _keyvals(tokens[1:], line, {"eps": ONE, "n0max": ONE})
             if condition in ("common-image", "full-image"):
-                if list(kv) != ["n0max"] or len(kv["n0max"]) != 1:
+                if list(kv) != ["n0max"]:
                     raise ScenarioParseError(line, f"certify {condition} needs 'n0max N'")
                 params = {"condition": condition, "n0_max": _integer(kv["n0max"][0], line)}
             elif condition == "eventual-hausdorff":
@@ -474,13 +480,13 @@ class _Builder:
             sub = tokens[0]
             kv_tokens = tokens[1:]
             if sub == "words":
-                kv = _keyvals(kv_tokens, line, {"maxlen"})
-                if list(kv) != ["maxlen"] or len(kv["maxlen"]) != 1:
+                kv = _keyvals(kv_tokens, line, {"maxlen": ONE})
+                if list(kv) != ["maxlen"]:
                     raise ScenarioParseError(line, "mahavier words needs 'maxlen L'")
                 params = {"sub": sub, "max_len": _integer(kv["maxlen"][0], line)}
             elif sub == "mixing":
-                kv = _keyvals(kv_tokens, line, {"tmax"})
-                if list(kv) != ["tmax"] or len(kv["tmax"]) != 1:
+                kv = _keyvals(kv_tokens, line, {"tmax": ONE})
+                if list(kv) != ["tmax"]:
                     raise ScenarioParseError(line, "mahavier mixing needs 'tmax T'")
                 params = {"sub": sub, "t_max": _integer(kv["tmax"][0], line)}
             elif sub == "surjectivity":
@@ -490,8 +496,8 @@ class _Builder:
             elif sub == "trace":
                 if not kv_tokens or kv_tokens[0] not in scenario.mspecs:
                     raise ScenarioValidationError(line, f"unknown mspec {kv_tokens[:1]}")
-                kv = _keyvals(kv_tokens[1:], line, {"y", "eps"})
-                if set(kv) != {"y", "eps"} or len(kv["y"]) != 1:
+                kv = _keyvals(kv_tokens[1:], line, {"y": ONE, "eps": ONE})
+                if set(kv) != {"y", "eps"}:
                     raise ScenarioParseError(line, "mahavier trace needs 'MSPEC y SEQ eps Q'")
                 if kv["y"][0] not in scenario.sequences:
                     raise ScenarioValidationError(line, f"unknown sequence {kv['y'][0]!r}")
@@ -505,8 +511,8 @@ class _Builder:
                 raise ScenarioParseError(line, f"unknown mahavier subcommand {sub!r}")
             return Command(line, "mahavier", params, command.expect)
         if command.kind == "suite":
-            kv = _keyvals(tokens, line, {"count", "seed"})
-            if "count" not in kv or set(kv) - {"count", "seed"}:
+            kv = _keyvals(tokens, line, {"count": ONE, "seed": ONE})
+            if "count" not in kv:
                 raise ScenarioParseError(line, "suite needs 'count N [seed S]'")
             params = {
                 "count": _integer(kv["count"][0], line),

@@ -18,7 +18,13 @@ of ``y``; the single exponent-0 requirement (present when the first segment
 starts at 0) constrains ``y`` to the closed interval ``|y - x_1| <= eps``.
 Searching cells intersected with that constraint therefore either produces a
 witness or an exhaustive per-cell failure table that covers all of X.  On a
-finite space the search enumerates points.
+finite space the search enumerates points.  Either search returns the first
+witness it finds.
+
+Every iterate is read off the relation's memoized per-cell or per-point
+orbit (see :mod:`crspec.relations`), so a check or a search costs in
+proportion to the transients and periods of the orbits it touches, not to
+the exponents written in the specification.
 """
 
 from __future__ import annotations
@@ -34,13 +40,11 @@ from .errors import (
     SizeMismatchError,
 )
 from .relations import (
-    BoxRelation,
     Cell,
     FiniteRelation,
     OrbitSegment,
     Relation,
     cell_decomposition,
-    cell_image,
     cell_of,
     rat,
 )
@@ -58,7 +62,7 @@ def _distance_fn(relation: Relation, mode: str) -> Callable:
 
 @dataclass(frozen=True)
 class Specification:
-    """A tuple of materialized orbit segments, in tracing order."""
+    """A tuple of orbit segments, in tracing order."""
 
     segments: tuple[OrbitSegment, ...]
 
@@ -68,7 +72,7 @@ class Specification:
 
     @classmethod
     def build(cls, relation: Relation, triples: Sequence[tuple]) -> "Specification":
-        """Materialize segments from (base, first, last) triples."""
+        """Build segments from (base, first, last) triples."""
         return cls(tuple(relation.orbit_segment(b, k, l) for b, k, l in triples))
 
     @property
@@ -95,7 +99,7 @@ class InitialSpecification:
 
     @classmethod
     def build(cls, relation: Relation, pairs: Sequence[tuple], gaps: Sequence[int]) -> "InitialSpecification":
-        """Materialize segments from (base, last) pairs and a gap vector."""
+        """Build segments from (base, last) pairs and a gap vector."""
         return cls(
             tuple(relation.orbit_segment(b, 0, l) for b, l in pairs), tuple(gaps)
         )
@@ -199,28 +203,13 @@ def _initial_requirements(spec: InitialSpecification) -> list[tuple[int, int, in
     return reqs
 
 
-def _tracer_sets(relation: Relation, y, powers: set[int]) -> dict:
-    """F^t(y) for every requested power t, computed in one sweep."""
-    out = {}
-    current = relation.point_set(y)
-    if 0 in powers:
-        out[0] = current
-    for t in range(1, max(powers) + 1):
-        current = relation.image(current)
-        if current.is_empty:
-            raise EmptyImageError(t)
-        if t in powers:
-            out[t] = current
-    return out
-
-
 def _report(relation, spec, reqs, y, eps, mode) -> TraceReport:
     dist = _distance_fn(relation, mode)
-    sets = _tracer_sets(relation, y, {power for _, _, power in reqs})
+    origin, orbit = relation.point_set(y), relation.orbit(y)
     entries = []
     for i, j, power in reqs:
         target = spec.segments[i - 1].set_at(j)
-        tracer = sets[power]
+        tracer = orbit.value_at(power) if power else origin
         entries.append(TraceEntry(i, j, power, dist(tracer, target), tracer, target))
     return TraceReport(mode, rat(eps), tuple(entries))
 
@@ -237,38 +226,15 @@ def check_initial_trace(
     return _report(relation, spec, _initial_requirements(spec), y, eps, mode)
 
 
-def _cell_sets(relation: BoxRelation, cell: Cell, powers: set[int]) -> dict:
-    """F^t(y) for y in the cell and t >= 1; exact because patterns are cell-constant."""
-    out = {}
-    current = cell_image(relation, cell)
-    if current.is_empty:
-        raise EmptyImageError(1)
-    if 1 in powers:
-        out[1] = current
-    for t in range(2, max(powers) + 1):
-        current = relation.image(current)
-        if current.is_empty:
-            raise EmptyImageError(t)
-        if t in powers:
-            out[t] = current
-    return out
-
-
 def _search(relation, spec, reqs, eps, mode, checker) -> SearchResult:
     eps = rat(eps)
-    dist = _distance_fn(relation, mode)
-
     if isinstance(relation, FiniteRelation):
         failures = []
-        witness = None
         for y in range(relation.space.n):
             report = checker(relation, spec, y, eps, mode)
-            if report.passed and witness is None:
-                witness = TracerWitness(y, y, report)
-            elif not report.passed:
-                failures.append(RegionFailure(y, y, report))
-        if witness is not None:
-            return witness
+            if report.passed:
+                return TracerWitness(y, y, report)
+            failures.append(RegionFailure(y, y, report))
         return NoTracer(tuple(failures))
 
     # Box relation: decide each cell exactly.  Requirements with power >= 1
@@ -277,34 +243,27 @@ def _search(relation, spec, reqs, eps, mode, checker) -> SearchResult:
     zero_reqs = [(i, j) for i, j, power in reqs if power == 0]
     cell_reqs = [(i, j, power) for i, j, power in reqs if power >= 1]
     base1 = rat(spec.segments[0].base)
+    dist = _distance_fn(relation, mode)
 
     failures = []
-    witness = None
     for cell in cell_decomposition(relation).cells:
-        cell_ok = True
-        if cell_reqs:
-            sets = _cell_sets(relation, cell, {p for _, _, p in cell_reqs})
-            for i, j, power in cell_reqs:
-                target = spec.segments[i - 1].set_at(j)
-                if dist(sets[power], target) > eps:
-                    cell_ok = False
-                    break
+        orbit = relation.orbit(cell)
+        cell_ok = all(
+            dist(orbit.value_at(power), spec.segments[i - 1].set_at(j)) <= eps
+            for i, j, power in cell_reqs
+        )
         region = cell
         if cell_ok and zero_reqs:
             region = cell.intersect_closed(base1 - eps, base1 + eps)
-            if region is None:
-                cell_ok = False
-        if cell_ok and witness is None:
+            cell_ok = region is not None
+        if cell_ok:
             y = cell.representative() if not zero_reqs else region.pick_point(prefer=base1)
             report = checker(relation, spec, y, eps, mode)
             if not report.passed:
                 raise AssertionError("cell-level pass must yield a passing witness")
-            witness = TracerWitness(y, cell, report)
-        elif not cell_ok:
-            rep = cell.representative()
-            failures.append(RegionFailure(cell, rep, checker(relation, spec, rep, eps, mode)))
-    if witness is not None:
-        return witness
+            return TracerWitness(y, cell, report)
+        rep = cell.representative()
+        failures.append(RegionFailure(cell, rep, checker(relation, spec, rep, eps, mode)))
     return NoTracer(tuple(failures))
 
 
@@ -356,35 +315,27 @@ def lift_tracer(relation: Relation, spec: Specification, z):
     Raises NoPreimageError when no such y exists.
     """
     k1 = spec.segments[0].first
-    if isinstance(relation, FiniteRelation):
+    finite = isinstance(relation, FiniteRelation)
+    if finite:
         if k1 == 0:
             return PointSet.point(z)
-        hits = []
-        for y in range(relation.space.n):
-            try:
-                if relation.iterate(y, k1).contains(z):
-                    hits.append(y)
-            except EmptyImageError:
-                continue
-        if not hits:
-            raise NoPreimageError(f"no point reaches {z} in {k1} steps")
-        return PointSet.of(hits)
-
-    z = rat(z)
-    if k1 == 0:
-        home = cell_of(relation, z)
-        return (Cell(z, z, True, True, home.pattern),)
+        regions = range(relation.space.n)
+    else:
+        z = rat(z)
+        if k1 == 0:
+            home = cell_of(relation, z)
+            return (Cell(z, z, True, True, home.pattern),)
+        regions = cell_decomposition(relation).cells
     hits = []
-    for cell in cell_decomposition(relation).cells:
+    for region in regions:
         try:
-            sets = _cell_sets(relation, cell, {k1})
+            if relation.orbit(region).value_at(k1).contains(z):
+                hits.append(region)
         except EmptyImageError:
             continue
-        if sets[k1].contains(z):
-            hits.append(cell)
     if not hits:
         raise NoPreimageError(f"no point reaches {z} in {k1} steps")
-    return tuple(hits)
+    return PointSet.of(hits) if finite else tuple(hits)
 
 
 def conjugacy_transport(phi: Sequence[int], spec, relation: FiniteRelation):
@@ -392,7 +343,7 @@ def conjugacy_transport(phi: Sequence[int], spec, relation: FiniteRelation):
 
     ``phi`` maps indices of the target system's space onto indices of the
     source system's space (phi: X -> Y); bases are mapped through its
-    inverse and segments are re-materialized in ``relation`` (the X side).
+    inverse and segments are rebuilt in ``relation`` (the X side).
     Indices (first/last, gaps) are untouched.
     """
     n = relation.space.n

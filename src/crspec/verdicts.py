@@ -33,16 +33,16 @@ from typing import Sequence, Union
 from . import randgen
 from .relations import (
     BoxRelation,
-    EventualOrbit,
     FiniteRelation,
+    Orbit,
     Relation,
     cell_image,
     cell_decomposition,
     iterate_automaton,
-    point_orbit,
 )
 from .sets import rat
 from .specifications import (
+    MODES,
     InitialSpecification,
     NoTracer,
     Specification,
@@ -57,12 +57,23 @@ from .specifications import (
 )
 
 
-def _eventual_orbits(relation: Relation) -> list[tuple[object, EventualOrbit]]:
-    """(region label, orbit of F^1, F^2, ...) for each cell or point."""
+def _eventual_orbits(relation: Relation) -> list[tuple[object, Orbit]]:
+    """(region label, closed orbit of F^1, F^2, ...) for each cell or point."""
     if isinstance(relation, BoxRelation):
         auto = iterate_automaton(relation)
         return list(zip(auto.decomposition.cells, auto.orbits))
-    return [(x, point_orbit(relation, x)) for x in range(relation.space.n)]
+    return [(x, relation.orbit(x).close()) for x in range(relation.space.n)]
+
+
+def _eventual_worst(space, oa: Orbit, ob: Orbit, n0: int) -> Fraction:
+    """max over j >= n0 of H_d(F^j(x), F^j(y)) for closed orbits of x and y.
+
+    From max(n0, T + 1) on, with T the larger transient, the pair of sets
+    repeats with the lcm of the periods, so one such window covers every j.
+    """
+    transient = max(oa.transient, ob.transient)
+    end = max(n0, transient + 1) + math.lcm(oa.period, ob.period) - 1
+    return max(space.hausdorff(oa.value_at(j), ob.value_at(j)) for j in range(n0, end + 1))
 
 
 @dataclass(frozen=True)
@@ -136,12 +147,7 @@ def certify_eventual_hausdorff(relation: Relation, eps, n0_max: int) -> Certific
         for a in range(len(orbits)):
             for b in range(a + 1, len(orbits)):
                 (la, oa), (lb, ob) = orbits[a], orbits[b]
-                transient = max(oa.transient, ob.transient)
-                window_end = max(n0, transient + 1) + math.lcm(oa.period, ob.period) - 1
-                worst = max(
-                    space.hausdorff(oa.value_at(j), ob.value_at(j))
-                    for j in range(n0, window_end + 1)
-                )
+                worst = _eventual_worst(space, oa, ob, n0)
                 if worst > eps:
                     ok = False
                     break
@@ -156,18 +162,20 @@ def certify_eventual_hausdorff(relation: Relation, eps, n0_max: int) -> Certific
     return None
 
 
+def _first_images(relation: Relation) -> list:
+    """F(y) for one y in each cell or point; unlike an orbit's, these may be empty."""
+    if isinstance(relation, BoxRelation):
+        return [cell_image(relation, c) for c in cell_decomposition(relation).cells]
+    return [relation.image(relation.point_set(x)) for x in range(relation.space.n)]
+
+
 def certify_trivial_fiber(relation: Relation) -> Certificate | None:
     """A point x0 with the full-width fiber X x {x0} contained in F.
 
     Such an x0 belongs to F(x) for every x, i.e. to the intersection of the
     per-region first images; the minimum of that intersection is reported.
     """
-    if isinstance(relation, BoxRelation):
-        images = [cell_image(relation, c) for c in cell_decomposition(relation).cells]
-    else:
-        images = [
-            relation.image(relation.point_set(x)) for x in range(relation.space.n)
-        ]
+    images = _first_images(relation)
     common = images[0]
     for img in images[1:]:
         common = common.intersect(img)
@@ -197,13 +205,7 @@ def recheck(relation: Relation, certificate: Certificate) -> bool:
     if kind in ("eventual-hausdorff", "eventual-equal"):
         space = relation.space
         for (la, lb), stored in certificate.evidence:
-            oa, ob = orbits[la], orbits[lb]
-            transient = max(oa.transient, ob.transient)
-            end = max(certificate.n0, transient + 1) + math.lcm(oa.period, ob.period) - 1
-            worst = max(
-                space.hausdorff(oa.value_at(j), ob.value_at(j))
-                for j in range(certificate.n0, end + 1)
-            )
+            worst = _eventual_worst(space, orbits[la], orbits[lb], certificate.n0)
             if worst != stored or worst > certificate.eps:
                 return False
             if kind == "eventual-equal" and worst != 0:
@@ -211,15 +213,7 @@ def recheck(relation: Relation, certificate: Certificate) -> bool:
         return True
     if kind == "trivial-fiber":
         x0 = certificate.evidence[0]
-        if isinstance(relation, BoxRelation):
-            return all(
-                cell_image(relation, c).contains(x0)
-                for c in cell_decomposition(relation).cells
-            )
-        return all(
-            relation.image(relation.point_set(x)).contains(x0)
-            for x in range(relation.space.n)
-        )
+        return all(image.contains(x0) for image in _first_images(relation))
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 
@@ -260,6 +254,7 @@ class InitialTemplate:
 Template = Union[SpacedTemplate, InitialTemplate]
 
 PROPERTIES = ("SP", "HSP", "ISP", "HISP")
+INITIAL_PROPERTIES = ("ISP", "HISP")
 
 
 @dataclass(frozen=True)
@@ -304,7 +299,7 @@ def refute_property(
     if prop not in PROPERTIES:
         raise ValueError(f"property must be one of {PROPERTIES}")
     eps = rat(eps)
-    initial = prop in ("ISP", "HISP")
+    initial = prop in INITIAL_PROPERTIES
     mode = "hausdorff" if prop in ("HSP", "HISP") else "plain"
     if initial != isinstance(template, InitialTemplate):
         raise ValueError(f"{prop} needs an {'initial' if initial else 'spaced'} template")
@@ -389,7 +384,7 @@ def _suite_conjugacy_invariance(seed: int, count: int) -> PropertyVerdict:
         spec_target = Specification.build(target, triples)
         spec_source = conjugacy_transport(perm, spec_target, source)
         eps = randgen.random_fraction(rng, Fraction(0), space.diameter())
-        mode = rng.choice(("plain", "hausdorff"))
+        mode = rng.choice(MODES)
         for x in range(n):
             rs = check_trace(source, spec_source, x, eps, mode)
             rt = check_trace(target, spec_target, perm[x], eps, mode)

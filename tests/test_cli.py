@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -14,6 +15,46 @@ ambient interval 0 1
 box 0 1 1 1
 certify trivial-fiber expect certificate
 """
+
+MONICA_HEADER = """ambient interval 0 1
+box 0 1/2 0 0
+box 1/2 1 1 1
+box 1 1 0 1
+spec S
+  segment 0 k 2 l 3
+  segment 1 k 9 l 10
+end
+"""
+
+# SHA-256 of the human report and of the --emit JSON report of each bundled
+# scenario at the default seed.  Any change to what the library computes or
+# how the CLI renders it shows up here.
+REPORT_DIGESTS = {
+    "constant.scn": (
+        "3b74a23a99b9a5e1d90d852935278886698024efa46f508bb4d7ec2c0134c321",
+        "ca904b7024728279025771c67e359fe895014475ba5b15c2fb39f473a7f80fe8",
+    ),
+    "ex3.scn": (
+        "74beeb558b2b0f84dabef5733c011a8d109a9dd00a4393b391bf6b673295f77f",
+        "cdda35a0125a3dc89d9abbbdf7c8a49ceb88680cfafe50119755fbc94662c6cd",
+    ),
+    "exi.scn": (
+        "ac862fdd2eacbc9e0634b484e25b09a119d14d49e22ed005cbc1a67bff784c60",
+        "6b57d49706288bc44a7b24c45f1e7a37b7231c1ca45eeb131b4c555e6dfd580b",
+    ),
+    "goldenmean.scn": (
+        "936c1534377986f72157d0ac5b853853869788b820b00c4cf9b67fe4e4cb80b6",
+        "2cc4422f6bac4f18d2e5515ccc7178db3dc1b28103ed2ed0f86393a3c3d12820",
+    ),
+    "monica.scn": (
+        "afa6a8c27c32b7a1405113b88ba4a595e04f6016de5b11143840d881580b76c8",
+        "ab37e1e5d187a0c66c601a2b7f6902b3838f879ef0341223446e22b9ae5e145f",
+    ),
+    "suite.scn": (
+        "96d50e11dbfda8c210eb601f4397b07678391ea7cd6af0550d0a1811e3ecf57b",
+        "3288a2da0269c42ea82c9092968acadb7f1b4cc25437b2e4429616ebcaf3b2be",
+    ),
+}
 
 
 class TestParsing:
@@ -76,6 +117,27 @@ seq BAD cycle 1 1
 """
         with pytest.raises(ScenarioValidationError):
             parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "trace S eps mode plain",
+            "suite count",
+            "certify eventual-hausdorff eps n0max 3",
+            "trace S y 1/4 1/2 eps 1/4 mode plain",
+            "seq A pre cycle 0",
+        ],
+    )
+    def test_key_without_its_values_rejected(self, line):
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(MONICA_HEADER + line + "\n")
+        assert err.value.line == 9
+
+    def test_refute_segment_without_base_rejected(self):
+        text = MONICA_HEADER + "refute HSP eps 1/4 n 1 2\n  segment\nend\n"
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(text)
+        assert err.value.line == 10
 
     def test_missing_end_reported(self):
         text = "ambient interval 0 1\nbox 0 1 1 1\nspec S\n  segment 0 k 0 l 1\n"
@@ -165,6 +227,24 @@ class TestMain:
         assert main(["--scenario", str(bad), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "line",
+        ["trace S eps mode plain", "suite count", "certify eventual-hausdorff eps n0max 3"],
+    )
+    def test_exit_two_on_dangling_key(self, line, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(MONICA_HEADER + line + "\n")
+        assert main(["--scenario", str(bad), "--quiet"]) == 2
+        assert "line 9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+    def test_bundled_reports_are_pinned(self, name, tmp_path, capsys):
+        emit = tmp_path / "out.json"
+        assert main(["--scenario", str(SCENARIOS / name), "--emit", str(emit)]) == 0
+        human = capsys.readouterr().out.encode("utf-8")
+        digests = (hashlib.sha256(human).hexdigest(), hashlib.sha256(emit.read_bytes()).hexdigest())
+        assert digests == REPORT_DIGESTS[name]
 
     def test_exit_two_on_missing_file(self, tmp_path, capsys):
         assert main(["--scenario", str(tmp_path / "nope.scn"), "--quiet"]) == 2

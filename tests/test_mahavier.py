@@ -13,8 +13,6 @@ from crspec import (
     ShiftSpace,
     TransitionMatrix,
     mixing_index,
-    shift_forward,
-    shift_two_sided,
 )
 
 F = Fraction
@@ -102,7 +100,7 @@ class TestShiftStability:
             pre = rng.choice(prefixes) if prefixes else ()
             seq = golden_space.sequence(pre, cyc)
             for _ in range(6):
-                seq = shift_forward(seq)
+                seq = seq.shift()
                 # revalidation through the checked constructor must succeed
                 golden_space.sequence(seq.preperiod, seq.cycle)
 
@@ -110,15 +108,15 @@ class TestShiftStability:
 class TestBiEPSequence:
     def test_constant_is_shift_invariant(self, full_space):
         seq = full_space.bisequence((0,), (), (0,))
-        assert shift_two_sided(seq, "forward").same_sequence(seq)
+        assert seq.shift("forward").same_sequence(seq)
 
     def test_forward_backward_identity(self, full_space):
         seq = full_space.bisequence((0,), (1, 0, 1), (1,))
-        assert shift_two_sided(shift_two_sided(seq, "forward"), "backward") == seq
+        assert seq.shift("forward").shift("backward") == seq
 
     def test_marker_moves_one_position(self, full_space):
         seq = full_space.bisequence((0,), (1, 0, 1), (1,))
-        moved = shift_two_sided(seq, "forward")
+        moved = seq.shift("forward")
         for p in range(-5, 8):
             assert moved.symbol(p) == seq.symbol(p + 1)
 

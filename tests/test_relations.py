@@ -20,7 +20,6 @@ from crspec import (
     check_surjectivity,
     iterate_automaton,
     normalize,
-    point_orbit,
 )
 from crspec.randgen import random_box_relation, random_interval_union
 from conftest import box
@@ -240,10 +239,11 @@ class TestIterateAutomaton:
             auto = iterate_automaton(relation)
             for cell in auto.decomposition.cells:
                 orbit = auto.orbit_for(cell)
-                y = cell.representative()
+                stepped = relation.point_set(cell.representative())
                 horizon = orbit.transient + 2 * orbit.period
                 for j in range(1, horizon + 1):
-                    assert relation.iterate(y, j) == orbit.value_at(j)
+                    stepped = relation.image(stepped)
+                    assert stepped == orbit.value_at(j)
 
     def test_transient_plus_period_bounded_by_subset_count(self):
         rng = random.Random(17)
@@ -266,9 +266,11 @@ class TestFiniteRelation:
 
     def test_point_orbit_matches_iterates(self, golden_mean):
         for x in range(2):
-            orbit = point_orbit(golden_mean, x)
+            orbit = golden_mean.orbit(x)
+            stepped = golden_mean.point_set(x)
             for j in range(1, orbit.transient + 2 * orbit.period + 1):
-                assert golden_mean.iterate(x, j) == orbit.value_at(j)
+                stepped = golden_mean.image(stepped)
+                assert stepped == orbit.value_at(j)
 
     def test_projections(self, golden_mean):
         assert golden_mean.project(1) == PointSet.of([0, 1])

@@ -1,10 +1,14 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 import oracles
+import crspec.specifications
 from crspec import (
+    BoxRelation,
     FiniteMetricSpace,
     FiniteRelation,
     InitialSpecification,
@@ -21,8 +25,10 @@ from crspec import (
     find_initial_tracer,
     find_tracer,
     is_n_spaced,
+    iterate_automaton,
     lift_tracer,
 )
+from conftest import box
 from crspec.randgen import (
     random_box_relation,
     random_finite_relation,
@@ -329,3 +335,55 @@ class TestConjugacyTransport:
         spec = Specification.build(golden_mean, [(0, 0, 1)])
         with pytest.raises(SizeMismatchError):
             conjugacy_transport((0, 1, 2), spec, golden_mean)
+
+
+def _fresh_monica(unit):
+    return BoxRelation(unit, (box(0, F(1, 2), 0, 0), box(F(1, 2), 1, 1, 1), box(1, 1, 0, 1)))
+
+
+class TestOrbitSweep:
+    def test_image_calls_do_not_grow_with_the_exponents(self, unit, monkeypatch):
+        calls = []
+        image = BoxRelation.image
+
+        def counted(self, s):
+            calls.append(s)
+            return image(self, s)
+
+        monkeypatch.setattr(BoxRelation, "image", counted)
+        counts = []
+        for n in (10**2, 10**6):
+            calls.clear()
+            relation = _fresh_monica(unit)
+            spec = Specification.build(relation, [(F(0), 2, 3), (F(1), n, n + 1)])
+            assert isinstance(find_tracer(relation, spec, F(1, 4), "hausdorff"), NoTracer)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        assert counts[0] > 0
+
+    def test_relation_is_freed_once_dropped(self, unit):
+        def analyse():
+            relation = _fresh_monica(unit)
+            iterate_automaton(relation)
+            spec = Specification.build(relation, [(F(0), 2, 3), (F(1), 9, 10)])
+            find_tracer(relation, spec, F(1, 4), "hausdorff")
+            return weakref.ref(relation)
+
+        ref = analyse()
+        gc.collect()
+        assert ref() is None
+
+    def test_finite_search_stops_at_the_first_witness(self, two_points, monkeypatch):
+        checked = []
+        check = crspec.specifications.check_trace
+
+        def counted(relation, spec, y, eps, mode):
+            checked.append(y)
+            return check(relation, spec, y, eps, mode)
+
+        monkeypatch.setattr(crspec.specifications, "check_trace", counted)
+        full = FiniteRelation.from_pairs(two_points, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        spec = Specification.build(full, [(0, 0, 1)])
+        result = find_tracer(full, spec, F(0), "plain")
+        assert isinstance(result, TracerWitness) and result.y == 0
+        assert checked == [0]
