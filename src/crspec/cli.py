@@ -9,6 +9,11 @@ byte-identical for identical scenario text and seed.
 Exit codes: 0 when every ``expect`` clause holds and no command errored,
 1 on a missed expectation or a command error, 2 on parse/validation
 problems.
+
+A command error is a CRSpecError raised while the command runs, such as an
+orbit that dies; it becomes the command's "error" outcome.  Any other
+exception is a fault in the library, not a verdict on the scenario, so it
+is not caught and ends the run with its traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from pathlib import Path
 
 from .errors import CRSpecError, ScenarioError
 from .mahavier import mixing_index
-from .scenario import Command, Scenario, parse_scenario
+from .scenario import Scenario, parse_scenario
 from .specifications import (
     InitialSpecification,
     NoTracer,
@@ -34,7 +39,6 @@ from .specifications import (
 )
 from .verdicts import (
     Inconclusive,
-    Refutation,
     certify_common_image,
     certify_eventual_hausdorff,
     certify_full_image,
@@ -82,11 +86,20 @@ class Report:
         return all(r.met is not False for r in self.results)
 
 
+def _passed(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+def _worst(report: TraceReport) -> str:
+    w = report.worst
+    return f"{fmt(w.distance)} at (i={w.segment}, j={w.step})"
+
+
 def _report_payload(report: TraceReport) -> dict:
     return {
         "mode": report.mode,
         "eps": fmt(report.eps),
-        "verdict": "pass" if report.passed else "fail",
+        "verdict": _passed(report.passed),
         "entries": [
             {
                 "segment": e.segment,
@@ -109,8 +122,7 @@ def _report_lines(report: TraceReport) -> list[str]:
         f"  (i={e.segment}, j={e.step}) power {e.tracer_power}: distance {fmt(e.distance)}"
         for e in report.entries
     ]
-    w = report.worst
-    lines.append(f"  worst: {fmt(w.distance)} at (i={w.segment}, j={w.step})")
+    lines.append(f"  worst: {_worst(report)}")
     return lines
 
 
@@ -125,60 +137,36 @@ def _no_tracer_payload(outcome: NoTracer) -> list[dict]:
     ]
 
 
-def _run_trace(scenario: Scenario, command: Command) -> CommandResult:
-    params = command.params
+# Each runner takes a command's parameters and returns the outcome, the
+# command's label, the headline, the detail lines and the JSON data; run()
+# assembles them into a CommandResult.
+
+
+def _run_trace(scenario: Scenario, params: dict) -> tuple:
     spec = scenario.specs[params["spec"]]
     initial = isinstance(spec, InitialSpecification)
-    eps, mode = params["eps"], params["mode"]
-    relation = scenario.relation
+    relation, eps, mode, y = scenario.relation, params["eps"], params["mode"], params["y"]
     label = f"trace {params['spec']} eps {fmt(eps)} mode {mode}"
-    if params["y"] is not None:
-        checker = check_initial_trace if initial else check_trace
-        report = checker(relation, spec, params["y"], eps, mode)
-        outcome = "pass" if report.passed else "fail"
-        return CommandResult(
-            command.line,
-            "trace",
-            outcome,
-            f"{label} y {fmt(params['y'])}: {outcome}",
-            _report_lines(report),
-            {"command": label, "y": fmt(params["y"]), **_report_payload(report)},
-            command.expect,
-        )
-    finder = find_initial_tracer if initial else find_tracer
-    result = finder(relation, spec, eps, mode)
+    if y is not None:
+        report = (check_initial_trace if initial else check_trace)(relation, spec, y, eps, mode)
+        outcome = _passed(report.passed)
+        data = {"y": fmt(y), **_report_payload(report)}
+        return outcome, label, f"{label} y {fmt(y)}: {outcome}", _report_lines(report), data
+    result = (find_initial_tracer if initial else find_tracer)(relation, spec, eps, mode)
     if isinstance(result, NoTracer):
-        detail = []
-        for failure in result.failures:
-            worst = failure.report.worst
-            detail.append(
-                f"  region {failure.region} (rep {fmt(failure.representative)}): "
-                f"worst {fmt(worst.distance)} at (i={worst.segment}, j={worst.step})"
-            )
-        return CommandResult(
-            command.line,
-            "trace",
-            "notracer",
-            f"{label}: no tracer (all {len(result.failures)} regions fail)",
-            detail,
-            {"command": label, "verdict": "notracer", "regions": _no_tracer_payload(result)},
-            command.expect,
-        )
-    return CommandResult(
-        command.line,
-        "trace",
-        "witness",
-        f"{label}: witness y = {fmt(result.y)} in region {result.region}",
-        _report_lines(result.report),
-        {
-            "command": label,
-            "verdict": "witness",
-            "y": fmt(result.y),
-            "region": str(result.region),
-            "report": _report_payload(result.report),
-        },
-        command.expect,
-    )
+        headline = f"{label}: no tracer (all {len(result.failures)} regions fail)"
+        detail = [
+            f"  region {f.region} (rep {fmt(f.representative)}): worst {_worst(f.report)}"
+            for f in result.failures
+        ]
+        return "notracer", label, headline, detail, {"regions": _no_tracer_payload(result)}
+    headline = f"{label}: witness y = {fmt(result.y)} in region {result.region}"
+    data = {
+        "y": fmt(result.y),
+        "region": str(result.region),
+        "report": _report_payload(result.report),
+    }
+    return "witness", label, headline, _report_lines(result.report), data
 
 
 def _certificate_payload(cert) -> dict:
@@ -206,48 +194,29 @@ def _certificate_payload(cert) -> dict:
     return payload
 
 
-def _run_certify(scenario: Scenario, command: Command) -> CommandResult:
-    params = command.params
-    condition = params["condition"]
-    relation = scenario.relation
-    if condition == "common-image":
-        cert = certify_common_image(relation, params["n0_max"])
-        label = f"certify common-image n0max {params['n0_max']}"
-    elif condition == "full-image":
-        cert = certify_full_image(relation, params["n0_max"])
-        label = f"certify full-image n0max {params['n0_max']}"
-    elif condition == "eventual-hausdorff":
-        cert = certify_eventual_hausdorff(relation, params["eps"], params["n0_max"])
-        label = f"certify eventual-hausdorff eps {fmt(params['eps'])} n0max {params['n0_max']}"
-    else:
-        cert = certify_trivial_fiber(relation)
-        label = "certify trivial-fiber"
+_CERTIFIERS = {
+    "common-image": certify_common_image,
+    "full-image": certify_full_image,
+    "eventual-hausdorff": certify_eventual_hausdorff,
+    "trivial-fiber": certify_trivial_fiber,
+}
+
+
+def _run_certify(scenario: Scenario, params: dict) -> tuple:
+    # each certifier takes the relation, then eps and n0max where it needs them
+    keys = [key for key in ("eps", "n0max") if key in params]
+    label = " ".join(["certify", params["condition"], *(f"{k} {fmt(params[k])}" for k in keys)])
+    cert = _CERTIFIERS[params["condition"]](scenario.relation, *(params[k] for k in keys))
     if cert is None:
-        return CommandResult(
-            command.line,
-            "certify",
-            "notfound",
-            f"{label}: not found",
-            [],
-            {"command": label, "verdict": "notfound"},
-            command.expect,
-        )
+        return "notfound", label, f"{label}: not found", [], {}
     detail = [f"  {cert}"]
     if cert.kind == "trivial-fiber":
         detail.append(f"  x0 = {fmt(cert.evidence[0])}")
-    return CommandResult(
-        command.line,
-        "certify",
-        "certificate",
-        f"{label}: {cert}",
-        detail,
-        {"command": label, "verdict": "certificate", "certificate": _certificate_payload(cert)},
-        command.expect,
-    )
+    data = {"certificate": _certificate_payload(cert)}
+    return "certificate", label, f"{label}: {cert}", detail, data
 
 
-def _run_refute(scenario: Scenario, command: Command) -> CommandResult:
-    params = command.params
+def _run_refute(scenario: Scenario, params: dict) -> tuple:
     lo, hi = params["range"]
     label = f"refute {params['property']} eps {fmt(params['eps'])} over {lo}..{hi}"
     result = refute_property(
@@ -258,192 +227,129 @@ def _run_refute(scenario: Scenario, command: Command) -> CommandResult:
         range(lo, hi + 1),
     )
     if isinstance(result, Inconclusive):
-        return CommandResult(
-            command.line,
-            "refute",
-            "inconclusive",
-            f"{label}: inconclusive (tracer at value {result.value}: y = {fmt(result.witness.y)})",
-            _report_lines(result.witness.report),
-            {
-                "command": label,
-                "verdict": "inconclusive",
-                "value": result.value,
-                "witness": {
-                    "y": fmt(result.witness.y),
-                    "report": _report_payload(result.witness.report),
-                },
-            },
-            command.expect,
-        )
-    detail = []
+        witness = result.witness
+        headline = f"{label}: inconclusive (tracer at value {result.value}: y = {fmt(witness.y)})"
+        data = {
+            "value": result.value,
+            "witness": {"y": fmt(witness.y), "report": _report_payload(witness.report)},
+        }
+        return "inconclusive", label, headline, _report_lines(witness.report), data
     first = result.instantiations[0]
-    for failure in first.outcome.failures:
-        worst = failure.report.worst
-        detail.append(
-            f"  value {first.value}, region {failure.region}: "
-            f"worst {fmt(worst.distance)} at (i={worst.segment}, j={worst.step})"
-        )
+    detail = [
+        f"  value {first.value}, region {f.region}: worst {_worst(f.report)}"
+        for f in first.outcome.failures
+    ]
     if len(result.instantiations) > 1:
         detail.append(f"  ... and {len(result.instantiations) - 1} more instantiations, all refuted")
-    payload = {
-        "command": label,
-        "verdict": "refutation",
+    data = {
         "instantiations": [
             {"value": inst.value, "regions": _no_tracer_payload(inst.outcome)}
             for inst in result.instantiations
         ],
     }
-    return CommandResult(
-        command.line,
-        "refute",
-        "refutation",
-        f"{label}: refuted for every tested value",
-        detail,
-        payload,
-        command.expect,
-    )
+    return "refutation", label, f"{label}: refuted for every tested value", detail, data
 
 
 def _word_counts(scenario: Scenario, max_len: int) -> tuple[list[int], list[int]]:
-    """Enumerated word counts next to matrix-power path counts.
+    """Enumerated word counts next to path counts from the adjacency matrix A.
 
-    The number of admissible words with L symbols equals the sum of all
-    entries of the L-1st power of the 0/1 adjacency matrix.
+    The number of admissible words with L symbols is 1^T A^(L-1) 1; the row
+    vector 1^T A^(L-1) is carried from one length to the next.
     """
     adjacency = scenario.relation.adjacency
     n = len(adjacency)
     counts = [len(scenario.shift_space.admissible_words(k)) for k in range(1, max_len + 1)]
-    matrix = [[1 if adjacency[i][j] else 0 for j in range(n)] for i in range(n)]
-    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    row = [1] * n
     expected = []
     for _ in range(max_len):
-        expected.append(sum(sum(row) for row in power))
-        power = [
-            [sum(power[i][k] * matrix[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        expected.append(sum(row))
+        row = [sum(row[i] for i in range(n) if adjacency[i][j]) for j in range(n)]
     return counts, expected
 
 
-def _run_mahavier(scenario: Scenario, command: Command) -> CommandResult:
-    params = command.params
+def _run_mahavier(scenario: Scenario, params: dict) -> tuple:
     sub = params["sub"]
-    space = scenario.shift_space
     if sub == "words":
-        counts, expected = _word_counts(scenario, params["max_len"])
-        ok = counts == expected
-        label = f"mahavier words maxlen {params['max_len']}"
-        return CommandResult(
-            command.line,
-            "mahavier",
-            "pass" if ok else "fail",
-            f"{label}: counts {counts} {'match' if ok else 'DIFFER FROM'} matrix powers",
-            [f"  enumerated: {counts}", f"  matrix powers: {expected}"],
-            {"command": label, "verdict": "pass" if ok else "fail", "counts": counts, "matrix_counts": expected},
-            command.expect,
-        )
+        counts, expected = _word_counts(scenario, params["maxlen"])
+        label = f"mahavier words maxlen {params['maxlen']}"
+        verb = "match" if counts == expected else "DIFFER FROM"
+        headline = f"{label}: counts {counts} {verb} matrix powers"
+        detail = [f"  enumerated: {counts}", f"  matrix powers: {expected}"]
+        data = {"counts": counts, "matrix_counts": expected}
+        return _passed(counts == expected), label, headline, detail, data
     if sub == "mixing":
-        index = mixing_index(space.transition_matrix(), params["t_max"])
-        label = f"mahavier mixing tmax {params['t_max']}"
-        outcome = "pass" if index is not None else "fail"
-        text = f"primitive, index {index}" if index is not None else f"not primitive within {params['t_max']}"
-        return CommandResult(
-            command.line,
-            "mahavier",
-            outcome,
-            f"{label}: {text}",
-            [],
-            {"command": label, "verdict": outcome, "index": index},
-            command.expect,
-        )
+        index = mixing_index(scenario.shift_space.transition_matrix(), params["tmax"])
+        label = f"mahavier mixing tmax {params['tmax']}"
+        if index is None:
+            headline = f"{label}: not primitive within {params['tmax']}"
+        else:
+            headline = f"{label}: primitive, index {index}"
+        return _passed(index is not None), label, headline, [], {"index": index}
     if sub == "surjectivity":
-        p1, p2 = scenario.relation.project(1), scenario.relation.project(2)
         full = scenario.relation.space.full()
-        ok = p1 == full and p2 == full
+        p1, p2 = scenario.relation.project(1), scenario.relation.project(2)
         label = "mahavier surjectivity"
-        return CommandResult(
-            command.line,
-            "mahavier",
-            "pass" if ok else "fail",
-            f"{label}: p1 {'full' if p1 == full else str(p1)}, p2 {'full' if p2 == full else str(p2)}",
-            [],
-            {"command": label, "verdict": "pass" if ok else "fail", "p1_full": p1 == full, "p2_full": p2 == full},
-            command.expect,
-        )
-    # sub == "trace"
+        shown = ["full" if p == full else str(p) for p in (p1, p2)]
+        headline = f"{label}: p1 {shown[0]}, p2 {shown[1]}"
+        data = {"p1_full": p1 == full, "p2_full": p2 == full}
+        return _passed(p1 == full and p2 == full), label, headline, [], data
     spec = scenario.mspecs[params["mspec"]]
-    y = scenario.sequences[params["y"]]
-    report = space.trace_check(spec, y, params["eps"])
-    outcome = "pass" if report.passed else "fail"
+    report = scenario.shift_space.trace_check(spec, scenario.sequences[params["y"]], params["eps"])
+    outcome = _passed(report.passed)
     label = f"mahavier trace {params['mspec']} y {params['y']} eps {fmt(params['eps'])}"
-    return CommandResult(
-        command.line,
-        "mahavier",
-        outcome,
-        f"{label}: {outcome}",
-        _report_lines(report),
-        {"command": label, **_report_payload(report)},
-        command.expect,
-    )
+    return outcome, label, f"{label}: {outcome}", _report_lines(report), _report_payload(report)
 
 
-def _run_suite(scenario: Scenario, command: Command, default_seed: int) -> CommandResult:
-    params = command.params
-    seed = params["seed"] if params["seed"] is not None else default_seed
-    verdicts = implication_suite(seed, params["count"])
+def _run_suite(count: int, seed: int) -> tuple:
+    verdicts = implication_suite(seed, count)
     ok = all(v.ok for v in verdicts)
-    label = f"suite seed {seed} count {params['count']}"
+    label = f"suite seed {seed} count {count}"
     detail = [
         f"  {v.name}: {v.instances} instances, {len(v.failures)} failures" for v in verdicts
     ]
     for v in verdicts:
         detail.extend(f"    {msg}" for msg in v.failures)
-    return CommandResult(
-        command.line,
-        "suite",
-        "pass" if ok else "fail",
-        f"{label}: {'all implications hold' if ok else 'FAILURES'}",
-        detail,
-        {
-            "command": label,
-            "verdict": "pass" if ok else "fail",
-            "seed": seed,
-            "results": [
-                {"name": v.name, "instances": v.instances, "failures": list(v.failures)}
-                for v in verdicts
-            ],
-        },
-        command.expect,
-    )
+    results = [
+        {"name": v.name, "instances": v.instances, "failures": list(v.failures)}
+        for v in verdicts
+    ]
+    headline = f"{label}: {'all implications hold' if ok else 'FAILURES'}"
+    return _passed(ok), label, headline, detail, {"seed": seed, "results": results}
 
 
 def run(scenario: Scenario, seed: int = 0, name: str = "<scenario>") -> Report:
     """Execute every command in order; never raises on domain errors."""
-    report = Report(name, seed)
     runners = {
         "trace": _run_trace,
         "certify": _run_certify,
         "refute": _run_refute,
         "mahavier": _run_mahavier,
+        "suite": lambda scenario, params: _run_suite(
+            params["count"], seed if params["seed"] is None else params["seed"]
+        ),
     }
+    report = Report(name, seed)
     for command in scenario.commands:
+        error = None
         try:
-            if command.kind == "suite":
-                result = _run_suite(scenario, command, seed)
-            else:
-                result = runners[command.kind](scenario, command)
+            outcome, label, headline, detail, data = runners[command.kind](scenario, command.params)
         except CRSpecError as exc:
-            result = CommandResult(
+            error = str(exc)
+            outcome, label, detail, data = "error", command.kind, [], {"message": error}
+            headline = f"{command.kind} (line {command.line}): error: {error}"
+        payload = {**data, "command": label, "verdict": outcome}
+        report.results.append(
+            CommandResult(
                 command.line,
                 command.kind,
-                "error",
-                f"{command.kind} (line {command.line}): error: {exc}",
-                [],
-                {"command": command.kind, "verdict": "error", "message": str(exc)},
+                outcome,
+                headline,
+                detail,
+                payload,
                 command.expect,
-                error=str(exc),
+                error,
             )
-        report.results.append(result)
+        )
     return report
 
 

@@ -130,6 +130,8 @@ class OrbitSegment:
     orbit: Orbit = field(repr=False)
 
     def __post_init__(self):
+        if self.first < 0:
+            raise BadRangeError(f"segment exponent {self.first} is negative")
         if self.first > self.last:
             raise BadRangeError(f"segment range [{self.first}, {self.last}] is empty")
         if self.last >= 1:

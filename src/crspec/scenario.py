@@ -16,8 +16,9 @@ metric raises ScenarioValidationError.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Callable
 
 from .errors import CRSpecError, ScenarioParseError, ScenarioValidationError
 from .mahavier import EPSequence, ShiftSpace
@@ -122,8 +123,15 @@ ONE, TWO, SOME = "one value", "two values", "one or more values"
 _EXACT = {ONE: 1, TWO: 2}
 
 
-def _keyvals(tokens: list[str], line: int, arity: dict[str, str]) -> dict[str, list[str]]:
-    """Parse `key value [value ...]` runs; each key takes the values its arity allows."""
+def _fields(
+    tokens: list[str], line: int, usage: str, arity: dict[str, str], optional=()
+) -> dict[str, list[str]]:
+    """Parse `key value [value ...]` runs into each key's values.
+
+    ``arity`` names every key the line may give and how many values each
+    takes; every key not listed in ``optional`` must be given.  A line that
+    does not fit raises ScenarioParseError.
+    """
     out: dict[str, list[str]] = {}
     key = None
     for tok in tokens:
@@ -133,13 +141,43 @@ def _keyvals(tokens: list[str], line: int, arity: dict[str, str]) -> dict[str, l
                 raise ScenarioParseError(line, f"duplicate key {key!r}")
             out[key] = []
         elif key is None:
-            raise ScenarioParseError(line, f"unexpected token {tok!r}")
+            raise ScenarioParseError(line, f"unexpected token {tok!r}: {usage}")
         else:
             out[key].append(tok)
     for key, values in out.items():
         if not values or len(values) != _EXACT.get(arity[key], len(values)):
             raise ScenarioParseError(line, f"{key!r} needs {arity[key]}")
+    if any(key not in out and key not in optional for key in arity):
+        raise ScenarioParseError(line, usage)
     return out
+
+
+def _segment(tokens: list[str], line: int, keys: tuple[str, ...]) -> tuple[str, list[int]]:
+    """The base token and the exponents of `segment BASE KEY N ...`, keys in this order."""
+    if len(tokens) != 2 + 2 * len(keys) or tokens[0] != "segment" or tuple(tokens[2::2]) != keys:
+        usage = " ".join(f"{key} {key.upper()}" for key in keys)
+        raise ScenarioParseError(line, f"expected 'segment BASE {usage}'")
+    exponents = [_integer(token, line) for token in tokens[3::2]]
+    if min(exponents) < 0:
+        raise ScenarioParseError(line, "segment exponents must be non-negative")
+    return tokens[1], exponents
+
+
+def _point(token: str, line: int, relation):
+    if isinstance(relation, FiniteRelation):
+        idx = _integer(token, line)
+        if not 0 <= idx < relation.space.n:
+            raise ScenarioValidationError(line, f"point index {idx} out of range")
+        return idx
+    value = _rational(token, line)
+    if not relation.space.contains(value):
+        raise ScenarioValidationError(line, f"point {value} outside the ambient interval")
+    return value
+
+
+def _known(table: dict, name: str, line: int, what: str) -> None:
+    if name not in table:
+        raise ScenarioValidationError(line, f"unknown {what} {name!r}")
 
 
 class _Builder:
@@ -152,7 +190,9 @@ class _Builder:
         self.raw_specs: list = []
         self.raw_seqs: list = []
         self.raw_mspecs: list = []
-        self.commands: list[Command] = []
+        # (command, resolve): resolve(scenario) checks the names the command
+        # refers to and returns the parameters that need the relation
+        self.commands: list[tuple[Command, Callable[[Scenario], dict] | None]] = []
 
     # -- declaration parsing ------------------------------------------------
 
@@ -209,118 +249,138 @@ class _Builder:
     def spec_block(self, line, tokens, body, initial: bool):
         if not tokens or not re.match(r"^[A-Za-z_][\w-]*$", tokens[0]):
             raise ScenarioParseError(line, "specification needs a name")
-        name = tokens[0]
         gaps = None
         if initial:
-            kv = _keyvals(tokens[1:], line, {"gaps": SOME})
-            if list(kv) != ["gaps"]:
-                raise ScenarioParseError(line, "ispec needs 'gaps M1 [M2 ...]'")
+            kv = _fields(tokens[1:], line, "ispec needs 'gaps M1 [M2 ...]'", {"gaps": SOME})
             gaps = tuple(_integer(t, line) for t in kv["gaps"])
         elif tokens[1:]:
             raise ScenarioParseError(line, "unexpected tokens after spec name")
-        segments = []
-        for segline, segtokens in body:
-            if segtokens[0] != "segment":
-                raise ScenarioParseError(segline, "spec blocks hold 'segment ...' lines")
-            kv = _keyvals(segtokens[2:], segline, {"k": ONE, "l": ONE})
-            if initial:
-                if list(kv) != ["l"]:
-                    raise ScenarioParseError(segline, "initial segment needs 'BASE l L'")
-                segments.append((segtokens[1], None, _integer(kv["l"][0], segline), segline))
-            else:
-                if list(kv) != ["k", "l"]:
-                    raise ScenarioParseError(segline, "segment needs 'BASE k K l L'")
-                segments.append(
-                    (segtokens[1], _integer(kv["k"][0], segline), _integer(kv["l"][0], segline), segline)
-                )
+        keys = ("l",) if initial else ("k", "l")
+        segments = [(*_segment(seg, segline, keys), segline) for segline, seg in body]
         if not segments:
             raise ScenarioValidationError(line, "a specification needs at least one segment")
-        self.raw_specs.append((line, name, initial, tuple(segments), gaps))
+        self.raw_specs.append((line, tokens[0], initial, segments, gaps))
 
     def seq_line(self, line, tokens):
         if not tokens:
             raise ScenarioParseError(line, "seq needs a name")
-        name = tokens[0]
-        kv = _keyvals(tokens[1:], line, {"pre": SOME, "cycle": SOME})
-        if "cycle" not in kv:
-            raise ScenarioParseError(line, "seq needs '[pre S ...] cycle S [S ...]'")
+        kv = _fields(
+            tokens[1:],
+            line,
+            "seq needs '[pre S ...] cycle S [S ...]'",
+            {"pre": SOME, "cycle": SOME},
+            optional=("pre",),
+        )
         pre = tuple(_integer(t, line) for t in kv.get("pre", []))
         cycle = tuple(_integer(t, line) for t in kv["cycle"])
-        self.raw_seqs.append((line, name, pre, cycle))
+        self.raw_seqs.append((line, tokens[0], pre, cycle))
 
     def mspec_block(self, line, tokens, body):
         if len(tokens) != 1:
             raise ScenarioParseError(line, "mspec needs exactly a name")
-        segments = []
-        for segline, segtokens in body:
-            if segtokens[0] != "segment" or len(segtokens) != 6:
-                raise ScenarioParseError(segline, "mspec segments need 'segment SEQ k K l L'")
-            kv = _keyvals(segtokens[2:], segline, {"k": ONE, "l": ONE})
-            if list(kv) != ["k", "l"]:
-                raise ScenarioParseError(segline, "mspec segments need 'segment SEQ k K l L'")
-            segments.append(
-                (segtokens[1], _integer(kv["k"][0], segline), _integer(kv["l"][0], segline), segline)
-            )
+        segments = [(*_segment(seg, segline, ("k", "l")), segline) for segline, seg in body]
         if not segments:
             raise ScenarioValidationError(line, "an mspec needs at least one segment")
-        self.raw_mspecs.append((line, tokens[0], tuple(segments)))
+        self.raw_mspecs.append((line, tokens[0], segments))
 
-    # -- command parsing ----------------------------------------------------
+    # -- command parsing: each returns the parameters and their resolver -----
 
-    def command_line(self, line, kind, tokens):
-        tokens, expect = _split_expect(tokens, line)
-        self.commands.append(Command(line, kind, {"tokens": tuple(tokens)}, expect))
+    def trace(self, line, tokens):
+        kv = _fields(
+            tokens[1:],
+            line,
+            "trace needs 'SPEC [y P] eps Q mode M'",
+            {"y": ONE, "eps": ONE, "mode": ONE},
+            optional=("y",),
+        )
+        mode = kv["mode"][0]
+        if mode not in MODES:
+            raise ScenarioParseError(line, f"mode must be one of {MODES}")
+        name, y = tokens[0], kv.get("y")
 
-    def refute_block(self, line, tokens, body):
-        tokens, expect = _split_expect(tokens, line)
-        if not tokens or tokens[0] not in PROPERTIES:
+        def resolve(scenario):
+            _known(scenario.specs, name, line, "specification")
+            return {"y": None if y is None else _point(y[0], line, scenario.relation)}
+
+        return {"spec": name, "eps": _rational(kv["eps"][0], line), "mode": mode}, resolve
+
+    def certify(self, line, tokens):
+        condition, rest = (tokens[0], tokens[1:]) if tokens else (None, [])
+        if condition in ("common-image", "full-image"):
+            kv = _fields(rest, line, f"certify {condition} needs 'n0max N'", {"n0max": ONE})
+        elif condition == "eventual-hausdorff":
+            usage = "certify eventual-hausdorff needs 'eps Q n0max N'"
+            kv = _fields(rest, line, usage, {"eps": ONE, "n0max": ONE})
+        elif condition == "trivial-fiber":
+            kv = _fields(rest, line, "certify trivial-fiber takes no parameters", {})
+        else:
+            raise ScenarioParseError(line, f"unknown certify condition {condition!r}")
+        params = {"condition": condition}
+        if "eps" in kv:
+            params["eps"] = _rational(kv["eps"][0], line)
+        if "n0max" in kv:
+            params["n0max"] = _integer(kv["n0max"][0], line)
+        return params, None
+
+    def mahavier(self, line, tokens):
+        sub, rest = (tokens[0], tokens[1:]) if tokens else (None, [])
+        if sub == "words":
+            kv = _fields(rest, line, "mahavier words needs 'maxlen L'", {"maxlen": ONE})
+            return {"sub": sub, "maxlen": _integer(kv["maxlen"][0], line)}, None
+        if sub == "mixing":
+            kv = _fields(rest, line, "mahavier mixing needs 'tmax T'", {"tmax": ONE})
+            return {"sub": sub, "tmax": _integer(kv["tmax"][0], line)}, None
+        if sub == "surjectivity":
+            _fields(rest, line, "mahavier surjectivity takes no parameters", {})
+            return {"sub": sub}, None
+        if sub != "trace":
+            raise ScenarioParseError(line, f"unknown mahavier subcommand {sub!r}")
+        usage = "mahavier trace needs 'MSPEC y SEQ eps Q'"
+        kv = _fields(rest[1:], line, usage, {"y": ONE, "eps": ONE})
+        mspec, y = rest[0], kv["y"][0]
+
+        def resolve(scenario):
+            _known(scenario.mspecs, mspec, line, "mspec")
+            _known(scenario.sequences, y, line, "sequence")
+            return {}
+
+        return {"sub": sub, "mspec": mspec, "y": y, "eps": _rational(kv["eps"][0], line)}, resolve
+
+    def suite(self, line, tokens):
+        usage = "suite needs 'count N [seed S]'"
+        kv = _fields(tokens, line, usage, {"count": ONE, "seed": ONE}, optional=("seed",))
+        seed = _integer(kv["seed"][0], line) if "seed" in kv else None
+        return {"count": _integer(kv["count"][0], line), "seed": seed}, None
+
+    def refute(self, line, tokens, body):
+        prop = tokens[0] if tokens else None
+        if prop not in PROPERTIES:
             raise ScenarioParseError(line, f"refute needs a property: {', '.join(PROPERTIES)}")
-        prop = tokens[0]
-        kv = _keyvals(tokens[1:], line, {"eps": ONE, "n": TWO, "gaps": TWO})
-        range_key = "gaps" if prop in INITIAL_PROPERTIES else "n"
-        if set(kv) != {"eps", range_key}:
-            raise ScenarioParseError(
-                line, f"refute {prop} needs 'eps Q {range_key} LO HI'"
-            )
-        eps = _rational(kv["eps"][0], line)
-        lo = _integer(kv[range_key][0], line)
-        hi = _integer(kv[range_key][1], line)
+        initial = prop in INITIAL_PROPERTIES
+        range_key = "gaps" if initial else "n"
+        usage = f"refute {prop} needs 'eps Q {range_key} LO HI'"
+        kv = _fields(tokens[1:], line, usage, {"eps": ONE, range_key: TWO})
+        lo, hi = (_integer(t, line) for t in kv[range_key])
         if lo < 1 or hi < lo:
             raise ScenarioValidationError(line, "range bounds must satisfy 1 <= LO <= HI")
         segments = []
-        for segline, segtokens in body:
-            if segtokens[0] != "segment" or len(segtokens) < 2:
-                raise ScenarioParseError(segline, "refute blocks hold 'segment BASE ...' lines")
-            kv_seg = _keyvals(segtokens[2:], segline, {"k": ONE, "l": ONE, "len": ONE})
-            segments.append((segtokens[1], kv_seg, segline))
-        if not segments:
-            raise ScenarioValidationError(line, "a refutation template needs segments")
-        self.commands.append(
-            Command(
-                line,
-                "refute",
-                {
-                    "property": prop,
-                    "eps": eps,
-                    "range": (lo, hi),
-                    "segments": tuple(segments),
-                },
-                expect,
-            )
-        )
+        for idx, (segline, seg) in enumerate(body):
+            # initial: every segment 'BASE l L'; spaced: the head 'BASE k K l L',
+            # then tails 'BASE len L'
+            keys = ("l",) if initial else ("len",) if idx else ("k", "l")
+            segments.append((*_segment(seg, segline, keys), segline))
+        if len(segments) < 2:
+            raise ScenarioValidationError(line, "a refutation template needs two segments")
+
+        def resolve(scenario):
+            parts = [(_point(b, sl, scenario.relation), *exps) for b, exps, sl in segments]
+            if initial:
+                return {"template": InitialTemplate(tuple(parts))}
+            return {"template": SpacedTemplate(parts[0], tuple(parts[1:]))}
+
+        return {"property": prop, "eps": _rational(kv["eps"][0], line), "range": (lo, hi)}, resolve
 
     # -- assembly -----------------------------------------------------------
-
-    def _point(self, token: str, line: int, relation):
-        if isinstance(relation, FiniteRelation):
-            idx = _integer(token, line)
-            if not 0 <= idx < relation.space.n:
-                raise ScenarioValidationError(line, f"point index {idx} out of range")
-            return idx
-        value = _rational(token, line)
-        if not relation.space.contains(value):
-            raise ScenarioValidationError(line, f"point {value} outside the ambient interval")
-        return value
 
     def build(self) -> Scenario:
         if self.ambient is None:
@@ -352,17 +412,16 @@ class _Builder:
             if name in scenario.specs:
                 raise ScenarioValidationError(line, f"duplicate specification name {name!r}")
             try:
+                items = [(_point(b, sl, relation), *exps) for b, exps, sl in segments]
                 if initial:
-                    pairs = [(self._point(b, sl, relation), l) for b, _, l, sl in segments]
-                    scenario.specs[name] = InitialSpecification.build(relation, pairs, gaps)
+                    scenario.specs[name] = InitialSpecification.build(relation, items, gaps)
                 else:
-                    triples = [(self._point(b, sl, relation), k, l) for b, k, l, sl in segments]
-                    scenario.specs[name] = Specification.build(relation, triples)
+                    scenario.specs[name] = Specification.build(relation, items)
             except (CRSpecError, ValueError) as exc:
                 raise ScenarioValidationError(line, str(exc)) from None
 
         if self.raw_seqs or self.raw_mspecs or any(
-            c.kind == "mahavier" for c in self.commands
+            c.kind == "mahavier" for c, _ in self.commands
         ):
             if not isinstance(relation, FiniteRelation):
                 raise ScenarioValidationError(
@@ -383,149 +442,31 @@ class _Builder:
             if name in scenario.mspecs:
                 raise ScenarioValidationError(line, f"duplicate mspec name {name!r}")
             resolved = []
-            for seqname, first, last, segline in segments:
-                if seqname not in scenario.sequences:
-                    raise ScenarioValidationError(segline, f"unknown sequence {seqname!r}")
-                if not 0 <= first <= last:
+            for seqname, (first, last), segline in segments:
+                _known(scenario.sequences, seqname, segline, "sequence")
+                if first > last:
                     raise ScenarioValidationError(segline, "segment needs 0 <= k <= l")
                 resolved.append((scenario.sequences[seqname], first, last))
             scenario.mspecs[name] = tuple(resolved)
 
-        scenario.commands = [self._finish_command(c, scenario) for c in self.commands]
+        for command, resolve in self.commands:
+            if resolve is not None:
+                command = replace(command, params={**command.params, **resolve(scenario)})
+            scenario.commands.append(command)
         return scenario
-
-    def _finish_command(self, command: Command, scenario: Scenario) -> Command:
-        relation = scenario.relation
-        line = command.line
-        if command.kind == "refute":
-            prop = command.params["property"]
-            initial = prop in INITIAL_PROPERTIES
-            head = None
-            tail = []
-            for idx, (base_tok, kv, segline) in enumerate(command.params["segments"]):
-                base = self._point(base_tok, segline, relation)
-                if initial:
-                    if list(kv) != ["l"]:
-                        raise ScenarioParseError(segline, "initial template segments need 'BASE l L'")
-                    tail.append((base, _integer(kv["l"][0], segline)))
-                elif idx == 0:
-                    if list(kv) != ["k", "l"]:
-                        raise ScenarioParseError(segline, "the head segment needs 'BASE k K l L'")
-                    head = (base, _integer(kv["k"][0], segline), _integer(kv["l"][0], segline))
-                else:
-                    if list(kv) != ["len"]:
-                        raise ScenarioParseError(segline, "tail segments need 'BASE len L'")
-                    tail.append((base, _integer(kv["len"][0], segline)))
-            if initial:
-                if len(tail) < 2:
-                    raise ScenarioValidationError(line, "an initial template needs two segments")
-                template = InitialTemplate(tuple(tail))
-            else:
-                if head is None or not tail:
-                    raise ScenarioValidationError(line, "a spaced template needs a head and a tail")
-                template = SpacedTemplate(head, tuple(tail))
-            params = {
-                "property": prop,
-                "eps": command.params["eps"],
-                "range": command.params["range"],
-                "template": template,
-            }
-            return Command(line, "refute", params, command.expect)
-
-        tokens = list(command.params["tokens"])
-        if command.kind == "trace":
-            if not tokens or tokens[0] not in scenario.specs:
-                raise ScenarioValidationError(line, f"unknown specification {tokens[:1]}")
-            name = tokens[0]
-            kv = _keyvals(tokens[1:], line, {"y": ONE, "eps": ONE, "mode": ONE})
-            if "eps" not in kv or "mode" not in kv:
-                raise ScenarioParseError(line, "trace needs '[y P] eps Q mode M'")
-            mode = kv["mode"][0]
-            if mode not in MODES:
-                raise ScenarioParseError(line, f"mode must be one of {MODES}")
-            params = {
-                "spec": name,
-                "eps": _rational(kv["eps"][0], line),
-                "mode": mode,
-                "y": self._point(kv["y"][0], line, relation) if "y" in kv else None,
-            }
-            return Command(line, "trace", params, command.expect)
-        if command.kind == "certify":
-            if not tokens:
-                raise ScenarioParseError(line, "certify needs a condition name")
-            condition = tokens[0]
-            kv = _keyvals(tokens[1:], line, {"eps": ONE, "n0max": ONE})
-            if condition in ("common-image", "full-image"):
-                if list(kv) != ["n0max"]:
-                    raise ScenarioParseError(line, f"certify {condition} needs 'n0max N'")
-                params = {"condition": condition, "n0_max": _integer(kv["n0max"][0], line)}
-            elif condition == "eventual-hausdorff":
-                if set(kv) != {"eps", "n0max"}:
-                    raise ScenarioParseError(line, "certify eventual-hausdorff needs 'eps Q n0max N'")
-                params = {
-                    "condition": condition,
-                    "eps": _rational(kv["eps"][0], line),
-                    "n0_max": _integer(kv["n0max"][0], line),
-                }
-            elif condition == "trivial-fiber":
-                if kv:
-                    raise ScenarioParseError(line, "certify trivial-fiber takes no parameters")
-                params = {"condition": condition}
-            else:
-                raise ScenarioParseError(line, f"unknown certify condition {condition!r}")
-            return Command(line, "certify", params, command.expect)
-        if command.kind == "mahavier":
-            if not tokens:
-                raise ScenarioParseError(line, "mahavier needs a subcommand")
-            sub = tokens[0]
-            kv_tokens = tokens[1:]
-            if sub == "words":
-                kv = _keyvals(kv_tokens, line, {"maxlen": ONE})
-                if list(kv) != ["maxlen"]:
-                    raise ScenarioParseError(line, "mahavier words needs 'maxlen L'")
-                params = {"sub": sub, "max_len": _integer(kv["maxlen"][0], line)}
-            elif sub == "mixing":
-                kv = _keyvals(kv_tokens, line, {"tmax": ONE})
-                if list(kv) != ["tmax"]:
-                    raise ScenarioParseError(line, "mahavier mixing needs 'tmax T'")
-                params = {"sub": sub, "t_max": _integer(kv["tmax"][0], line)}
-            elif sub == "surjectivity":
-                if kv_tokens:
-                    raise ScenarioParseError(line, "mahavier surjectivity takes no parameters")
-                params = {"sub": sub}
-            elif sub == "trace":
-                if not kv_tokens or kv_tokens[0] not in scenario.mspecs:
-                    raise ScenarioValidationError(line, f"unknown mspec {kv_tokens[:1]}")
-                kv = _keyvals(kv_tokens[1:], line, {"y": ONE, "eps": ONE})
-                if set(kv) != {"y", "eps"}:
-                    raise ScenarioParseError(line, "mahavier trace needs 'MSPEC y SEQ eps Q'")
-                if kv["y"][0] not in scenario.sequences:
-                    raise ScenarioValidationError(line, f"unknown sequence {kv['y'][0]!r}")
-                params = {
-                    "sub": sub,
-                    "mspec": kv_tokens[0],
-                    "y": kv["y"][0],
-                    "eps": _rational(kv["eps"][0], line),
-                }
-            else:
-                raise ScenarioParseError(line, f"unknown mahavier subcommand {sub!r}")
-            return Command(line, "mahavier", params, command.expect)
-        if command.kind == "suite":
-            kv = _keyvals(tokens, line, {"count": ONE, "seed": ONE})
-            if "count" not in kv:
-                raise ScenarioParseError(line, "suite needs 'count N [seed S]'")
-            params = {
-                "count": _integer(kv["count"][0], line),
-                "seed": _integer(kv["seed"][0], line) if "seed" in kv else None,
-            }
-            return Command(line, "suite", params, command.expect)
-        raise ScenarioParseError(line, f"unknown command {command.kind!r}")
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario; no command is executed."""
     builder = _Builder()
     lines = _Lines(text)
+    commands = {
+        "trace": builder.trace,
+        "certify": builder.certify,
+        "refute": lambda line, tokens: builder.refute(line, tokens, lines.take_block(line)),
+        "mahavier": builder.mahavier,
+        "suite": builder.suite,
+    }
     while not lines.done():
         lineno, tokens = lines.take()
         keyword, rest = tokens[0], tokens[1:]
@@ -543,10 +484,10 @@ def parse_scenario(text: str) -> Scenario:
             builder.seq_line(lineno, rest)
         elif keyword == "mspec":
             builder.mspec_block(lineno, rest, lines.take_block(lineno))
-        elif keyword == "refute":
-            builder.refute_block(lineno, rest, lines.take_block(lineno))
-        elif keyword in ("trace", "certify", "mahavier", "suite"):
-            builder.command_line(lineno, keyword, rest)
+        elif keyword in commands:
+            rest, expect = _split_expect(rest, lineno)
+            params, resolve = commands[keyword](lineno, rest)
+            builder.commands.append((Command(lineno, keyword, params, expect), resolve))
         else:
             raise ScenarioParseError(lineno, f"unknown keyword {keyword!r}")
     return builder.build()

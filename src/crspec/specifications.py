@@ -14,12 +14,12 @@ accumulated segment lengths and gaps.
 
 Tracer search is an exact decision, not a sampling heuristic.  On a box
 relation every distance with tracer exponent >= 1 depends only on the cell
-of ``y``; the single exponent-0 requirement (present when the first segment
-starts at 0) constrains ``y`` to the closed interval ``|y - x_1| <= eps``.
-Searching cells intersected with that constraint therefore either produces a
-witness or an exhaustive per-cell failure table that covers all of X.  On a
-finite space the search enumerates points.  Either search returns the first
-witness it finds.
+of ``y``; each exponent-0 requirement (one per segment that starts at 0)
+constrains ``y`` to the closed interval ``|y - x_i| <= eps``, and together
+they pin ``y`` to one closed window.  Searching cells intersected with that
+window therefore either produces a witness or an exhaustive per-cell failure
+table that covers all of X.  On a finite space the search enumerates points.
+Either search returns the first witness it finds.
 
 Every iterate is read off the relation's memoized per-cell or per-point
 orbit (see :mod:`crspec.relations`), so a check or a search costs in
@@ -238,11 +238,10 @@ def _search(relation, spec, reqs, eps, mode, checker) -> SearchResult:
         return NoTracer(tuple(failures))
 
     # Box relation: decide each cell exactly.  Requirements with power >= 1
-    # are cell-constant; the only power-0 requirement is (1, 0), which pins
-    # y to the closed interval |y - x_1| <= eps.
-    zero_reqs = [(i, j) for i, j, power in reqs if power == 0]
+    # are cell-constant; each power-0 requirement (i, 0) asks |y - x_i| <= eps,
+    # so together they pin y to the closed window [max x_i - eps, min x_i + eps].
+    zero_bases = [rat(spec.segments[i - 1].base) for i, _, power in reqs if power == 0]
     cell_reqs = [(i, j, power) for i, j, power in reqs if power >= 1]
-    base1 = rat(spec.segments[0].base)
     dist = _distance_fn(relation, mode)
 
     failures = []
@@ -253,11 +252,11 @@ def _search(relation, spec, reqs, eps, mode, checker) -> SearchResult:
             for i, j, power in cell_reqs
         )
         region = cell
-        if cell_ok and zero_reqs:
-            region = cell.intersect_closed(base1 - eps, base1 + eps)
+        if cell_ok and zero_bases:
+            region = cell.intersect_closed(max(zero_bases) - eps, min(zero_bases) + eps)
             cell_ok = region is not None
         if cell_ok:
-            y = cell.representative() if not zero_reqs else region.pick_point(prefer=base1)
+            y = region.pick_point(prefer=zero_bases[0]) if zero_bases else cell.representative()
             report = checker(relation, spec, y, eps, mode)
             if not report.passed:
                 raise AssertionError("cell-level pass must yield a passing witness")

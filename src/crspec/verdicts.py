@@ -47,7 +47,6 @@ from .specifications import (
     NoTracer,
     Specification,
     TracerWitness,
-    check_initial_trace,
     check_trace,
     conjugacy_transport,
     derive_initial,

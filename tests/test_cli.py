@@ -1,8 +1,11 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crspec import ScenarioParseError, ScenarioValidationError
 from crspec.cli import main, render_json, run
@@ -238,6 +241,31 @@ class TestMain:
         assert main(["--scenario", str(bad), "--quiet"]) == 2
         assert "line 9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "block, line",
+        [
+            pytest.param("spec T\n  segment 0 k -1 l 2\nend\n", 10, id="spec-k"),
+            pytest.param(
+                "ispec T gaps 1\n  segment 0 l -1\n  segment 1 l 1\nend\n", 10, id="ispec-l"
+            ),
+            pytest.param(
+                "refute HSP eps 1/4 n 1 2\n  segment 0 k -1 l 2\n  segment 1 len 1\nend\n",
+                10,
+                id="refute-head-k",
+            ),
+            pytest.param(
+                "refute HSP eps 1/4 n 1 2\n  segment 0 k 2 l 3\n  segment 1 len -3\nend\n",
+                11,
+                id="refute-tail-len",
+            ),
+        ],
+    )
+    def test_exit_two_on_negative_exponent(self, block, line, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(MONICA_HEADER + block + "trace S y 0 eps 1 mode plain\n")
+        assert main(["--scenario", str(bad), "--quiet"]) == 2
+        assert f"line {line}: segment exponents must be non-negative" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
     def test_bundled_reports_are_pinned(self, name, tmp_path, capsys):
         emit = tmp_path / "out.json"
@@ -276,3 +304,30 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0
         assert "seed 9" in out
+
+
+# Small integers, negatives included, and small fractions (zero denominators too).
+SMALL = st.integers(-3, 8)
+NUMBERS = st.one_of(SMALL.map(str), st.builds("{}/{}".format, SMALL, st.integers(0, 8)))
+NUMERIC = re.compile(r"^-?\d+(?:/\d+)?$")
+FUZZED = ["monica.scn", "constant.scn", "exi.scn", "goldenmean.scn"]
+
+
+class TestFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_mutated_numbers_never_raise(self, data, tmp_path_factory):
+        # suite.scn is left out: its implication suites are slow and parse no
+        # scenario-specific numbers beyond count and seed
+        name = data.draw(st.sampled_from(FUZZED))
+        text = (SCENARIOS / name).read_text()
+        rows = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
+        slots = [
+            (i, j) for i, row in enumerate(rows) for j, tok in enumerate(row) if NUMERIC.match(tok)
+        ]
+        changes = st.lists(st.tuples(st.sampled_from(slots), NUMBERS), min_size=1, max_size=3)
+        for (i, j), value in data.draw(changes):
+            rows[i][j] = value
+        path = tmp_path_factory.mktemp("fuzz") / name
+        path.write_text("\n".join(" ".join(row) for row in rows) + "\n")
+        assert main(["--scenario", str(path), "--quiet"]) in (0, 1, 2)

@@ -126,6 +126,8 @@ class TestOrbitSegment:
     def test_bad_range(self, monica):
         with pytest.raises(BadRangeError):
             monica.orbit_segment(F(0), 3, 2)
+        with pytest.raises(BadRangeError):
+            monica.orbit_segment(F(0), -1, 2)
 
 
 class TestProjectInverse:

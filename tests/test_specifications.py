@@ -137,19 +137,30 @@ class TestFindTracer:
         assert all(e.distance == 0 for e in result.report.entries)
 
     def test_grid_oracle_agrees(self, monica):
-        spec = Specification.build(monica, [(F(0), 2, 3), (F(1), 9, 10)])
+        cases = [
+            ([(F(0), 2, 3), (F(1), 9, 10)], F(1, 4)),
+            # a segment after the first starts at exponent 0: its window
+            # |y - 3/4| <= 1/8 binds, and y = 5/8 traces in plain mode
+            ([(F(0), 2, 3), (F(3, 4), 0, 1)], F(1, 8)),
+            # two exponent-0 windows, [0, 1/2] and [3/4, 5/4], that do not meet
+            ([(F(1, 4), 0, 1), (F(1), 0, 1)], F(1, 4)),
+        ]
         step = F(1, 32)
-        for mode in ("plain", "hausdorff"):
-            result = find_tracer(monica, spec, F(1, 4), mode)
-            sampled = [
-                y
-                for y in oracles.grid_tracer_candidates(monica.space, step)
-                if check_trace(monica, spec, y, F(1, 4), mode).passed
-            ]
-            if isinstance(result, NoTracer):
-                assert sampled == []
-            else:
-                assert sampled
+        for triples, eps in cases:
+            spec = Specification.build(monica, triples)
+            for mode in ("plain", "hausdorff"):
+                result = find_tracer(monica, spec, eps, mode)
+                sampled = [
+                    y
+                    for y in oracles.grid_tracer_candidates(monica.space, step)
+                    if check_trace(monica, spec, y, eps, mode).passed
+                ]
+                if isinstance(result, NoTracer):
+                    assert sampled == []
+                    assert not any(f.report.passed for f in result.failures)
+                else:
+                    assert sampled
+                    assert result.report.passed
 
     def test_finite_identity_traces_itself(self, two_points):
         ident = FiniteRelation.from_pairs(two_points, [(0, 0), (1, 1)])
