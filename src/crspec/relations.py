@@ -22,6 +22,12 @@ Every iterate ``F^j`` with ``j >= 1`` is read off one :class:`Orbit` per cell
 one image at a time and only as far as some caller has asked; it stops for
 good at the first repeated set, and it is memoized on the relation object,
 so it lives and dies with the relation.
+
+Two more memos live on the relation in the same way.  Each image step an
+orbit takes is kept by its set, so orbits of different regions that reach
+the same set share the rest of their sweep; and each distance between two
+sets is kept by its mode and pair of sets, so it is computed once however
+many requirements, cells, spacings or certificates compare that pair.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ from .sets import (
 )
 
 AmbientSet = Union[IntervalUnion, PointSet]
+
+MODES = ("plain", "hausdorff")
 
 
 class Orbit:
@@ -78,7 +86,7 @@ class Orbit:
         """Extend the orbit to exponent j, or to its first repeat when j is None."""
         sets = self._sets
         while self._cycle_start is None and self._death is None and (j is None or len(sets) < j):
-            self._push(self._relation.image(sets[-1]))
+            self._push(self._relation.step(sets[-1]))
         if self._death is not None and (j is None or j >= self._death):
             raise EmptyImageError(self._death)
 
@@ -156,6 +164,36 @@ class _Iterates:
     @cached_property
     def _orbits(self) -> dict:
         return {}
+
+    @cached_property
+    def _steps(self) -> dict:
+        return {}
+
+    @cached_property
+    def _distances(self) -> dict:
+        return {}
+
+    def step(self, s: AmbientSet) -> AmbientSet:
+        """F(S) through the relation's memo of image steps; may be empty."""
+        image = self._steps.get(s)
+        if image is None:
+            image = self._steps[s] = self.image(s)
+        return image
+
+    def distance(self, mode: str, a: AmbientSet, b: AmbientSet) -> Fraction:
+        """The set distance ("plain") or Hausdorff distance of two non-empty sets.
+
+        Kept by (mode, a, b) in a memo on the relation; an unknown mode
+        raises ValueError and an empty set EmptySetError, and neither is kept.
+        """
+        key = (mode, a, b)
+        d = self._distances.get(key)
+        if d is None:
+            if mode not in MODES:
+                raise ValueError(f"mode must be one of {MODES}")
+            measure = self.space.set_distance if mode == "plain" else self.space.hausdorff
+            d = self._distances[key] = measure(a, b)
+        return d
 
     def orbit(self, x) -> Orbit:
         """The orbit of x's region; x is a point, or a cell of a box relation."""

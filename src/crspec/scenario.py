@@ -22,9 +22,9 @@ from typing import Callable
 
 from .errors import CRSpecError, ScenarioParseError, ScenarioValidationError
 from .mahavier import EPSequence, ShiftSpace
-from .relations import BoxRelation, FiniteRelation
+from .relations import MODES, BoxRelation, FiniteRelation
 from .sets import FiniteMetricSpace, Interval, IntervalSpace, validate_metric
-from .specifications import MODES, InitialSpecification, Specification
+from .specifications import InitialSpecification, Specification
 from .verdicts import INITIAL_PROPERTIES, PROPERTIES, InitialTemplate, SpacedTemplate
 
 _RATIONAL = re.compile(r"^-?\d+(?:/\d+)?$")
@@ -150,6 +150,14 @@ def _fields(
     if any(key not in out and key not in optional for key in arity):
         raise ScenarioParseError(line, usage)
     return out
+
+
+def _count(kv: dict[str, list[str]], key: str, line: int) -> int:
+    """The value of a count key (maxlen, tmax, n0max, count), which is never negative."""
+    value = _integer(kv[key][0], line)
+    if value < 0:
+        raise ScenarioParseError(line, f"{key!r} must be non-negative")
+    return value
 
 
 def _segment(tokens: list[str], line: int, keys: tuple[str, ...]) -> tuple[str, list[int]]:
@@ -319,17 +327,17 @@ class _Builder:
         if "eps" in kv:
             params["eps"] = _rational(kv["eps"][0], line)
         if "n0max" in kv:
-            params["n0max"] = _integer(kv["n0max"][0], line)
+            params["n0max"] = _count(kv, "n0max", line)
         return params, None
 
     def mahavier(self, line, tokens):
         sub, rest = (tokens[0], tokens[1:]) if tokens else (None, [])
         if sub == "words":
             kv = _fields(rest, line, "mahavier words needs 'maxlen L'", {"maxlen": ONE})
-            return {"sub": sub, "maxlen": _integer(kv["maxlen"][0], line)}, None
+            return {"sub": sub, "maxlen": _count(kv, "maxlen", line)}, None
         if sub == "mixing":
             kv = _fields(rest, line, "mahavier mixing needs 'tmax T'", {"tmax": ONE})
-            return {"sub": sub, "tmax": _integer(kv["tmax"][0], line)}, None
+            return {"sub": sub, "tmax": _count(kv, "tmax", line)}, None
         if sub == "surjectivity":
             _fields(rest, line, "mahavier surjectivity takes no parameters", {})
             return {"sub": sub}, None
@@ -350,7 +358,7 @@ class _Builder:
         usage = "suite needs 'count N [seed S]'"
         kv = _fields(tokens, line, usage, {"count": ONE, "seed": ONE}, optional=("seed",))
         seed = _integer(kv["seed"][0], line) if "seed" in kv else None
-        return {"count": _integer(kv["count"][0], line), "seed": seed}, None
+        return {"count": _count(kv, "count", line), "seed": seed}, None
 
     def refute(self, line, tokens, body):
         prop = tokens[0] if tokens else None
@@ -411,8 +419,8 @@ class _Builder:
         for line, name, initial, segments, gaps in self.raw_specs:
             if name in scenario.specs:
                 raise ScenarioValidationError(line, f"duplicate specification name {name!r}")
+            items = [(_point(b, sl, relation), *exps) for b, exps, sl in segments]
             try:
-                items = [(_point(b, sl, relation), *exps) for b, exps, sl in segments]
                 if initial:
                     scenario.specs[name] = InitialSpecification.build(relation, items, gaps)
                 else:

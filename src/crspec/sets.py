@@ -19,7 +19,9 @@ Distance semantics:
   with closed neighborhoods, ``hausdorff(A, B) <= eps`` holds iff each set
   is contained in the eps-neighborhood of the other, boundary cases included.
 
-Everything here is immutable and safe to share between threads.
+Everything here is immutable and safe to share between threads.  An
+:class:`IntervalUnion` computes its hash once, when it is built, since
+unions are the keys of the per-relation memos in :mod:`crspec.relations`.
 """
 
 from __future__ import annotations
@@ -110,6 +112,11 @@ class IntervalUnion:
         for a, b in zip(self.parts, self.parts[1:]):
             if b.lo <= a.hi:
                 raise ValueError("parts must be sorted, disjoint and non-touching; use normalize()")
+        # hashing a Fraction takes a modular inverse, and unions key every memo
+        object.__setattr__(self, "_hash", hash(self.parts))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def empty(cls) -> "IntervalUnion":

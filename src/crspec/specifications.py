@@ -22,16 +22,20 @@ table that covers all of X.  On a finite space the search enumerates points.
 Either search returns the first witness it finds.
 
 Every iterate is read off the relation's memoized per-cell or per-point
-orbit (see :mod:`crspec.relations`), so a check or a search costs in
-proportion to the transients and periods of the orbits it touches, not to
-the exponents written in the specification.
+orbit, and every distance through the relation's distance memo (see
+:mod:`crspec.relations`).  A search builds one report per failing cell, at
+its representative, and reads the cell's verdict from the report's
+cell-constant entries.  So the orbit sweeps and distance evaluations behind
+a check or a search grow with the transients and periods of the orbits it
+touches, not with the exponents written in the specification; each distinct
+pair of sets is measured once per relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import (
     EmptyImageError,
@@ -49,15 +53,6 @@ from .relations import (
     rat,
 )
 from .sets import PointSet
-
-MODES = ("plain", "hausdorff")
-
-
-def _distance_fn(relation: Relation, mode: str) -> Callable:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    space = relation.space
-    return space.set_distance if mode == "plain" else space.hausdorff
 
 
 @dataclass(frozen=True)
@@ -204,13 +199,13 @@ def _initial_requirements(spec: InitialSpecification) -> list[tuple[int, int, in
 
 
 def _report(relation, spec, reqs, y, eps, mode) -> TraceReport:
-    dist = _distance_fn(relation, mode)
     origin, orbit = relation.point_set(y), relation.orbit(y)
     entries = []
     for i, j, power in reqs:
         target = spec.segments[i - 1].set_at(j)
         tracer = orbit.value_at(power) if power else origin
-        entries.append(TraceEntry(i, j, power, dist(tracer, target), tracer, target))
+        distance = relation.distance(mode, tracer, target)
+        entries.append(TraceEntry(i, j, power, distance, tracer, target))
     return TraceReport(mode, rat(eps), tuple(entries))
 
 
@@ -237,32 +232,31 @@ def _search(relation, spec, reqs, eps, mode, checker) -> SearchResult:
             failures.append(RegionFailure(y, y, report))
         return NoTracer(tuple(failures))
 
-    # Box relation: decide each cell exactly.  Requirements with power >= 1
-    # are cell-constant; each power-0 requirement (i, 0) asks |y - x_i| <= eps,
-    # so together they pin y to the closed window [max x_i - eps, min x_i + eps].
+    # Box relation: decide each cell exactly from the report at its
+    # representative.  Entries with power >= 1 are cell-constant; each power-0
+    # requirement (i, 0) asks |y - x_i| <= eps, so together they pin y to the
+    # closed window [max x_i - eps, min x_i + eps].
     zero_bases = [rat(spec.segments[i - 1].base) for i, _, power in reqs if power == 0]
-    cell_reqs = [(i, j, power) for i, j, power in reqs if power >= 1]
-    dist = _distance_fn(relation, mode)
 
     failures = []
     for cell in cell_decomposition(relation).cells:
-        orbit = relation.orbit(cell)
-        cell_ok = all(
-            dist(orbit.value_at(power), spec.segments[i - 1].set_at(j)) <= eps
-            for i, j, power in cell_reqs
-        )
-        region = cell
+        rep = cell.representative()
+        report = checker(relation, spec, rep, eps, mode)
+        cell_ok = all(e.distance <= eps for e in report.entries if e.tracer_power >= 1)
+        y = rep
         if cell_ok and zero_bases:
             region = cell.intersect_closed(max(zero_bases) - eps, min(zero_bases) + eps)
             cell_ok = region is not None
-        if cell_ok:
-            y = region.pick_point(prefer=zero_bases[0]) if zero_bases else cell.representative()
+            if cell_ok:
+                y = region.pick_point(prefer=zero_bases[0])
+        if not cell_ok:
+            failures.append(RegionFailure(cell, rep, report))
+            continue
+        if y != rep:
             report = checker(relation, spec, y, eps, mode)
-            if not report.passed:
-                raise AssertionError("cell-level pass must yield a passing witness")
-            return TracerWitness(y, cell, report)
-        rep = cell.representative()
-        failures.append(RegionFailure(cell, rep, checker(relation, spec, rep, eps, mode)))
+        if not report.passed:
+            raise AssertionError("cell-level pass must yield a passing witness")
+        return TracerWitness(y, cell, report)
     return NoTracer(tuple(failures))
 
 

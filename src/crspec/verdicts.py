@@ -32,6 +32,7 @@ from typing import Sequence, Union
 
 from . import randgen
 from .relations import (
+    MODES,
     BoxRelation,
     FiniteRelation,
     Orbit,
@@ -42,7 +43,6 @@ from .relations import (
 )
 from .sets import rat
 from .specifications import (
-    MODES,
     InitialSpecification,
     NoTracer,
     Specification,
@@ -64,15 +64,19 @@ def _eventual_orbits(relation: Relation) -> list[tuple[object, Orbit]]:
     return [(x, relation.orbit(x).close()) for x in range(relation.space.n)]
 
 
-def _eventual_worst(space, oa: Orbit, ob: Orbit, n0: int) -> Fraction:
+def _eventual_worst(relation: Relation, oa: Orbit, ob: Orbit, n0: int) -> Fraction:
     """max over j >= n0 of H_d(F^j(x), F^j(y)) for closed orbits of x and y.
 
     From max(n0, T + 1) on, with T the larger transient, the pair of sets
     repeats with the lcm of the periods, so one such window covers every j.
+    Each distance comes from the relation's memo, so the windows of
+    successive n0 measure each pair of sets once.
     """
     transient = max(oa.transient, ob.transient)
     end = max(n0, transient + 1) + math.lcm(oa.period, ob.period) - 1
-    return max(space.hausdorff(oa.value_at(j), ob.value_at(j)) for j in range(n0, end + 1))
+    return max(
+        relation.distance("hausdorff", oa.value_at(j), ob.value_at(j)) for j in range(n0, end + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -96,17 +100,22 @@ class Certificate:
 def certify_common_image(relation: Relation, n0_max: int) -> Certificate | None:
     """Smallest n0 <= n0_max with F^{n0}(x) and F^{n0}(y) meeting for all x, y.
 
-    Evidence lists one common point per region pair.  Requires p1(F) = X;
-    a dying orbit raises EmptyImageError.
+    Evidence lists one common point per region pair.  Each distinct pair of
+    n0-th sets is intersected once per call.  Requires p1(F) = X; a dying
+    orbit raises EmptyImageError.
     """
     orbits = _eventual_orbits(relation)
+    commons = {}
     for n0 in range(1, n0_max + 1):
         evidence = []
         ok = True
         for a in range(len(orbits)):
             for b in range(a + 1, len(orbits)):
                 (la, oa), (lb, ob) = orbits[a], orbits[b]
-                common = oa.value_at(n0).intersect(ob.value_at(n0))
+                pair = (oa.value_at(n0), ob.value_at(n0))
+                common = commons.get(pair)
+                if common is None:
+                    common = commons[pair] = pair[0].intersect(pair[1])
                 if common.is_empty:
                     ok = False
                     break
@@ -137,7 +146,6 @@ def certify_eventual_hausdorff(relation: Relation, eps, n0_max: int) -> Certific
     the certificate is tagged eventual-equal (the stronger condition).
     """
     eps = rat(eps)
-    space = relation.space
     orbits = _eventual_orbits(relation)
     for n0 in range(1, n0_max + 1):
         evidence = []
@@ -146,7 +154,7 @@ def certify_eventual_hausdorff(relation: Relation, eps, n0_max: int) -> Certific
         for a in range(len(orbits)):
             for b in range(a + 1, len(orbits)):
                 (la, oa), (lb, ob) = orbits[a], orbits[b]
-                worst = _eventual_worst(space, oa, ob, n0)
+                worst = _eventual_worst(relation, oa, ob, n0)
                 if worst > eps:
                     ok = False
                     break
@@ -186,7 +194,11 @@ def certify_trivial_fiber(relation: Relation) -> Certificate | None:
 
 
 def recheck(relation: Relation, certificate: Certificate) -> bool:
-    """Re-evaluate a certificate's evidence against the relation from scratch."""
+    """Re-evaluate a certificate's evidence against the relation.
+
+    Orbits and distances come from the relation's memos, so a recheck that
+    shares nothing with the certifier needs a freshly built relation.
+    """
     orbits = dict(_eventual_orbits(relation))
     kind = certificate.kind
     if kind == "common-image":
@@ -202,9 +214,8 @@ def recheck(relation: Relation, certificate: Certificate) -> bool:
             for label, stored in certificate.evidence
         )
     if kind in ("eventual-hausdorff", "eventual-equal"):
-        space = relation.space
         for (la, lb), stored in certificate.evidence:
-            worst = _eventual_worst(space, orbits[la], orbits[lb], certificate.n0)
+            worst = _eventual_worst(relation, orbits[la], orbits[lb], certificate.n0)
             if worst != stored or worst > certificate.eps:
                 return False
             if kind == "eventual-equal" and worst != 0:

@@ -29,6 +29,17 @@ spec S
 end
 """
 
+TWO_POINTS = """ambient finite 2
+matrix metric
+  0 1
+  1 0
+end
+matrix adjacency
+  1 1
+  1 1
+end
+"""
+
 # SHA-256 of the human report and of the --emit JSON report of each bundled
 # scenario at the default seed.  Any change to what the library computes or
 # how the CLI renders it shows up here.
@@ -266,6 +277,29 @@ class TestMain:
         assert main(["--scenario", str(bad), "--quiet"]) == 2
         assert f"line {line}: segment exponents must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("mahavier words maxlen -2 expect pass", "maxlen"),
+            ("suite count -1 expect pass", "count"),
+            ("certify full-image n0max -1", "n0max"),
+            ("mahavier mixing tmax -1", "tmax"),
+        ],
+    )
+    def test_exit_two_on_negative_count(self, line, key, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(TWO_POINTS + line + "\n")
+        assert main(["--scenario", str(bad), "--quiet"]) == 2
+        assert f"line 10: {key!r} must be non-negative" in capsys.readouterr().err
+
+    def test_bad_segment_base_names_only_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text("ambient interval 0 1\nbox 0 1 0 1\nspec S\n  segment 2 k 0 l 1\nend\n")
+        assert main(["--scenario", str(bad), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "line 4: point 2 outside the ambient interval" in err
+        assert "line 3" not in err
+
     @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
     def test_bundled_reports_are_pinned(self, name, tmp_path, capsys):
         emit = tmp_path / "out.json"
@@ -311,6 +345,7 @@ SMALL = st.integers(-3, 8)
 NUMBERS = st.one_of(SMALL.map(str), st.builds("{}/{}".format, SMALL, st.integers(0, 8)))
 NUMERIC = re.compile(r"^-?\d+(?:/\d+)?$")
 FUZZED = ["monica.scn", "constant.scn", "exi.scn", "goldenmean.scn"]
+COUNT_KEYS = ("maxlen", "tmax", "n0max", "count")
 
 
 class TestFuzz:
@@ -325,9 +360,15 @@ class TestFuzz:
         slots = [
             (i, j) for i, row in enumerate(rows) for j, tok in enumerate(row) if NUMERIC.match(tok)
         ]
-        changes = st.lists(st.tuples(st.sampled_from(slots), NUMBERS), min_size=1, max_size=3)
+        # half the draws go to the values of count keys, which must never be negative
+        counts = [(i, j) for i, j in slots if j and rows[i][j - 1] in COUNT_KEYS]
+        slot = st.sampled_from(slots)
+        if counts:
+            slot = st.one_of(st.sampled_from(counts), slot)
+        changes = st.lists(st.tuples(slot, NUMBERS), min_size=1, max_size=3)
         for (i, j), value in data.draw(changes):
             rows[i][j] = value
         path = tmp_path_factory.mktemp("fuzz") / name
         path.write_text("\n".join(" ".join(row) for row in rows) + "\n")
-        assert main(["--scenario", str(path), "--quiet"]) in (0, 1, 2)
+        negative_count = any(rows[i][j].startswith("-") for i, j in counts)
+        assert main(["--scenario", str(path), "--quiet"]) in ((2,) if negative_count else (0, 1, 2))

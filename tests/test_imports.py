@@ -1,7 +1,11 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and keeps no
+process-global cache.
 
 No linter runs with the test suite, so this reads each module's syntax
-tree.  ``__init__.py`` is left out: its imports are the public API.
+tree.  ``__init__.py`` is left out of the import check: its imports are the
+public API.  Memos belong on the relation they describe, where they are
+freed with it; ``functools.lru_cache`` and ``functools.cache`` would keep
+every argument alive for the life of the process.
 """
 
 import ast
@@ -11,7 +15,9 @@ import pytest
 
 import crspec
 
-MODULES = sorted(p for p in Path(crspec.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(crspec.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+GLOBAL_CACHES = ("lru_cache", "cache")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +40,31 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def process_global_caches(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [alias.name for alias in node.names if alias.name in GLOBAL_CACHES]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in GLOBAL_CACHES
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            found.append(node.attr)
+    return sorted(found)
+
+
+def test_the_check_sees_a_process_global_cache():
+    source = (
+        "import functools\nfrom functools import cache, cached_property\n"
+        "@functools.lru_cache\ndef f(x):\n    return x\n"
+    )
+    assert process_global_caches(source) == ["cache", "lru_cache"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_process_global_caches(path):
+    assert process_global_caches(path.read_text(encoding="utf-8")) == []

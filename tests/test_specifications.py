@@ -12,11 +12,14 @@ from crspec import (
     FiniteMetricSpace,
     FiniteRelation,
     InitialSpecification,
+    IntervalSpace,
     NonPositiveGapError,
     NoPreimageError,
     NoTracer,
+    Refutation,
     Specification,
     SizeMismatchError,
+    SpacedTemplate,
     TracerWitness,
     check_initial_trace,
     check_trace,
@@ -27,6 +30,7 @@ from crspec import (
     is_n_spaced,
     iterate_automaton,
     lift_tracer,
+    refute_property,
 )
 from conftest import box
 from crspec.randgen import (
@@ -371,6 +375,43 @@ class TestOrbitSweep:
             counts.append(len(calls))
         assert counts[0] == counts[1]
         assert counts[0] > 0
+
+    def test_distance_calls_do_not_grow_with_the_refuted_range(self, unit, monkeypatch):
+        calls = []
+        hausdorff = IntervalSpace.hausdorff
+
+        def counted(self, a, b):
+            calls.append((a, b))
+            return hausdorff(self, a, b)
+
+        monkeypatch.setattr(IntervalSpace, "hausdorff", counted)
+        template = SpacedTemplate((F(0), 2, 3), ((F(1), 1),))
+        counts = []
+        for n in (20, 200):
+            calls.clear()
+            relation = _fresh_monica(unit)
+            result = refute_property(relation, "HSP", F(1, 4), template, range(1, n + 1))
+            assert isinstance(result, Refutation)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        assert counts[0] > 0
+
+    def test_each_swept_set_is_imaged_once(self, unit, monkeypatch):
+        calls = []
+        image = BoxRelation.image
+
+        def counted(self, s):
+            calls.append(s)
+            return image(self, s)
+
+        monkeypatch.setattr(BoxRelation, "image", counted)
+        # monica's four cells sweep six sets, of which four are distinct:
+        # {1/2} and (1/2, 1) both reach [0, 1], the orbit of the cell {1}
+        auto = iterate_automaton(_fresh_monica(unit))
+        swept = {s for orbit in auto.orbits for s in orbit.preperiod + orbit.cycle}
+        assert sum(len(orbit.preperiod + orbit.cycle) for orbit in auto.orbits) > len(swept)
+        assert len(calls) == len(swept)
+        assert set(calls) == swept
 
     def test_relation_is_freed_once_dropped(self, unit):
         def analyse():
