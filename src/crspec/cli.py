@@ -250,20 +250,36 @@ def _run_refute(scenario: Scenario, params: dict) -> tuple:
     return "refutation", label, f"{label}: refuted for every tested value", detail, data
 
 
+# Symbols that the enumeration behind `mahavier words` may build in all.
+WORD_SYMBOLS = 1 << 20
+
+
 def _word_counts(scenario: Scenario, max_len: int) -> tuple[list[int], list[int]]:
-    """Enumerated word counts next to path counts from the adjacency matrix A.
+    """Path counts from the adjacency matrix A, and enumerated counts to check them.
 
     The number of admissible words with L symbols is 1^T A^(L-1) 1; the row
-    vector 1^T A^(L-1) is carried from one length to the next.
+    vector 1^T A^(L-1) is carried from one length to the next over the
+    successor lists.  Lengths 1, 2, ... are then enumerated, each by
+    ``admissible_words``, which builds every shorter length on its way, for
+    as long as the symbols built in all stay within WORD_SYMBOLS.
     """
-    adjacency = scenario.relation.adjacency
-    n = len(adjacency)
-    counts = [len(scenario.shift_space.admissible_words(k)) for k in range(1, max_len + 1)]
-    row = [1] * n
+    succ = scenario.relation.successors
+    row = [1] * len(succ)
     expected = []
     for _ in range(max_len):
         expected.append(sum(row))
-        row = [sum(row[i] for i in range(n) if adjacency[i][j]) for j in range(n)]
+        nxt = [0] * len(succ)
+        for i, paths in enumerate(row):
+            for j in succ[i]:
+                nxt[j] += paths
+        row = nxt
+    counts, call_symbols, spent = [], 0, 0
+    for length, count in enumerate(expected, start=1):
+        call_symbols += length * count
+        spent += call_symbols
+        if spent > WORD_SYMBOLS:
+            break
+        counts.append(len(scenario.shift_space.admissible_words(length)))
     return counts, expected
 
 
@@ -272,11 +288,17 @@ def _run_mahavier(scenario: Scenario, params: dict) -> tuple:
     if sub == "words":
         counts, expected = _word_counts(scenario, params["maxlen"])
         label = f"mahavier words maxlen {params['maxlen']}"
-        verb = "match" if counts == expected else "DIFFER FROM"
-        headline = f"{label}: counts {counts} {verb} matrix powers"
+        agree = counts == expected[: len(counts)]
+        headline = f"{label}: counts {counts} {'match' if agree else 'DIFFER FROM'} matrix powers"
         detail = [f"  enumerated: {counts}", f"  matrix powers: {expected}"]
+        if len(counts) < len(expected):
+            headline += f" up to length {len(counts)}"
+            detail.append(
+                f"  enumeration stopped after length {len(counts)}: length {len(counts) + 1}"
+                f" would take the words built past {WORD_SYMBOLS} symbols"
+            )
         data = {"counts": counts, "matrix_counts": expected}
-        return _passed(counts == expected), label, headline, detail, data
+        return _passed(agree), label, headline, detail, data
     if sub == "mixing":
         index = mixing_index(scenario.shift_space.transition_matrix(), params["tmax"])
         label = f"mahavier mixing tmax {params['tmax']}"

@@ -11,12 +11,22 @@ The metric is the weighted supremum  max_{m>=1} d(s_m, t_m) / 2^m  over the
 ambient metric rescaled to diameter 1 (the rescaling factor is recorded on
 the :class:`ShiftSpace`).  Because the weights decay geometrically and the
 rescaled distances are at most 1, a scan can stop as soon as the remaining
-tail cannot beat the best value found.
+tail cannot beat the best value found.  The rescaling is lazy: each term
+divides the raw distance by ``scale * 2^m``, so a scan reads only the
+pairs it visits; the rescaled matrix ``metric`` is built on first use.
 
 Word-level utilities (admissible word enumeration, transition-matrix
 primitivity, connecting-path extraction) support building tracers by
 splicing: agree with each segment's base on a window of symbols, and join
 the windows with admissible connecting words.
+
+Every kernel costs per edge and per position read.  Words, connecting paths
+and the splice's feasible sets follow each symbol's successor list, kept on
+the relation (``FiniteRelation.successors``).  ``mixing_index`` keeps each
+row of a matrix power as an int bitmask, so the next power costs one OR per
+edge, and it stops at Wielandt's bound (n-1)^2 + 1 whatever ``t_max`` is.
+``EPSequence.shifted(j)`` drops the preperiod and rotates the cycle in one
+step, so a trace check at exponent 10^6 costs what it costs at 10.
 """
 
 from __future__ import annotations
@@ -24,6 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
+from operator import or_
 from typing import Sequence
 
 from .errors import NoPreimageError
@@ -78,10 +90,15 @@ class EPSequence:
         return EPSequence((), self.cycle[1:] + self.cycle[:1])
 
     def shifted(self, j: int) -> "EPSequence":
-        seq = self
-        for _ in range(j):
-            seq = seq.shift()
-        return seq
+        """The sequence shifted j times, built once: drop up to the whole
+        preperiod, then rotate the cycle by the rest of j."""
+        if j <= 0:
+            return self
+        pre = self.preperiod
+        if j <= len(pre):
+            return EPSequence(pre[j:], self.cycle)
+        r = (j - len(pre)) % len(self.cycle)
+        return EPSequence((), self.cycle[r:] + self.cycle[:r])
 
     def __str__(self):
         pre = " ".join(str(s) for s in self.preperiod)
@@ -153,29 +170,17 @@ class TransitionMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def mul(self, other: "TransitionMatrix") -> "TransitionMatrix":
-        n = self.n
-        return TransitionMatrix(
-            tuple(
-                tuple(
-                    any(self.entries[i][k] and other.entries[k][j] for k in range(n))
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        )
-
-    def all_positive(self) -> bool:
-        return all(all(row) for row in self.entries)
+    @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """For each symbol, the symbols it may be followed by, ascending."""
+        return tuple(tuple(j for j, edge in enumerate(row) if edge) for row in self.entries)
 
     def path_witness(self, a: int, b: int, edges: int) -> tuple[int, ...]:
         """An admissible word of `edges` + 1 symbols from a to b, min-lex."""
+        succ = self.successors
         reachable = [{a}]
         for _ in range(edges):
-            prev = reachable[-1]
-            reachable.append(
-                {j for i in prev for j in range(self.n) if self.entries[i][j]}
-            )
+            reachable.append(set().union(*(succ[i] for i in reachable[-1])))
         if b not in reachable[-1]:
             raise NoPreimageError(f"no path of {edges} edges from {a} to {b}")
         word = [b]
@@ -187,28 +192,39 @@ class TransitionMatrix:
 
 
 def mixing_index(matrix: TransitionMatrix, t_max: int) -> int | None:
-    """Smallest t <= t_max with M^t entrywise positive, else None."""
-    power = matrix
-    for t in range(1, t_max + 1):
-        if power.all_positive():
+    """Smallest t <= t_max with M^t entrywise positive, else None.
+
+    Each row of a power is an int bitmask: row i of M^(t+1) = M M^t is the
+    OR of the rows of M^t at the successors of i, one OR per edge.  No power
+    beyond Wielandt's bound (n-1)^2 + 1 is tried: a matrix with a positive
+    power has one by then.
+    """
+    succ = matrix.successors
+    full = (1 << matrix.n) - 1
+    power = [sum(1 << j for j in row) for row in succ]
+    for t in range(1, min(t_max, (matrix.n - 1) ** 2 + 1) + 1):
+        if all(row == full for row in power):
             return t
-        power = power.mul(matrix)
+        power = [reduce(or_, [power[j] for j in row], 0) for row in succ]
     return None
 
 
 @dataclass(frozen=True)
 class ShiftSpace:
-    """A finite relation together with its diameter-normalized metric."""
+    """A finite relation together with the scale that normalizes its diameter."""
 
     relation: FiniteRelation
-    metric: FiniteMetricSpace
     scale: Fraction
 
     @classmethod
     def of(cls, relation: FiniteRelation) -> "ShiftSpace":
         diam = relation.space.diameter()
-        scale = diam if diam > 0 else Fraction(1)
-        return cls(relation, relation.space.rescale(scale), scale)
+        return cls(relation, diam if diam > 0 else Fraction(1))
+
+    @cached_property
+    def metric(self) -> FiniteMetricSpace:
+        """The ambient metric divided by ``scale``, so of diameter 1 (or 0)."""
+        return self.relation.space.rescale(self.scale)
 
     @property
     def n(self) -> int:
@@ -222,10 +238,10 @@ class ShiftSpace:
         """All admissible words of the given length, lexicographic."""
         if length < 1:
             raise ValueError("word length must be positive")
-        adj = self.relation.adjacency
+        succ = self.relation.successors
         words = [(a,) for a in range(self.n)]
         for _ in range(length - 1):
-            words = [w + (b,) for w in words for b in range(self.n) if adj[w[-1]][b]]
+            words = [w + (b,) for w in words for b in succ[w[-1]]]
         return words
 
     def transition_matrix(self) -> TransitionMatrix:
@@ -268,16 +284,21 @@ class ShiftSpace:
         horizon = max(len(s.preperiod), len(t.preperiod)) + math.lcm(
             len(s.cycle), len(t.cycle)
         )
+        dist = self.relation.space.dist
+        num, den = self.scale.numerator, self.scale.denominator
         best = Fraction(0)
         m = 1
         while True:
-            term = self.metric.d(s.symbol(m), t.symbol(m)) / Fraction(2**m)
-            if term > best:
-                best = term
-            if best > 0 and Fraction(1, 2 ** (m + 1)) <= best:
+            d = dist[s.symbol(m)][t.symbol(m)]
+            if d:
+                # d / (scale * 2^m), built as one Fraction
+                term = Fraction(d.numerator * den, (d.denominator * num) << m)
+                if term > best:
+                    best = term
+            if best and best.denominator <= best.numerator << (m + 1):
                 return best
-            if best == 0 and m >= horizon:
-                return Fraction(0)
+            if not best and m >= horizon:
+                return best
             m += 1
 
     def trace_check(
@@ -341,16 +362,16 @@ class ShiftSpace:
 
         # Feasible symbol sets position by position, then a min-lex backtrack.
         adj = self.relation.adjacency
-        all_points = set(range(self.n))
+        succ = self.relation.successors
         feasible = [set()] * (prefix_len + 2)
-        feasible[1] = {fixed[1]} if 1 in fixed else set(all_points)
+        feasible[1] = {fixed[1]} if 1 in fixed else set(range(self.n))
         for p in range(2, prefix_len + 2):
-            want = {fixed[p]} if p in fixed else all_points
+            reach = set().union(*(succ[a] for a in feasible[p - 1]))
             if p == prefix_len + 1:
-                want = {tail.symbol(1)}
-            feasible[p] = {
-                b for b in want if any(adj[a][b] for a in feasible[p - 1])
-            }
+                reach &= {tail.symbol(1)}
+            elif p in fixed:
+                reach &= {fixed[p]}
+            feasible[p] = reach
             if not feasible[p]:
                 raise NoPreimageError(f"no admissible connection into position {p}")
         word = [tail.symbol(1)]

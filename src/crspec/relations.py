@@ -32,6 +32,7 @@ many requirements, cells, spacings or certificates compare that pair.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -294,13 +295,17 @@ class FiniteRelation(_Iterates):
             if self.adjacency[i][j]
         ]
 
+    @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """For each point i, the points j with (i, j) in F, ascending."""
+        return tuple(tuple(j for j, edge in enumerate(row) if edge) for row in self.adjacency)
+
     def point_set(self, x: int) -> PointSet:
         return self.space.point(x)
 
     def image(self, s: PointSet) -> PointSet:
-        return PointSet.of(
-            j for i in s.members for j in range(self.space.n) if self.adjacency[i][j]
-        )
+        succ = self.successors
+        return PointSet.of(j for i in s.members for j in succ[i])
 
     def _region(self, x: int) -> int:
         return x
@@ -396,6 +401,11 @@ class CellDecomposition:
     breakpoints: tuple[Fraction, ...]
     cells: tuple[Cell, ...]
 
+    @cached_property
+    def lows(self) -> tuple[Fraction, ...]:
+        """The cells' lower ends, in order, for bisection in cell_of."""
+        return tuple(cell.lo for cell in self.cells)
+
 
 def _pattern_at(relation: BoxRelation, x: Fraction) -> frozenset[int]:
     return frozenset(i for i, (a, _) in enumerate(relation.boxes) if a.contains(x))
@@ -440,7 +450,14 @@ def cell_decomposition(relation: BoxRelation) -> CellDecomposition:
 
 
 def cell_of(relation: BoxRelation, x: Fraction) -> Cell:
-    for cell in cell_decomposition(relation).cells:
+    """The cell containing x, found by bisection over the cells' lower ends.
+
+    The last cell starting at or before x holds x unless x is its open lower
+    end; then x lies in the cell just before it.
+    """
+    decomposition = cell_decomposition(relation)
+    i = bisect_right(decomposition.lows, x)
+    for cell in decomposition.cells[max(i - 2, 0) : i]:
         if cell.contains(x):
             return cell
     raise ValueError(f"point {x} outside the ambient space")

@@ -152,6 +152,11 @@ def _fields(
     return out
 
 
+# `mahavier words` prints every count in full, and Python prints no int of more
+# than 4,300 digits; n^1000 stays within that on any space of fewer than 10^4 points.
+MAX_WORD_LENGTH = 1000
+
+
 def _count(kv: dict[str, list[str]], key: str, line: int) -> int:
     """The value of a count key (maxlen, tmax, n0max, count), which is never negative."""
     value = _integer(kv[key][0], line)
@@ -334,7 +339,10 @@ class _Builder:
         sub, rest = (tokens[0], tokens[1:]) if tokens else (None, [])
         if sub == "words":
             kv = _fields(rest, line, "mahavier words needs 'maxlen L'", {"maxlen": ONE})
-            return {"sub": sub, "maxlen": _count(kv, "maxlen", line)}, None
+            maxlen = _count(kv, "maxlen", line)
+            if maxlen > MAX_WORD_LENGTH:
+                raise ScenarioParseError(line, f"'maxlen' must be at most {MAX_WORD_LENGTH}")
+            return {"sub": sub, "maxlen": maxlen}, None
         if sub == "mixing":
             kv = _fields(rest, line, "mahavier mixing needs 'tmax T'", {"tmax": ONE})
             return {"sub": sub, "tmax": _count(kv, "tmax", line)}, None

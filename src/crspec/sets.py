@@ -36,7 +36,12 @@ RationalLike = Union[int, str, Fraction]
 
 
 def rat(value: RationalLike) -> Fraction:
-    """Coerce to an exact rational; floats are refused, never rounded."""
+    """Coerce to an exact rational; floats are refused, never rounded.
+
+    A Fraction comes back as it is, since every endpoint and metric entry passes here.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass an int, a 'p/q' string or a Fraction")
     return Fraction(value)

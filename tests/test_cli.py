@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crspec import ScenarioParseError, ScenarioValidationError
-from crspec.cli import main, render_json, run
+from crspec import ScenarioParseError, ScenarioValidationError, ShiftSpace
+from crspec.cli import WORD_SYMBOLS, main, render_json, run
 from crspec.scenario import parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -291,6 +291,39 @@ class TestMain:
         bad.write_text(TWO_POINTS + line + "\n")
         assert main(["--scenario", str(bad), "--quiet"]) == 2
         assert f"line 10: {key!r} must be non-negative" in capsys.readouterr().err
+
+    def test_word_enumeration_is_bounded(self, tmp_path, capsys, monkeypatch):
+        # The full 2-shift has 2^L words of length L; the counts come from the
+        # successor recurrence and only short lengths are enumerated.
+        lengths = []
+        original = ShiftSpace.admissible_words
+
+        def recording(space, length):
+            lengths.append(length)
+            return original(space, length)
+
+        monkeypatch.setattr(ShiftSpace, "admissible_words", recording)
+        path, emit = tmp_path / "full.scn", tmp_path / "out.json"
+        path.write_text(TWO_POINTS + "mahavier words maxlen 40 expect pass\n")
+        assert main(["--scenario", str(path), "--emit", str(emit)]) == 0
+        data = json.loads(emit.read_text())["commands"][0]["data"]
+        assert data["matrix_counts"] == [2**k for k in range(1, 41)]
+        counts = data["counts"]
+        assert 0 < len(counts) < 40 and counts == data["matrix_counts"][: len(counts)]
+        assert lengths == list(range(1, len(counts) + 1))
+        built = sum(i * 2**i for k in lengths for i in range(1, k + 1))
+        assert built <= WORD_SYMBOLS
+        assert f"enumeration stopped after length {len(counts)}" in capsys.readouterr().out
+
+    def test_word_length_is_capped(self, tmp_path, capsys):
+        # 2^1000 prints in full; a count past 4,300 digits would end in a traceback
+        path, emit = tmp_path / "full.scn", tmp_path / "out.json"
+        path.write_text(TWO_POINTS + "mahavier words maxlen 1000 expect pass\n")
+        assert main(["--scenario", str(path), "--quiet", "--emit", str(emit)]) == 0
+        assert json.loads(emit.read_text())["commands"][0]["data"]["matrix_counts"][-1] == 2**1000
+        path.write_text(TWO_POINTS + "mahavier words maxlen 1001\n")
+        assert main(["--scenario", str(path), "--quiet"]) == 2
+        assert "line 10: 'maxlen' must be at most 1000" in capsys.readouterr().err
 
     def test_bad_segment_base_names_only_its_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from crspec import (
     TransitionMatrix,
     mixing_index,
 )
+from crspec.randgen import random_finite_space
 
 F = Fraction
 
@@ -177,11 +179,23 @@ class TestMixing:
     def test_permutation_never_mixes(self, two_points):
         swap = FiniteRelation.from_pairs(two_points, [(0, 1), (1, 0)])
         assert mixing_index(TransitionMatrix.of(swap), 12) is None
+        assert mixing_index(TransitionMatrix.of(swap), 10**12) is None
 
     def test_golden_mean_mixes_at_two(self, golden_space):
         assert mixing_index(golden_space.transition_matrix(), 5) == 2
         assert not oracles.matrix_power_positive(golden_space.relation.adjacency, 1)
         assert oracles.matrix_power_positive(golden_space.relation.adjacency, 2)
+
+    def test_wielandt_matrix_needs_the_full_bound(self):
+        # i -> i+1, and the last point back to 0 and 1: exponent (n-1)^2 + 1
+        n = 5
+        pairs = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0), (n - 1, 1)]
+        relation = FiniteRelation.from_pairs(FiniteMetricSpace.discrete(n), pairs)
+        assert oracles.matrix_power_positive(relation.adjacency, 17)
+        assert not oracles.matrix_power_positive(relation.adjacency, 16)
+        matrix = TransitionMatrix.of(relation)
+        assert mixing_index(matrix, 16) is None
+        assert mixing_index(matrix, 17) == mixing_index(matrix, 10**12) == 17
 
     def test_witness_words_exist_at_the_index(self, golden_space):
         matrix = golden_space.transition_matrix()
@@ -287,3 +301,96 @@ class TestFunctionCollapse:
                 assert e.distance == classical / 2
                 if report.passed:
                     assert classical <= 2 * eps
+
+
+def _seeded_shifts(seed, count=20):
+    """Shift spaces of random relations on at most 6 points; some rows may be dead."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        space = random_finite_space(rng, n)
+        pairs = [(i, j) for i in range(n) for j in range(n) if rng.random() < 0.4]
+        yield rng, ShiftSpace.of(FiniteRelation.from_pairs(space, pairs or [(0, 0)]))
+
+
+def _random_sequence(rng, shift):
+    """A random admissible eventually periodic sequence, or None."""
+    adj = shift.relation.adjacency
+    for _ in range(50):
+        cyc = tuple(rng.randrange(shift.n) for _ in range(rng.randint(1, 3)))
+        pre = tuple(rng.randrange(shift.n) for _ in range(rng.randint(0, 3)))
+        word = pre + cyc + cyc[:1]
+        if all(adj[a][b] for a, b in zip(word, word[1:])):
+            return shift.sequence(pre, cyc)
+    return None
+
+
+class TestKernelsAgainstDefinitions:
+    def test_admissible_words_are_the_filtered_product(self):
+        for _, shift in _seeded_shifts(3):
+            adj = shift.relation.adjacency
+            for length in range(1, 5):
+                want = [
+                    w for w in product(range(shift.n), repeat=length)
+                    if all(adj[a][b] for a, b in zip(w, w[1:]))
+                ]
+                assert shift.admissible_words(length) == want
+
+    def test_mixing_index_is_the_first_positive_power(self):
+        for _, shift in _seeded_shifts(4, count=40):
+            adj = shift.relation.adjacency
+            want = next(
+                (t for t in range(1, 9) if oracles.matrix_power_positive(adj, t)), None
+            )
+            assert mixing_index(shift.transition_matrix(), 8) == want
+
+    def test_shifted_is_repeated_shift(self):
+        for rng, shift in _seeded_shifts(5):
+            seq = _random_sequence(rng, shift)
+            if seq is None:
+                continue
+            stepped = seq
+            for j in range(len(seq.preperiod) + 3 * len(seq.cycle) + 1):
+                assert seq.shifted(j) == stepped
+                stepped = stepped.shift()
+
+    def test_sup_metric_from_the_metric_matrix(self):
+        checked = 0
+        for rng, shift in _seeded_shifts(6, count=30):
+            dist = shift.metric.dist
+            for _ in range(6):
+                s, t = _random_sequence(rng, shift), _random_sequence(rng, shift)
+                if s is None or t is None:
+                    continue
+                # terms repeat with halving weights after one joint period,
+                # so the maximum is attained within it
+                horizon = max(len(s.preperiod), len(t.preperiod)) + len(s.cycle) * len(t.cycle)
+                word_s = s.preperiod + s.cycle * horizon
+                word_t = t.preperiod + t.cycle * horizon
+                want = max(
+                    dist[word_s[m - 1]][word_t[m - 1]] / 2**m for m in range(1, horizon + 1)
+                )
+                assert shift.sup_metric(s, t) == want
+                checked += 1
+        assert checked > 50
+
+    def test_trace_check_builds_as_many_sequences_at_any_exponent(
+        self, golden_space, monkeypatch
+    ):
+        built = []
+        original = EPSequence.__post_init__
+
+        def counting(seq):
+            built.append(seq)
+            original(seq)
+
+        monkeypatch.setattr(EPSequence, "__post_init__", counting)
+        base = golden_space.sequence((0, 1), (0, 0, 1))
+        y = golden_space.sequence((1,), (0,))
+
+        def sequences_built(first):
+            built.clear()
+            golden_space.trace_check(((base, first, first + 1),), y, F(1, 4))
+            return len(built)
+
+        assert sequences_built(10) == sequences_built(10**5)

@@ -211,6 +211,20 @@ class TestCells:
                 )
                 assert home[0].pattern == expected
 
+    def test_cell_of_agrees_with_a_scan(self):
+        relation = random_box_relation(random.Random(0), max_boxes=18, max_den=32)
+        decomposition = cell_decomposition(relation)
+        cells = decomposition.cells
+        assert len(cells) == 23
+        # a cell that starts where its neighbour ends, open at that end
+        assert any(a.hi == b.lo and not b.lo_closed for a, b in zip(cells, cells[1:]))
+        points = [c.representative() for c in cells] + list(decomposition.breakpoints)
+        for x in points:
+            assert cell_of(relation, x) == next(c for c in cells if c.contains(x))
+        for x in (F(-1, 64), F(65, 64)):
+            with pytest.raises(ValueError):
+                cell_of(relation, x)
+
     def test_cell_of_and_image(self, monica):
         cell = cell_of(monica, F(3, 4))
         assert str(cell) == "(1/2, 1)"
@@ -262,6 +276,18 @@ class TestIterateAutomaton:
 
 
 class TestFiniteRelation:
+    def test_image_matches_the_adjacency_scan(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            pairs = [(i, j) for i in range(n) for j in range(n) if rng.random() < 0.4]
+            relation = FiniteRelation.from_pairs(FiniteMetricSpace.discrete(n), pairs)
+            adj = relation.adjacency
+            for bits in range(2**n):
+                members = [i for i in range(n) if bits >> i & 1]
+                want = PointSet.of(j for i in members for j in range(n) if adj[i][j])
+                assert relation.image(PointSet.of(members)) == want
+
     def test_image_and_iterate(self, golden_mean):
         assert golden_mean.image(PointSet.point(0)) == PointSet.of([0, 1])
         assert golden_mean.iterate(1, 2) == PointSet.of([0, 1])
