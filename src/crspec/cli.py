@@ -19,10 +19,10 @@ is not caught and ends the run with its traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import CRSpecError, ScenarioError
@@ -31,6 +31,7 @@ from .scenario import Scenario, parse_scenario
 from .specifications import (
     InitialSpecification,
     NoTracer,
+    TraceEntry,
     TraceReport,
     check_initial_trace,
     check_trace,
@@ -90,12 +91,12 @@ def _passed(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
-def _worst(report: TraceReport) -> str:
-    w = report.worst
+def _worst(w: TraceEntry) -> str:
     return f"{fmt(w.distance)} at (i={w.segment}, j={w.step})"
 
 
 def _report_payload(report: TraceReport) -> dict:
+    worst = report.worst
     return {
         "mode": report.mode,
         "eps": fmt(report.eps),
@@ -110,9 +111,9 @@ def _report_payload(report: TraceReport) -> dict:
             for e in report.entries
         ],
         "worst": {
-            "segment": report.worst.segment,
-            "step": report.worst.step,
-            "distance": fmt(report.worst.distance),
+            "segment": worst.segment,
+            "step": worst.step,
+            "distance": fmt(worst.distance),
         },
     }
 
@@ -122,7 +123,7 @@ def _report_lines(report: TraceReport) -> list[str]:
         f"  (i={e.segment}, j={e.step}) power {e.tracer_power}: distance {fmt(e.distance)}"
         for e in report.entries
     ]
-    lines.append(f"  worst: {_worst(report)}")
+    lines.append(f"  worst: {_worst(report.worst)}")
     return lines
 
 
@@ -156,7 +157,7 @@ def _run_trace(scenario: Scenario, params: dict) -> tuple:
     if isinstance(result, NoTracer):
         headline = f"{label}: no tracer (all {len(result.failures)} regions fail)"
         detail = [
-            f"  region {f.region} (rep {fmt(f.representative)}): worst {_worst(f.report)}"
+            f"  region {f.region} (rep {fmt(f.representative)}): worst {_worst(f.report.worst)}"
             for f in result.failures
         ]
         return "notracer", label, headline, detail, {"regions": _no_tracer_payload(result)}
@@ -236,7 +237,7 @@ def _run_refute(scenario: Scenario, params: dict) -> tuple:
         return "inconclusive", label, headline, _report_lines(witness.report), data
     first = result.instantiations[0]
     detail = [
-        f"  value {first.value}, region {f.region}: worst {_worst(f.report)}"
+        f"  value {first.value}, region {f.region}: worst {_worst(f.report.worst)}"
         for f in first.outcome.failures
     ]
     if len(result.instantiations) > 1:
@@ -406,7 +407,42 @@ def render_json(report: Report) -> str:
             for r in report.results
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text(doc) + "\n"
+
+
+def json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the types a report holds.
+
+    Those are dict with str keys, list, str, int, bool and None; anything
+    else raises TypeError.  Python's encoder falls back to its pure-Python
+    code whenever ``indent`` is set; this writer gives the same text in a
+    fraction of the time.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [
+            encode_basestring_ascii(k) + ": " + json_text(value[k], inner) for k in sorted(value)
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return repr(value)
+    raise TypeError(f"{kind.__name__} does not belong in a report")
 
 
 def main(argv=None) -> int:

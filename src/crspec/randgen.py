@@ -8,12 +8,12 @@ driven by an explicit :class:`random.Random`, never by global state.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from .relations import BoxRelation, FiniteRelation
-from .sets import FiniteMetricSpace, Interval, IntervalSpace, IntervalUnion, normalize
+from .sets import FiniteMetricSpace, Interval, IntervalSpace, IntervalUnion, common_grid, normalize
 
 UNIT = IntervalSpace(0, 1)
 
@@ -22,8 +22,8 @@ def random_fraction(
     rng: random.Random, lo=Fraction(0), hi=Fraction(1), max_den: int = 8
 ) -> Fraction:
     den = rng.randint(1, max_den)
-    lo_num = math.ceil(lo * den)
-    hi_num = math.floor(hi * den)
+    lo_num = -(-lo.numerator * den // lo.denominator)  # ceil(lo * den)
+    hi_num = hi.numerator * den // hi.denominator  # floor(hi * den)
     return Fraction(rng.randint(lo_num, hi_num), den)
 
 
@@ -102,30 +102,23 @@ def random_finite_space(rng: random.Random, n: int, max_den: int = 8) -> FiniteM
     ratios), the other half draw distances from [1/2, 1], where the triangle
     inequality holds automatically.
     """
+    zero = Fraction(0)
+    dist = [[zero] * n for _ in range(n)]
     if rng.random() < 0.5:
-        positions = sorted(
-            random_fraction(rng, Fraction(0), Fraction(4), max_den) for _ in range(n)
-        )
+        positions = [random_fraction(rng, Fraction(0), Fraction(4), max_den) for _ in range(n)]
+        den, at = common_grid([*positions, Fraction(1, max_den)])
+        step = at.pop()  # 1/max_den
+        at.sort()
         for i in range(1, n):
-            if positions[i] <= positions[i - 1]:
-                positions[i] = positions[i - 1] + Fraction(1, max_den)
-        dist = tuple(
-            tuple(abs(positions[i] - positions[j]) for j in range(n)) for i in range(n)
-        )
-        return FiniteMetricSpace(dist)
-    half = Fraction(1, 2)
-    values = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[(i, j)] = half + random_fraction(rng, Fraction(0), half, max_den)
-    dist = tuple(
-        tuple(
-            Fraction(0) if i == j else values[(min(i, j), max(i, j))]
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return FiniteMetricSpace(dist)
+            if at[i] <= at[i - 1]:
+                at[i] = at[i - 1] + step
+        for i, j in combinations(range(n), 2):
+            dist[i][j] = dist[j][i] = Fraction(at[j] - at[i], den)
+    else:
+        for i, j in combinations(range(n), 2):
+            p, q = random_fraction(rng, Fraction(0), Fraction(1, 2), max_den).as_integer_ratio()
+            dist[i][j] = dist[j][i] = Fraction(2 * p + q, 2 * q)  # 1/2 + p/q
+    return FiniteMetricSpace(tuple(map(tuple, dist)))
 
 
 def random_finite_relation(
@@ -205,9 +198,10 @@ def random_isometric_space(
         current = tuple(current[p] for p in perm)
     group = orbit_of_perm
 
-    def avg(i: int, j: int) -> Fraction:
-        total = sum(base.d(g[i], g[j]) for g in group)
-        return Fraction(total, len(group))
-
-    dist = tuple(tuple(avg(i, j) for j in range(n)) for i in range(n))
-    return FiniteMetricSpace(dist), tuple(perm)
+    # base is symmetric, so each unordered pair is averaged once, over D * |group|
+    den, rows, _, _ = base.grid
+    zero = Fraction(0)
+    dist = [[zero] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        dist[i][j] = dist[j][i] = Fraction(sum(rows[g[i]][g[j]] for g in group), den * len(group))
+    return FiniteMetricSpace(tuple(map(tuple, dist))), tuple(perm)

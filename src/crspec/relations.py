@@ -45,6 +45,7 @@ from .sets import (
     IntervalSpace,
     IntervalUnion,
     PointSet,
+    common_grid,
     normalize,
     rat,
 )
@@ -407,45 +408,59 @@ class CellDecomposition:
         return tuple(cell.lo for cell in self.cells)
 
 
-def _pattern_at(relation: BoxRelation, x: Fraction) -> frozenset[int]:
-    return frozenset(i for i, (a, _) in enumerate(relation.boxes) if a.contains(x))
-
-
 def cell_decomposition(relation: BoxRelation) -> CellDecomposition:
     """Split the ambient interval by the domain-side box endpoints.
 
     Elementary pieces (breakpoint singletons and the open intervals between
     them) are tagged with their pattern and then adjacent pieces with equal
     patterns are merged, so e.g. {0} merges into [0, 1/2) when the pattern
-    does not change at 0.  The result is kept on the relation object (a
-    frozen dataclass still has a ``__dict__``), so it is freed with it.
+    does not change at 0.  Breakpoints are compared as ints on one grid, and
+    one sweep over them tags every piece: a box holds a breakpoint from its
+    lower end to its upper end, and the open piece after it while it has not
+    ended.  Cells keep the original endpoints.  The result is kept on the
+    relation object (a frozen dataclass still has a ``__dict__``), so it is
+    freed with it.
     """
     memo = relation.__dict__
     if "_cell_decomposition" in memo:
         return memo["_cell_decomposition"]
     amb = relation.space
-    points = {amb.lo, amb.hi}
+    ends = [amb.lo, amb.hi]
     for a, _ in relation.boxes:
-        points.add(a.lo)
-        points.add(a.hi)
-    breaks = tuple(sorted(points))
+        ends += (a.lo, a.hi)
+    _, ints = common_grid(ends)
+    value = dict(zip(ints, ends))
+    grid = sorted(value)
+    index = {x: k for k, x in enumerate(grid)}
+    # bit i of a mask stands for box i
+    boxes = range(len(relation.boxes))
+    opens, closes = [0] * len(grid), [0] * len(grid)
+    for i in boxes:
+        opens[index[ints[2 * i + 2]]] |= 1 << i
+        closes[index[ints[2 * i + 3]]] |= 1 << i
 
-    pieces: list[Cell] = []
-    for idx, b in enumerate(breaks):
-        pieces.append(Cell(b, b, True, True, _pattern_at(relation, b)))
-        if idx + 1 < len(breaks):
-            nxt = breaks[idx + 1]
-            mid = (b + nxt) / 2
-            pieces.append(Cell(b, nxt, False, False, _pattern_at(relation, mid)))
+    # pieces as (lo index, hi index, closed, mask): each breakpoint, then the open piece after it
+    pieces = []
+    active = 0
+    for k in range(len(grid)):
+        active |= opens[k]
+        pieces.append((k, k, True, active))
+        active &= ~closes[k]
+        pieces.append((k, k + 1, False, active))
+    pieces.pop()
 
-    merged: list[Cell] = []
-    for piece in pieces:
-        if merged and merged[-1].pattern == piece.pattern:
-            prev = merged[-1]
-            merged[-1] = Cell(prev.lo, piece.hi, prev.lo_closed, piece.hi_closed, prev.pattern)
+    merged: list[list] = []
+    for lo, hi, closed, mask in pieces:
+        if merged and merged[-1][4] == mask:
+            merged[-1][1], merged[-1][3] = hi, closed
         else:
-            merged.append(piece)
-    memo["_cell_decomposition"] = CellDecomposition(breaks, tuple(merged))
+            merged.append([lo, hi, closed, closed, mask])
+    breaks = tuple(value[x] for x in grid)
+    cells = []
+    for lo, hi, lo_closed, hi_closed, mask in merged:
+        pattern = frozenset(i for i in boxes if mask >> i & 1)
+        cells.append(Cell(breaks[lo], breaks[hi], lo_closed, hi_closed, pattern))
+    memo["_cell_decomposition"] = CellDecomposition(breaks, tuple(cells))
     return memo["_cell_decomposition"]
 
 

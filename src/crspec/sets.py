@@ -6,6 +6,13 @@ index tuples (:class:`PointSet`).  All endpoints and distances are
 :class:`fractions.Fraction`, so every comparison in the library is exact:
 equalities like ``hausdorff == 1`` are meaningful, not approximate.
 
+The distance kernel works on integers inside and returns ``Fraction`` values.
+A union's endpoints and a finite metric's entries are each put once on an
+integer grid (ints over the lcm of their denominators, see
+:func:`common_grid`); distances compare and add those ints, and only the
+value that leaves the kernel is a ``Fraction`` again -- for a finite metric
+the original matrix entry, for interval unions one new ``Fraction``.
+
 Distance semantics:
 
 * ``set_distance(A, B)`` is the infimum of pairwise distances; it is zero
@@ -20,15 +27,19 @@ Distance semantics:
   is contained in the eps-neighborhood of the other, boundary cases included.
 
 Everything here is immutable and safe to share between threads.  An
-:class:`IntervalUnion` computes its hash once, when it is built, since
-unions are the keys of the per-relation memos in :mod:`crspec.relations`.
+:class:`IntervalUnion` computes its hash once, when it is built, and its
+integer grid once, when it is first measured, since unions are the keys of
+the per-relation memos in :mod:`crspec.relations`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from functools import cached_property
+from math import lcm
+from typing import Iterable, Sequence, Union
 
 from .errors import EmptySetError
 
@@ -45,6 +56,13 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass an int, a 'p/q' string or a Fraction")
     return Fraction(value)
+
+
+def common_grid(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(den, ints): the rationals as ints over den, the lcm of their denominators."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*[q for _, q in ratios])
+    return den, [p * (den // q) for p, q in ratios]
 
 
 @dataclass(frozen=True, order=True)
@@ -69,14 +87,6 @@ class Interval:
 
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def point_distance(self, x: Fraction) -> Fraction:
-        """Distance from the point x to this closed interval."""
-        if x < self.lo:
-            return self.lo - x
-        if x > self.hi:
-            return x - self.hi
-        return Fraction(0)
 
     def __str__(self):
         if self.is_point:
@@ -122,6 +132,12 @@ class IntervalUnion:
 
     def __hash__(self):
         return self._hash
+
+    @cached_property
+    def grid(self) -> tuple[int, tuple[int, ...]]:
+        """(den, ends): the endpoints lo_0, hi_0, lo_1, hi_1, ... as ints over den."""
+        den, ends = common_grid([x for p in self.parts for x in (p.lo, p.hi)])
+        return den, tuple(ends)
 
     @classmethod
     def empty(cls) -> "IntervalUnion":
@@ -170,12 +186,6 @@ class IntervalUnion:
             any(q.lo <= p.lo and p.hi <= q.hi for q in other.parts) for p in self.parts
         )
 
-    def point_distance(self, x: Fraction) -> Fraction:
-        """Distance from the point x to this non-empty closed set."""
-        if self.is_empty:
-            raise EmptySetError("distance to the empty set is undefined")
-        return min(p.point_distance(x) for p in self.parts)
-
     def __str__(self):
         if self.is_empty:
             return "{}"
@@ -214,35 +224,28 @@ class IntervalSpace:
         """inf of pairwise distances between two non-empty closed sets."""
         if a.is_empty or b.is_empty:
             raise EmptySetError("set_distance needs non-empty sets")
-        best = None
-        for p in a.parts:
-            for q in b.parts:
-                gap = max(Fraction(0), q.lo - p.hi, p.lo - q.hi)
-                if best is None or gap < best:
-                    best = gap
-                if best == 0:
-                    return best
-        return best
-
-    def _directed_hausdorff(self, a: IntervalUnion, b: IntervalUnion) -> Fraction:
-        # sup over a in A of d(a, B): d(., B) is piecewise linear with local
-        # maxima only at gap midpoints of B, so endpoints of A's parts plus
-        # those midpoints that fall inside A are the only candidates.
-        candidates = []
-        for p in a.parts:
-            candidates.append(p.lo)
-            candidates.append(p.hi)
-        for q1, q2 in zip(b.parts, b.parts[1:]):
-            mid = (q1.hi + q2.lo) / 2
-            if a.contains(mid):
-                candidates.append(mid)
-        return max(b.point_distance(c) for c in candidates)
+        den, ea, eb = _shared_grid(a, b, 1)
+        # walk both sorted part lists; the nearest pair of parts is adjacent in the merge
+        best, i, j = None, 0, 0
+        while i < len(ea) and j < len(eb):
+            if ea[i + 1] < eb[j]:
+                gap = eb[j] - ea[i + 1]
+                i += 2
+            elif eb[j + 1] < ea[i]:
+                gap = ea[i] - eb[j + 1]
+                j += 2
+            else:
+                return Fraction(0)
+            if best is None or gap < best:
+                best = gap
+        return Fraction(best, den)
 
     def hausdorff(self, a: IntervalUnion, b: IntervalUnion) -> Fraction:
         """Hausdorff distance between two non-empty closed sets, exact."""
         if a.is_empty or b.is_empty:
             raise EmptySetError("hausdorff needs non-empty sets")
-        return max(self._directed_hausdorff(a, b), self._directed_hausdorff(b, a))
+        den, ea, eb = _shared_grid(a, b, 2)
+        return Fraction(max(_directed_hausdorff(ea, eb), _directed_hausdorff(eb, ea)), den)
 
     def neighborhood(self, eps: RationalLike, a: IntervalUnion) -> IntervalUnion:
         """Closed eps-neighborhood of a non-empty set, clipped to the ambient."""
@@ -258,6 +261,45 @@ class IntervalSpace:
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
+
+
+def _shared_grid(a: IntervalUnion, b: IntervalUnion, factor: int) -> tuple:
+    """(den, ends of a, ends of b): both unions' endpoints as ints over one den,
+    which is factor times the lcm of the unions' own denominators."""
+    da, ea = a.grid
+    db, eb = b.grid
+    if da == db and factor == 1:
+        return da, ea, eb
+    den = lcm(da, db)
+    fa, fb = factor * den // da, factor * den // db
+    return factor * den, [v * fa for v in ea], [v * fb for v in eb]
+
+
+def _distance_to(ends: Sequence[int], x: int) -> int:
+    """d(x, B) for the union B with sorted endpoints ends, all on one integer grid."""
+    i = bisect_left(ends, x)
+    if i & 1:
+        return 0
+    if i == 0:
+        return ends[0] - x
+    if i == len(ends):
+        return x - ends[-1]
+    return min(ends[i] - x, x - ends[i - 1])
+
+
+def _directed_hausdorff(ea: Sequence[int], eb: Sequence[int]) -> int:
+    """sup over a in A of d(a, B), on a grid doubled so that B's gap midpoints lie on it.
+
+    d(., B) is piecewise linear with local maxima only at gap midpoints of
+    B, so endpoints of A's parts plus those midpoints that fall inside A are
+    the only candidates; a midpoint lies half its gap away from B.
+    """
+    far = max(_distance_to(eb, x) for x in ea)
+    for k in range(1, len(eb) - 1, 2):
+        half = (eb[k + 1] - eb[k]) // 2
+        if half > far and _distance_to(ea, eb[k] + half) == 0:
+            far = half
+    return far
 
 
 @dataclass(frozen=True)
@@ -351,8 +393,19 @@ class FiniteMetricSpace:
             raise ValueError(f"point index {i} out of range 0..{self.n - 1}")
         return PointSet.point(i)
 
+    @cached_property
+    def grid(self) -> tuple:
+        """(D, rows, columns, entry): D*d(i, j) as ints by row and by column, D the
+        lcm of the entries' denominators, and each int's original entry."""
+        flat = [v for row in self.dist for v in row]
+        den, ints = common_grid(flat)
+        n = self.n
+        rows = tuple(tuple(ints[k : k + n]) for k in range(0, n * n, n))
+        return den, rows, tuple(zip(*rows)), dict(zip(ints, flat))
+
     def diameter(self) -> Fraction:
-        return max(v for row in self.dist for v in row)
+        _, rows, _, entry = self.grid
+        return entry[max(map(max, rows))]
 
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
@@ -360,14 +413,18 @@ class FiniteMetricSpace:
     def set_distance(self, a: PointSet, b: PointSet) -> Fraction:
         if a.is_empty or b.is_empty:
             raise EmptySetError("set_distance needs non-empty sets")
-        return min(self.dist[i][j] for i in a.members for j in b.members)
+        _, rows, _, entry = self.grid
+        bm = b.members
+        return entry[min(min(map(rows[i].__getitem__, bm)) for i in a.members)]
 
     def hausdorff(self, a: PointSet, b: PointSet) -> Fraction:
         if a.is_empty or b.is_empty:
             raise EmptySetError("hausdorff needs non-empty sets")
-        ab = max(min(self.dist[i][j] for j in b.members) for i in a.members)
-        ba = max(min(self.dist[i][j] for i in a.members) for j in b.members)
-        return max(ab, ba)
+        _, rows, cols, entry = self.grid
+        am, bm = a.members, b.members
+        ab = max(min(map(rows[i].__getitem__, bm)) for i in am)
+        ba = max(min(map(cols[j].__getitem__, am)) for j in bm)
+        return entry[max(ab, ba)]
 
     def neighborhood(self, eps: RationalLike, a: PointSet) -> PointSet:
         eps = rat(eps)
@@ -375,8 +432,12 @@ class FiniteMetricSpace:
             raise ValueError("eps must be positive")
         if a.is_empty:
             raise EmptySetError("neighborhood of the empty set is undefined")
-        return PointSet.of(
-            i for i in range(self.n) if min(self.dist[i][j] for j in a.members) <= eps
+        den, rows, _, _ = self.grid
+        # an int m is at most eps * den exactly when it is at most its floor
+        bound = eps.numerator * den // eps.denominator
+        am = a.members
+        return PointSet(
+            tuple(i for i, row in enumerate(rows) if min(map(row.__getitem__, am)) <= bound)
         )
 
     def rescale(self, factor: Fraction) -> "FiniteMetricSpace":
@@ -393,7 +454,7 @@ def validate_metric(space: FiniteMetricSpace) -> MetricCheck:
 
     The first violated axiom is reported together with the offending indices.
     """
-    d = space.dist
+    _, d, _, _ = space.grid
     n = space.n
     for i in range(n):
         if d[i][i] != 0:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crspec import ScenarioParseError, ScenarioValidationError, ShiftSpace
-from crspec.cli import WORD_SYMBOLS, main, render_json, run
+from crspec.cli import WORD_SYMBOLS, json_text, main, render_json, run
 from crspec.scenario import parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -405,3 +405,23 @@ class TestFuzz:
         path.write_text("\n".join(" ".join(row) for row in rows) + "\n")
         negative_count = any(rows[i][j].startswith("-") for i, j in counts)
         assert main(["--scenario", str(path), "--quiet"]) in ((2,) if negative_count else (0, 1, 2))
+
+
+# the strings a report could hold, and the ones a JSON writer gets wrong
+TEXT = st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é ü ∅", "\u2028", "😀", ""])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestJsonText:
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [0.5, (1, 2), {1: "a"}, [{"a": {3}}]], ids=repr)
+    def test_refuses_what_a_report_never_holds(self, value):
+        with pytest.raises(TypeError):
+            json_text(value)

@@ -1,11 +1,16 @@
-"""Every module of the package uses each name it imports, and keeps no
-process-global cache.
+"""Every module of the package uses each name it imports, keeps no
+process-global cache and writes no float.
 
 No linter runs with the test suite, so this reads each module's syntax
 tree.  ``__init__.py`` is left out of the import check: its imports are the
 public API.  Memos belong on the relation they describe, where they are
 freed with it; ``functools.lru_cache`` and ``functools.cache`` would keep
-every argument alive for the life of the process.
+every argument alive for the life of the process.  Arithmetic is exact, and
+a stray ``/`` between ints, where ``//`` was meant, returns a float
+silently; so no module but ``randgen``, whose Bernoulli densities are floats
+by design, may hold a float literal or call ``float``.  The runtime side is
+covered by the kernel tests, which check that every distance is a
+``Fraction``.
 """
 
 import ast
@@ -18,6 +23,7 @@ import crspec
 PACKAGE = sorted(Path(crspec.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 GLOBAL_CACHES = ("lru_cache", "cache")
+FLOATS_BY_DESIGN = ("randgen.py",)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -68,3 +74,29 @@ def test_the_check_sees_a_process_global_cache():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_process_global_caches(path):
     assert process_global_caches(path.read_text(encoding="utf-8")) == []
+
+
+def float_uses(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and type(node.value) is float:
+            found.append((node.lineno, f"float literal {node.value!r}"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append((node.lineno, "float() call"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_check_sees_a_float():
+    source = "x = 1 / 2 < 0.5\ny = float(3)\nz = isinstance(x, float) and 1e3\n"
+    assert float_uses(source) == [
+        "line 1: float literal 0.5",
+        "line 2: float() call",
+        "line 3: float literal 1000.0",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name not in FLOATS_BY_DESIGN], ids=lambda p: p.name
+)
+def test_no_floats(path):
+    assert float_uses(path.read_text(encoding="utf-8")) == []

@@ -7,6 +7,7 @@ import oracles
 from crspec import (
     BadRangeError,
     BoxRelation,
+    Cell,
     EmptyImageError,
     FiniteMetricSpace,
     FiniteRelation,
@@ -224,6 +225,49 @@ class TestCells:
         for x in (F(-1, 64), F(65, 64)):
             with pytest.raises(ValueError):
                 cell_of(relation, x)
+
+    @staticmethod
+    def reference_decomposition(relation):
+        """Tag each piece by scanning the boxes at a point of it, then merge."""
+        amb = relation.space
+        breaks = sorted({amb.lo, amb.hi} | {x for a, _ in relation.boxes for x in (a.lo, a.hi)})
+
+        def pattern(x):
+            return frozenset(i for i, (a, _) in enumerate(relation.boxes) if a.lo <= x <= a.hi)
+
+        pieces = []
+        for b, nxt in zip(breaks, breaks[1:] + [None]):
+            pieces.append([b, b, True, True, pattern(b)])
+            if nxt is not None:
+                pieces.append([b, nxt, False, False, pattern((b + nxt) / 2)])
+        merged = []
+        for piece in pieces:
+            if merged and merged[-1][4] == piece[4]:
+                merged[-1][1], merged[-1][3] = piece[1], piece[3]
+            else:
+                merged.append(piece)
+        return tuple(breaks), tuple(Cell(*m) for m in merged)
+
+    def test_decomposition_matches_a_scan_of_the_boxes(self):
+        rng = random.Random(21)
+        ambients = (IntervalSpace(0, 1), IntervalSpace(F(-1, 2), F(3, 2)))
+        for _ in range(300):
+            amb = ambients[rng.randint(0, 1)]
+            # few denominators, so boxes share endpoints; some boxes are points
+            width = amb.hi - amb.lo
+            ends = sorted({amb.hi} | {amb.lo + width * F(k, d) for d in (2, 3, 4, 6) for k in range(d)})
+            boxes = []
+            for _ in range(rng.randint(1, 7)):
+                lo = rng.choice(ends)
+                hi = lo if rng.random() < 0.3 else rng.choice([x for x in ends if x >= lo])
+                target = rng.choice(ends)
+                boxes.append((Interval(lo, hi), Interval(target, target)))
+            relation = BoxRelation(amb, tuple(boxes))
+            decomposition = cell_decomposition(relation)
+            breaks, cells = self.reference_decomposition(relation)
+            assert decomposition.breakpoints == breaks
+            assert decomposition.cells == cells
+            assert all(type(x) is Fraction for c in cells for x in (c.lo, c.hi))
 
     def test_cell_of_and_image(self, monica):
         cell = cell_of(monica, F(3, 4))

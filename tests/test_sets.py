@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -202,3 +204,97 @@ class TestFiniteMetricSpace:
         space = FiniteMetricSpace.discrete(2)
         with pytest.raises(EmptySetError):
             space.hausdorff(PointSet.empty(), space.full())
+
+
+@st.composite
+def union_pairs(draw):
+    """Two unions of 1-4 parts in [-1, 2], endpoints k/d for one d <= 64.
+
+    Endpoints reduce to different denominators, so the two unions usually
+    sit on different integer grids; one d keeps the oracle's grid small.
+    """
+    d = draw(st.integers(1, 64))
+
+    def union():
+        ends = draw(
+            st.lists(st.tuples(st.integers(-d, 2 * d), st.integers(-d, 2 * d)), min_size=1, max_size=4)
+        )
+        return normalize([Interval(F(min(p, q), d), F(max(p, q), d)) for p, q in ends])
+
+    return union(), union()
+
+
+WIDE = IntervalSpace(-1, 2)
+
+
+class TestIntegerKernel:
+    """The integer kernel against definitions that do not call it."""
+
+    @given(union_pairs())
+    def test_interval_distances_match_the_grid_oracle(self, pair):
+        a, b = pair
+        for mine, expected in (
+            (WIDE.set_distance(a, b), oracles.set_distance(a, b)),
+            (WIDE.hausdorff(a, b), oracles.hausdorff(a, b)),
+        ):
+            assert type(mine) is Fraction
+            assert mine == expected
+
+    @staticmethod
+    def matrices():
+        """Seeded square matrices: metrics, and matrices that break each axiom."""
+        rng = random.Random(8)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            dist = [[F(rng.randint(0, 12), rng.randint(1, 12)) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.7:
+                for i in range(n):
+                    dist[i][i] = F(0)
+            if rng.random() < 0.7:
+                for i in range(n):
+                    for j in range(i):
+                        dist[i][j] = dist[j][i]
+            yield rng, FiniteMetricSpace(tuple(map(tuple, dist)))
+
+    @staticmethod
+    def reference_check(d):
+        n = len(d)
+        for i in range(n):
+            if d[i][i] != 0:
+                return (False, "identity", (i,))
+        for i in range(n):
+            for j in range(n):
+                if i != j and d[i][j] <= 0:
+                    return (False, "positivity", (i, j))
+                if d[i][j] != d[j][i]:
+                    return (False, "symmetry", (i, j))
+        for i, j, k in itertools.product(range(n), repeat=3):
+            if d[i][k] > d[i][j] + d[j][k]:
+                return (False, "triangle", (i, j, k))
+        return (True, None, None)
+
+    def test_finite_metric_kernel_matches_the_definitions(self):
+        axioms = set()
+        for rng, space in self.matrices():
+            d, n = space.dist, space.n
+            check = validate_metric(space)
+            assert (check.ok, check.axiom, check.witness) == self.reference_check(d)
+            axioms.add(check.axiom)
+            assert space.diameter() == max(v for row in d for v in row)
+            for _ in range(4):
+                a = PointSet.of(rng.sample(range(n), rng.randint(1, n)))
+                b = PointSet.of(rng.sample(range(n), rng.randint(1, n)))
+                expected_sd = min(d[i][j] for i in a.members for j in b.members)
+                expected_hd = max(
+                    max(min(d[i][j] for j in b.members) for i in a.members),
+                    max(min(d[i][j] for i in a.members) for j in b.members),
+                )
+                for mine, expected in ((space.set_distance(a, b), expected_sd), (space.hausdorff(a, b), expected_hd)):
+                    assert type(mine) is Fraction
+                    assert mine == expected
+                # eps on an entry tests the closed boundary; the others fall between entries
+                eps = rng.choice([v for row in d for v in row if v > 0] or [F(1)])
+                for e in (eps, eps + F(1, 97), eps * F(96, 97)):
+                    expected = tuple(i for i in range(n) if min(d[i][j] for j in a.members) <= e)
+                    assert space.neighborhood(e, a).members == expected
+        assert axioms == {None, "identity", "positivity", "symmetry", "triangle"}
