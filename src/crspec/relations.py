@@ -28,6 +28,19 @@ orbit takes is kept by its set, so orbits of different regions that reach
 the same set share the rest of their sweep; and each distance between two
 sets is kept by its mode and pair of sets, so it is computed once however
 many requirements, cells, spacings or certificates compare that pair.
+
+A box relation puts the ambient ends and all four endpoints of every box on
+one integer grid (ints over the lcm of their denominators) when it is built,
+and its hot path compares those ints:
+
+* validation checks each box against the ambient on the grid;
+* an image is found by box mask: the boxes whose domain side meets S form a
+  bit mask, and the union of their B sides is merged on the grid once per
+  mask and kept on the relation.  Its parts reuse the boxes' own ``Fraction``
+  endpoints, so it equals what :func:`~crspec.sets.normalize` would return;
+* cells are found by integer lookup: the cell decomposition shares the grid
+  and keeps the cell of each elementary piece, so :func:`cell_of` takes one
+  ``divmod`` and one bisection over ints.
 """
 
 from __future__ import annotations
@@ -96,12 +109,14 @@ class Orbit:
         """F^j(y) for j >= 1."""
         if j < 1:
             raise ValueError("an orbit holds exponents j >= 1")
-        self._sweep(j)
-        idx = j - 1
-        if idx >= len(self._sets):
-            start = self._cycle_start
-            idx = start + (idx - start) % (len(self._sets) - start)
-        return self._sets[idx]
+        sets = self._sets
+        if j > len(sets):
+            if self._cycle_start is None:
+                self._sweep(j)
+            if j > len(sets):
+                start = self._cycle_start
+                j = start + 1 + (j - 1 - start) % (len(sets) - start)
+        return sets[j - 1]
 
     def close(self) -> "Orbit":
         """Sweep to the first repeat, so that transient and period are known."""
@@ -217,7 +232,13 @@ class _Iterates:
 
 @dataclass(frozen=True)
 class BoxRelation(_Iterates):
-    """A closed relation on an interval, as a finite union of boxes A_i x B_i."""
+    """A closed relation on an interval, as a finite union of boxes A_i x B_i.
+
+    Building one puts the ambient ends and the endpoints of every box on one
+    integer grid: ``_den``, the domain sides as ``(bit, lo, hi)`` ints with
+    bit i standing for box i, and the B sides as ``(lo, hi, i)`` ints in
+    ascending order.
+    """
 
     space: IntervalSpace
     boxes: tuple[tuple[Interval, Interval], ...]
@@ -226,20 +247,69 @@ class BoxRelation(_Iterates):
         if not self.boxes:
             raise ValueError("a box relation needs at least one box")
         amb = self.space
+        ends = [amb.lo, amb.hi]
         for a, b in self.boxes:
-            if not (amb.contains(a.lo) and amb.contains(a.hi) and amb.contains(b.lo) and amb.contains(b.hi)):
+            ends += (a.lo, a.hi, b.lo, b.hi)
+        den, ints = common_grid(ends)
+        lo, hi = ints[0], ints[1]
+        for k, (a, b) in enumerate(self.boxes):
+            alo, ahi, blo, bhi = ints[4 * k + 2 : 4 * k + 6]
+            if not (lo <= alo and ahi <= hi and lo <= blo and bhi <= hi):
                 raise ValueError(f"box {a} x {b} leaves the ambient space {amb}")
+        count = len(self.boxes)
+        memo = self.__dict__
+        memo["_den"] = den
+        memo["_span"] = (lo, hi)
+        memo["_domains"] = tuple((1 << k, ints[4 * k + 2], ints[4 * k + 3]) for k in range(count))
+        memo["_ranges"] = tuple(sorted((ints[4 * k + 4], ints[4 * k + 5], k) for k in range(count)))
+
+    @cached_property
+    def _unions(self) -> dict:
+        return {}
 
     def point_set(self, x) -> IntervalUnion:
         return self.space.point(x)
 
     def image(self, s: IntervalUnion) -> IntervalUnion:
-        """F(S): the union of the B_i whose domain side meets S.  May be empty."""
-        hit = []
-        for a, b in self.boxes:
-            if any(p.intersects(a) for p in s.parts):
-                hit.append(b)
-        return normalize(hit)
+        """F(S): the union of the B_i whose domain side meets S.  May be empty.
+
+        S's parts go on the relation's grid, rounded inward (a part meets
+        [lo, hi] exactly when the ceiling of its lower end is at most hi and
+        the floor of its upper end at least lo), and the mask of the boxes
+        they meet picks the union.
+        """
+        den = self._den
+        parts = [
+            (-(-p.lo.numerator * den // p.lo.denominator), p.hi.numerator * den // p.hi.denominator)
+            for p in s.parts
+        ]
+        mask = 0
+        for bit, alo, ahi in self._domains:
+            for plo, phi in parts:
+                if plo <= ahi and alo <= phi:
+                    mask |= bit
+                    break
+        return self.union_of(mask)
+
+    def union_of(self, mask: int) -> IntervalUnion:
+        """The union of the B_i with bit i set in mask, merged on the grid once per mask."""
+        union = self._unions.get(mask)
+        if union is None:
+            boxes = self.boxes
+            parts: list[Interval] = []
+            top = None
+            for lo, hi, k in self._ranges:
+                if not mask >> k & 1:
+                    continue
+                if parts and lo <= top:
+                    if hi > top:
+                        top = hi
+                        parts[-1] = Interval(parts[-1].lo, boxes[k][1].hi)
+                else:
+                    top = hi
+                    parts.append(boxes[k][1])
+            union = self._unions[mask] = IntervalUnion(tuple(parts))
+        return union
 
     def _region(self, x) -> "Cell":
         return x if isinstance(x, Cell) else cell_of(self, rat(x))
@@ -342,7 +412,10 @@ class Cell:
 
     Endpoints may be open: e.g. the pattern on [0, 1/2) can differ from the
     one at the isolated breakpoint {1/2}.  A point cell has lo == hi and both
-    ends closed.
+    ends closed.  The hash is computed once, when the cell is built, since
+    cells key the orbit memo; it hashes the endpoints' integer ratios, which
+    equal cells share, rather than the Fractions, whose hash takes a modular
+    inverse each.
     """
 
     lo: Fraction
@@ -350,6 +423,13 @@ class Cell:
     lo_closed: bool
     hi_closed: bool
     pattern: frozenset[int]
+
+    def __post_init__(self):
+        ends = self.lo.as_integer_ratio() + self.hi.as_integer_ratio()
+        object.__setattr__(self, "_hash", hash((ends, self.lo_closed, self.hi_closed, self.pattern)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_point(self) -> bool:
@@ -397,15 +477,17 @@ class Cell:
 
 @dataclass(frozen=True)
 class CellDecomposition:
-    """The full partition of the ambient interval into pattern-constant cells."""
+    """The full partition of the ambient interval into pattern-constant cells.
+
+    ``grid`` holds the breakpoints as ints on the relation's grid, and
+    ``piece_cells`` the index of the cell of each elementary piece: piece 2k
+    is breakpoint k, piece 2k + 1 the open interval after it.
+    """
 
     breakpoints: tuple[Fraction, ...]
     cells: tuple[Cell, ...]
-
-    @cached_property
-    def lows(self) -> tuple[Fraction, ...]:
-        """The cells' lower ends, in order, for bisection in cell_of."""
-        return tuple(cell.lo for cell in self.cells)
+    grid: tuple[int, ...] = field(repr=False)
+    piece_cells: tuple[int, ...] = field(repr=False)
 
 
 def cell_decomposition(relation: BoxRelation) -> CellDecomposition:
@@ -414,8 +496,8 @@ def cell_decomposition(relation: BoxRelation) -> CellDecomposition:
     Elementary pieces (breakpoint singletons and the open intervals between
     them) are tagged with their pattern and then adjacent pieces with equal
     patterns are merged, so e.g. {0} merges into [0, 1/2) when the pattern
-    does not change at 0.  Breakpoints are compared as ints on one grid, and
-    one sweep over them tags every piece: a box holds a breakpoint from its
+    does not change at 0.  Breakpoints are the relation's grid ints, and one
+    sweep over them tags every piece: a box holds a breakpoint from its
     lower end to its upper end, and the open piece after it while it has not
     ended.  Cells keep the original endpoints.  The result is kept on the
     relation object (a frozen dataclass still has a ``__dict__``), so it is
@@ -425,62 +507,72 @@ def cell_decomposition(relation: BoxRelation) -> CellDecomposition:
     if "_cell_decomposition" in memo:
         return memo["_cell_decomposition"]
     amb = relation.space
-    ends = [amb.lo, amb.hi]
-    for a, _ in relation.boxes:
-        ends += (a.lo, a.hi)
-    _, ints = common_grid(ends)
-    value = dict(zip(ints, ends))
+    value = dict(zip(relation._span, (amb.lo, amb.hi)))
+    for (_, lo, hi), (a, _) in zip(relation._domains, relation.boxes):
+        value[lo], value[hi] = a.lo, a.hi
     grid = sorted(value)
     index = {x: k for k, x in enumerate(grid)}
     # bit i of a mask stands for box i
-    boxes = range(len(relation.boxes))
     opens, closes = [0] * len(grid), [0] * len(grid)
-    for i in boxes:
-        opens[index[ints[2 * i + 2]]] |= 1 << i
-        closes[index[ints[2 * i + 3]]] |= 1 << i
+    for bit, lo, hi in relation._domains:
+        opens[index[lo]] |= bit
+        closes[index[hi]] |= bit
 
-    # pieces as (lo index, hi index, closed, mask): each breakpoint, then the open piece after it
-    pieces = []
+    # each breakpoint's mask, then the open piece's after it
+    masks = []
     active = 0
     for k in range(len(grid)):
         active |= opens[k]
-        pieces.append((k, k, True, active))
+        masks.append(active)
         active &= ~closes[k]
-        pieces.append((k, k + 1, False, active))
-    pieces.pop()
+        masks.append(active)
+    masks.pop()
 
-    merged: list[list] = []
-    for lo, hi, closed, mask in pieces:
-        if merged and merged[-1][4] == mask:
-            merged[-1][1], merged[-1][3] = hi, closed
+    # merged runs of pieces as [first piece, last piece, mask]
+    runs: list[list] = []
+    piece_cells = []
+    for piece, mask in enumerate(masks):
+        if runs and runs[-1][2] == mask:
+            runs[-1][1] = piece
         else:
-            merged.append([lo, hi, closed, closed, mask])
+            runs.append([piece, piece, mask])
+        piece_cells.append(len(runs) - 1)
     breaks = tuple(value[x] for x in grid)
+    boxes = range(len(relation.boxes))
     cells = []
-    for lo, hi, lo_closed, hi_closed, mask in merged:
+    for first, last, mask in runs:
         pattern = frozenset(i for i in boxes if mask >> i & 1)
-        cells.append(Cell(breaks[lo], breaks[hi], lo_closed, hi_closed, pattern))
-    memo["_cell_decomposition"] = CellDecomposition(breaks, tuple(cells))
-    return memo["_cell_decomposition"]
+        # an even piece is a breakpoint, closed; an odd one the open interval after one
+        lo_closed, hi_closed = first % 2 == 0, last % 2 == 0
+        cells.append(Cell(breaks[first // 2], breaks[(last + 1) // 2], lo_closed, hi_closed, pattern))
+    decomposition = CellDecomposition(breaks, tuple(cells), tuple(grid), tuple(piece_cells))
+    memo["_cell_decomposition"] = decomposition
+    return decomposition
 
 
 def cell_of(relation: BoxRelation, x: Fraction) -> Cell:
-    """The cell containing x, found by bisection over the cells' lower ends.
+    """The cell containing x, found by one bisection over the grid's breakpoints.
 
-    The last cell starting at or before x holds x unless x is its open lower
-    end; then x lies in the cell just before it.
+    On the grid, x is ``q + r / x.denominator`` with ``0 <= r < x.denominator``:
+    a breakpoint when r is 0 and q is one, otherwise inside the open piece
+    after the last breakpoint at or below q.
     """
     decomposition = cell_decomposition(relation)
-    i = bisect_right(decomposition.lows, x)
-    for cell in decomposition.cells[max(i - 2, 0) : i]:
-        if cell.contains(x):
-            return cell
-    raise ValueError(f"point {x} outside the ambient space")
+    grid = decomposition.grid
+    q, r = divmod(x.numerator * relation._den, x.denominator)
+    k = bisect_right(grid, q)
+    if not r and k and grid[k - 1] == q:
+        piece = 2 * k - 2
+    elif 0 < k < len(grid):
+        piece = 2 * k - 1
+    else:
+        raise ValueError(f"point {x} outside the ambient space")
+    return decomposition.cells[decomposition.piece_cells[piece]]
 
 
 def cell_image(relation: BoxRelation, cell: Cell) -> IntervalUnion:
     """F(y) for every y in the cell: the union of B_i over the cell's pattern."""
-    return normalize([relation.boxes[i][1] for i in sorted(cell.pattern)])
+    return relation.union_of(sum(1 << i for i in cell.pattern))
 
 
 @dataclass(frozen=True)

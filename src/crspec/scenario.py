@@ -165,6 +165,14 @@ def _count(kv: dict[str, list[str]], key: str, line: int) -> int:
     return value
 
 
+def _eps(kv: dict[str, list[str]], line: int) -> Fraction:
+    """The value of an eps key, which is never negative; eps 0 asks for exact tracing."""
+    value = _rational(kv["eps"][0], line)
+    if value < 0:
+        raise ScenarioParseError(line, "'eps' must be non-negative")
+    return value
+
+
 def _segment(tokens: list[str], line: int, keys: tuple[str, ...]) -> tuple[str, list[int]]:
     """The base token and the exponents of `segment BASE KEY N ...`, keys in this order."""
     if len(tokens) != 2 + 2 * len(keys) or tokens[0] != "segment" or tuple(tokens[2::2]) != keys:
@@ -198,6 +206,7 @@ class _Builder:
         self.ambient = None
         self.boxes: list[tuple[Interval, Interval]] = []
         self.metric_rows: list[list[Fraction]] | None = None
+        self.metric_line = 0
         self.adjacency_rows: list[list[bool]] | None = None
         self.finite_size: int | None = None
         self.raw_specs: list = []
@@ -232,9 +241,12 @@ class _Builder:
             raise ScenarioParseError(line, "box needs four rationals: A_LO A_HI B_LO B_HI")
         vals = [_rational(t, line) for t in tokens]
         try:
-            self.boxes.append((Interval(vals[0], vals[1]), Interval(vals[2], vals[3])))
+            a, b = Interval(vals[0], vals[1]), Interval(vals[2], vals[3])
         except ValueError as exc:
             raise ScenarioValidationError(line, str(exc)) from None
+        if not all(map(self.ambient.contains, vals)):
+            raise ScenarioValidationError(line, f"box {a} x {b} leaves the ambient space {self.ambient}")
+        self.boxes.append((a, b))
 
     def matrix_block(self, line, tokens, body):
         if self.finite_size is None:
@@ -245,6 +257,7 @@ class _Builder:
         if len(body) != n:
             raise ScenarioValidationError(line, f"matrix needs exactly {n} rows")
         if tokens == ["metric"]:
+            self.metric_line = line
             rows = []
             for rowline, rowtokens in body:
                 if len(rowtokens) != n:
@@ -315,7 +328,7 @@ class _Builder:
             _known(scenario.specs, name, line, "specification")
             return {"y": None if y is None else _point(y[0], line, scenario.relation)}
 
-        return {"spec": name, "eps": _rational(kv["eps"][0], line), "mode": mode}, resolve
+        return {"spec": name, "eps": _eps(kv, line), "mode": mode}, resolve
 
     def certify(self, line, tokens):
         condition, rest = (tokens[0], tokens[1:]) if tokens else (None, [])
@@ -330,7 +343,7 @@ class _Builder:
             raise ScenarioParseError(line, f"unknown certify condition {condition!r}")
         params = {"condition": condition}
         if "eps" in kv:
-            params["eps"] = _rational(kv["eps"][0], line)
+            params["eps"] = _eps(kv, line)
         if "n0max" in kv:
             params["n0max"] = _count(kv, "n0max", line)
         return params, None
@@ -360,7 +373,7 @@ class _Builder:
             _known(scenario.sequences, y, line, "sequence")
             return {}
 
-        return {"sub": sub, "mspec": mspec, "y": y, "eps": _rational(kv["eps"][0], line)}, resolve
+        return {"sub": sub, "mspec": mspec, "y": y, "eps": _eps(kv, line)}, resolve
 
     def suite(self, line, tokens):
         usage = "suite needs 'count N [seed S]'"
@@ -394,7 +407,7 @@ class _Builder:
                 return {"template": InitialTemplate(tuple(parts))}
             return {"template": SpacedTemplate(parts[0], tuple(parts[1:]))}
 
-        return {"property": prop, "eps": _rational(kv["eps"][0], line), "range": (lo, hi)}, resolve
+        return {"property": prop, "eps": _eps(kv, line), "range": (lo, hi)}, resolve
 
     # -- assembly -----------------------------------------------------------
 
@@ -404,10 +417,8 @@ class _Builder:
         if isinstance(self.ambient, IntervalSpace):
             if not self.boxes:
                 raise ScenarioValidationError(0, "interval scenarios need at least one box")
-            try:
-                relation = BoxRelation(self.ambient, tuple(self.boxes))
-            except ValueError as exc:
-                raise ScenarioValidationError(0, str(exc)) from None
+            # box_line has checked every box against the ambient
+            relation = BoxRelation(self.ambient, tuple(self.boxes))
         else:
             if self.metric_rows is None or self.adjacency_rows is None:
                 raise ScenarioValidationError(
@@ -417,7 +428,7 @@ class _Builder:
             check = validate_metric(space)
             if not check.ok:
                 raise ScenarioValidationError(
-                    0, f"metric axiom violated: {check.axiom} at {check.witness}"
+                    self.metric_line, f"metric axiom violated: {check.axiom} at {check.witness}"
                 )
             relation = FiniteRelation(
                 space, tuple(tuple(row) for row in self.adjacency_rows)
@@ -436,12 +447,12 @@ class _Builder:
             except (CRSpecError, ValueError) as exc:
                 raise ScenarioValidationError(line, str(exc)) from None
 
-        if self.raw_seqs or self.raw_mspecs or any(
-            c.kind == "mahavier" for c, _ in self.commands
-        ):
+        shift_lines = [row[0] for row in self.raw_seqs + self.raw_mspecs]
+        shift_lines += [c.line for c, _ in self.commands if c.kind == "mahavier"]
+        if shift_lines:
             if not isinstance(relation, FiniteRelation):
                 raise ScenarioValidationError(
-                    0, "shift-space declarations need a finite ambient"
+                    min(shift_lines), "shift-space declarations need a finite ambient"
                 )
             scenario.shift_space = ShiftSpace.of(relation)
         for line, name, pre, cycle in self.raw_seqs:

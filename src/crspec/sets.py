@@ -85,9 +85,6 @@ class Interval:
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def __str__(self):
         if self.is_point:
             return f"{{{self.lo}}}"

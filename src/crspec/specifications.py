@@ -198,27 +198,42 @@ def _initial_requirements(spec: InitialSpecification) -> list[tuple[int, int, in
     return reqs
 
 
-def _report(relation, spec, reqs, y, eps, mode) -> TraceReport:
-    origin, orbit = relation.point_set(y), relation.orbit(y)
+def _report(relation, spec, reqs, y, eps, mode, region=None) -> TraceReport:
+    """The report at y; region, when given, is the cell or point that holds y.
+
+    {y} is built only when a power-0 requirement reads it.
+    """
+    orbit = relation.orbit(y if region is None else region)
+    origin = None
     entries = []
     for i, j, power in reqs:
         target = spec.segments[i - 1].set_at(j)
-        tracer = orbit.value_at(power) if power else origin
+        if power:
+            tracer = orbit.value_at(power)
+        elif origin is None:
+            tracer = origin = relation.point_set(y)
+        else:
+            tracer = origin
         distance = relation.distance(mode, tracer, target)
         entries.append(TraceEntry(i, j, power, distance, tracer, target))
     return TraceReport(mode, rat(eps), tuple(entries))
 
 
-def check_trace(relation: Relation, spec: Specification, y, eps, mode: str) -> TraceReport:
-    """Exact distances for every (i, j) demanded by plain spaced tracing."""
-    return _report(relation, spec, _requirements(spec), y, eps, mode)
+def check_trace(
+    relation: Relation, spec: Specification, y, eps, mode: str, region=None
+) -> TraceReport:
+    """Exact distances for every (i, j) demanded by plain spaced tracing.
+
+    A caller that already holds the cell or point of y may pass it as region.
+    """
+    return _report(relation, spec, _requirements(spec), y, eps, mode, region)
 
 
 def check_initial_trace(
-    relation: Relation, spec: InitialSpecification, y, eps, mode: str
+    relation: Relation, spec: InitialSpecification, y, eps, mode: str, region=None
 ) -> TraceReport:
     """Exact distances for initial tracing, with shifted tracer exponents."""
-    return _report(relation, spec, _initial_requirements(spec), y, eps, mode)
+    return _report(relation, spec, _initial_requirements(spec), y, eps, mode, region)
 
 
 def _search(relation, spec, reqs, eps, mode, checker) -> SearchResult:
@@ -241,7 +256,7 @@ def _search(relation, spec, reqs, eps, mode, checker) -> SearchResult:
     failures = []
     for cell in cell_decomposition(relation).cells:
         rep = cell.representative()
-        report = checker(relation, spec, rep, eps, mode)
+        report = checker(relation, spec, rep, eps, mode, cell)
         cell_ok = all(e.distance <= eps for e in report.entries if e.tracer_power >= 1)
         y = rep
         if cell_ok and zero_bases:
@@ -253,7 +268,7 @@ def _search(relation, spec, reqs, eps, mode, checker) -> SearchResult:
             failures.append(RegionFailure(cell, rep, report))
             continue
         if y != rep:
-            report = checker(relation, spec, y, eps, mode)
+            report = checker(relation, spec, y, eps, mode, cell)
         if not report.passed:
             raise AssertionError("cell-level pass must yield a passing witness")
         return TracerWitness(y, cell, report)

@@ -19,7 +19,10 @@ claims to decide them.  It produces three kinds of evidence instead:
 
 The "for all j" in the eventual conditions is made finite through the
 eventual periodicity of per-cell iterates: checking one preperiod-plus-cycle
-window per cell pair covers every exponent.
+window per cell pair covers every exponent.  The same periodicity bounds the
+search over n0: past the largest transient plus the lcm of the periods (plus
+one, for the eventual conditions) no new n0 can succeed, so a certificate
+search stops there whatever n0_max it was given.
 """
 
 from __future__ import annotations
@@ -64,6 +67,20 @@ def _eventual_orbits(relation: Relation) -> list[tuple[object, Orbit]]:
     return [(x, relation.orbit(x).close()) for x in range(relation.space.n)]
 
 
+def _last_n0(orbits: list[tuple[object, Orbit]], n0_max: int, image: bool) -> int:
+    """The largest n0 a certificate search needs to try, at most n0_max.
+
+    With T the largest transient and L the lcm of the periods, the tuple of
+    every region's F^{n0} repeats with period L from n0 = T + 1 on, so an
+    image condition that holds for no n0 <= T + L holds for none.  The
+    eventual worst of a pair does not grow with n0 and is constant from
+    T + 1 on, so an eventual condition needs no n0 beyond T + 1.
+    """
+    last = max(orbit.transient for _, orbit in orbits)
+    last += math.lcm(*(orbit.period for _, orbit in orbits)) if image else 1
+    return min(n0_max, last)
+
+
 def _eventual_worst(relation: Relation, oa: Orbit, ob: Orbit, n0: int) -> Fraction:
     """max over j >= n0 of H_d(F^j(x), F^j(y)) for closed orbits of x and y.
 
@@ -106,7 +123,7 @@ def certify_common_image(relation: Relation, n0_max: int) -> Certificate | None:
     """
     orbits = _eventual_orbits(relation)
     commons = {}
-    for n0 in range(1, n0_max + 1):
+    for n0 in range(1, _last_n0(orbits, n0_max, image=True) + 1):
         evidence = []
         ok = True
         for a in range(len(orbits)):
@@ -131,7 +148,7 @@ def certify_full_image(relation: Relation, n0_max: int) -> Certificate | None:
     """Smallest n0 <= n0_max with F^{n0}(y) = X for every y."""
     full = relation.space.full()
     orbits = _eventual_orbits(relation)
-    for n0 in range(1, n0_max + 1):
+    for n0 in range(1, _last_n0(orbits, n0_max, image=True) + 1):
         values = [(label, orbit.value_at(n0)) for label, orbit in orbits]
         if all(v == full for _, v in values):
             return Certificate("full-image", n0, None, tuple(values))
@@ -147,7 +164,7 @@ def certify_eventual_hausdorff(relation: Relation, eps, n0_max: int) -> Certific
     """
     eps = rat(eps)
     orbits = _eventual_orbits(relation)
-    for n0 in range(1, n0_max + 1):
+    for n0 in range(1, _last_n0(orbits, n0_max, image=False) + 1):
         evidence = []
         ok = True
         equal = True

@@ -425,3 +425,92 @@ class TestJsonText:
     def test_refuses_what_a_report_never_holds(self, value):
         with pytest.raises(TypeError):
             json_text(value)
+
+
+class TestLineNumbers:
+    """Validation errors and negative eps exit 2 and name the line at fault."""
+
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            pytest.param(
+                "ambient interval 0 1\nbox 0 1/2 0 0\n\nbox 0 2 0 1\n",
+                4,
+                "box [0, 2] x [0, 1] leaves the ambient space [0, 1]",
+                id="box-outside",
+            ),
+            pytest.param(
+                "ambient finite 2\n# a metric that is not symmetric\nmatrix metric\n  0 1\n  2 0\nend\n"
+                "matrix adjacency\n  1 1\n  1 1\nend\n",
+                3,
+                "metric axiom violated: symmetry",
+                id="metric-symmetry",
+            ),
+            pytest.param(
+                "ambient interval 0 1\nbox 0 1 0 1\ncertify trivial-fiber\nmahavier words maxlen 3\n"
+                "mahavier mixing tmax 3\n",
+                4,
+                "shift-space declarations need a finite ambient",
+                id="mahavier-on-interval",
+            ),
+            pytest.param(
+                "ambient interval 0 1\nbox 0 1 0 1\nmahavier mixing tmax 3\nseq A cycle 0\n",
+                3,
+                "shift-space declarations need a finite ambient",
+                id="first-is-a-command",
+            ),
+            pytest.param(
+                "ambient interval 0 1\nbox 0 1 0 1\nmspec M\n  segment A k 0 l 1\nend\nseq A cycle 0\n",
+                3,
+                "shift-space declarations need a finite ambient",
+                id="first-is-an-mspec",
+            ),
+        ],
+    )
+    def test_validation_error_names_its_line(self, text, line, reason, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text)
+        assert main(["--scenario", str(bad), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: {reason}" in err
+        assert "line 0" not in err
+
+    @pytest.mark.parametrize(
+        "header, line",
+        [
+            pytest.param(MONICA_HEADER, "trace S eps -1 mode plain", id="trace"),
+            pytest.param(MONICA_HEADER, "trace S y 0 eps -1/4 mode hausdorff", id="trace-at-y"),
+            pytest.param(
+                MONICA_HEADER,
+                "refute HSP eps -1/4 n 1 2\n  segment 0 k 2 l 3\n  segment 1 len 1\nend",
+                id="refute",
+            ),
+            pytest.param(
+                MONICA_HEADER, "certify eventual-hausdorff eps -1 n0max 3", id="certify"
+            ),
+            pytest.param(
+                TWO_POINTS + "seq A cycle 0\nmspec M\n  segment A k 0 l 1\nend\n",
+                "mahavier trace M y A eps -1/2",
+                id="mahavier-trace",
+            ),
+        ],
+    )
+    def test_negative_eps_exits_two_at_its_line(self, header, line, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(header + line + "\n")
+        lineno = header.count("\n") + 1
+        assert main(["--scenario", str(bad), "--quiet"]) == 2
+        assert f"line {lineno}: 'eps' must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "trace S eps 0 mode plain expect witness",
+            "certify eventual-hausdorff eps 0 n0max 3 expect notfound",
+        ],
+    )
+    def test_eps_zero_stays_legal(self, line, tmp_path, capsys):
+        path = tmp_path / "zero.scn"
+        path.write_text(MONICA_HEADER + line + "\n")
+        assert main(["--scenario", str(path), "--quiet"]) == 0
+        capsys.readouterr()

@@ -357,3 +357,142 @@ class TestFiniteRelation:
         partial = FiniteRelation.from_pairs(two_points, [(0, 1)])
         with pytest.raises(EmptyImageError):
             partial.iterate(0, 2)
+
+
+def _seeded_box_relation(rng):
+    """Boxes on an ambient of [0, 1] or [-1/2, 3/2] with endpoints at k/d for a few
+    d <= 48, so that boxes share and touch endpoints; some sides are points."""
+    amb = rng.choice((IntervalSpace(0, 1), IntervalSpace(F(-1, 2), F(3, 2))))
+    dens = rng.sample((2, 3, 4, 6, 7, 12, 16, 48), 2)
+    ends = sorted({amb.lo + (amb.hi - amb.lo) * F(k, d) for d in dens for k in range(d + 1)})
+
+    def side():
+        lo = rng.choice(ends)
+        hi = lo if rng.random() < 0.3 else rng.choice([x for x in ends if x >= lo])
+        return Interval(lo, hi)
+
+    return BoxRelation(amb, tuple((side(), side()) for _ in range(rng.randint(1, 8))))
+
+
+def _reference_merge(parts):
+    """Sorted (lo, hi) pairs of the union of closed intervals, by Fraction comparisons."""
+    merged = []
+    for lo, hi in sorted(parts):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return [tuple(m) for m in merged]
+
+
+def _reference_image(relation, s):
+    """The union of the B sides whose A side meets a part of s, scanned box by box."""
+    hit = [
+        (b.lo, b.hi)
+        for a, b in relation.boxes
+        if any(a.lo <= p.hi and p.lo <= a.hi for p in s.parts)
+    ]
+    return _reference_merge(hit)
+
+
+class TestBoxKernel:
+    """The integer grid of a box relation against definitions that do not call it."""
+
+    def test_image_matches_a_scan_of_the_boxes(self):
+        rng = random.Random(48)
+        checked = 0
+        for _ in range(300):
+            relation = _seeded_box_relation(rng)
+            amb = relation.space
+            produced = []
+            for cell in cell_decomposition(relation).cells:
+                produced.append(cell_image(relation, cell))
+                try:
+                    orbit = relation.orbit(cell).close()
+                except EmptyImageError:
+                    continue
+                produced += orbit.preperiod + orbit.cycle
+            drawn = []
+            for _ in range(6):
+                d = rng.randint(3, 48)
+                ks = sorted(rng.sample(range(-d, 2 * d + 1), 2 * rng.randint(1, 4)))
+                parts = [(F(lo, d), F(hi, d)) for lo, hi in zip(ks[::2], ks[1::2])]
+                parts = [(max(lo, amb.lo), min(hi, amb.hi)) for lo, hi in parts]
+                parts = [p for p in parts if p[0] <= p[1]] or [(amb.lo, amb.lo)]
+                drawn.append(normalize([Interval(lo, hi) for lo, hi in parts]))
+                x = amb.lo + (amb.hi - amb.lo) * F(rng.randint(0, 97), 97)
+                drawn.append(IntervalUnion.point(x))
+            for s in produced + drawn:
+                if s.is_empty:
+                    continue
+                image = relation.image(s)
+                assert [(p.lo, p.hi) for p in image.parts] == _reference_image(relation, s)
+                assert all(type(x) is Fraction for p in image.parts for x in (p.lo, p.hi))
+                checked += 1
+        assert checked > 3000
+
+    def test_cell_image_matches_a_scan_of_the_pattern(self):
+        rng = random.Random(49)
+        for _ in range(200):
+            relation = _seeded_box_relation(rng)
+            for cell in cell_decomposition(relation).cells:
+                image = cell_image(relation, cell)
+                expected = _reference_merge(
+                    [(relation.boxes[i][1].lo, relation.boxes[i][1].hi) for i in cell.pattern]
+                )
+                assert [(p.lo, p.hi) for p in image.parts] == expected
+                assert all(type(x) is Fraction for p in image.parts for x in (p.lo, p.hi))
+
+    def test_cell_of_matches_a_scan_of_the_cells(self):
+        rng = random.Random(50)
+        for _ in range(300):
+            relation = _seeded_box_relation(rng)
+            decomposition = cell_decomposition(relation)
+            cells, breaks = decomposition.cells, decomposition.breakpoints
+            points = list(breaks)
+            points += [(a + b) / 2 for a, b in zip(breaks, breaks[1:])]
+            # just off each breakpoint, between two points of the relation's grid
+            points += [x + F(sign, 7 * 48 * 48) for x in breaks for sign in (-1, 1)]
+            for x in points:
+                home = [c for c in cells if c.contains(x)]
+                if not home:
+                    with pytest.raises(ValueError):
+                        cell_of(relation, x)
+                    continue
+                assert len(home) == 1
+                assert cell_of(relation, x) is home[0]
+            amb = relation.space
+            for x in (amb.lo - 1, amb.lo - F(1, 97), amb.hi + F(1, 97), amb.hi + 2):
+                with pytest.raises(ValueError):
+                    cell_of(relation, x)
+
+    def test_cells_hash_like_their_values(self):
+        rng = random.Random(51)
+        for _ in range(50):
+            relation = _seeded_box_relation(rng)
+            for cell in cell_decomposition(relation).cells:
+                twin = Cell(F(cell.lo), F(cell.hi), cell.lo_closed, cell.hi_closed, frozenset(cell.pattern))
+                assert twin == cell and hash(twin) == hash(cell)
+                assert relation.orbit(twin) is relation.orbit(cell)
+
+    def test_orbit_steps_use_neither_normalize_nor_intersects(self, monkeypatch):
+        import crspec.relations
+        import crspec.sets
+
+        def forbidden(*args):
+            raise AssertionError("an orbit step went back to Fraction merging")
+
+        monkeypatch.setattr(crspec.sets, "normalize", forbidden)
+        monkeypatch.setattr(crspec.relations, "normalize", forbidden)
+        # Interval.intersects is gone; this keeps a revived one out of the orbit steps
+        monkeypatch.setattr(Interval, "intersects", forbidden, raising=False)
+        rng = random.Random(52)
+        for _ in range(100):
+            relation = _seeded_box_relation(rng)
+            for cell in cell_decomposition(relation).cells:
+                try:
+                    orbit = relation.orbit(cell).close()
+                except EmptyImageError:
+                    continue
+                for j in range(1, orbit.transient + 2 * orbit.period + 1):
+                    relation.iterate(cell.representative(), j)

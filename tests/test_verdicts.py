@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from crspec import (
     Inconclusive,
     InitialTemplate,
     NoTracer,
+    Orbit,
     Refutation,
     SpacedTemplate,
     Specification,
@@ -20,11 +23,18 @@ from crspec import (
     certify_trivial_fiber,
     check_trace,
     check_initial_trace,
+    cell_decomposition,
     implication_suite,
     recheck,
     refute_property,
 )
-from crspec.randgen import random_box_relation, random_fraction, random_spaced_triples
+from crspec.randgen import (
+    random_box_relation,
+    random_finite_relation,
+    random_finite_space,
+    random_fraction,
+    random_spaced_triples,
+)
 from conftest import box
 from crspec import BoxRelation, InitialSpecification
 
@@ -266,3 +276,115 @@ class TestImplicationSuite:
         first = implication_suite(7, 15)
         second = implication_suite(7, 15)
         assert first == second
+
+
+class TestCertificateWindow:
+    """A certificate search stops at the orbits' periodic window, whatever its n0max."""
+
+    @staticmethod
+    def fresh(relation):
+        if isinstance(relation, BoxRelation):
+            return BoxRelation(relation.space, relation.boxes)
+        return FiniteRelation(relation.space, relation.adjacency)
+
+    @staticmethod
+    def window(relation, period):
+        """T + L (image conditions) or T + 1 (eventual ones), read off closed orbits."""
+        if isinstance(relation, BoxRelation):
+            regions = cell_decomposition(relation).cells
+        else:
+            regions = range(relation.space.n)
+        orbits = [relation.orbit(r).close() for r in regions]
+        last = max(o.transient for o in orbits)
+        return last + (math.lcm(*(o.period for o in orbits)) if period else 1)
+
+    @staticmethod
+    def first_n0(relation, kind, eps, last):
+        """The smallest n0 <= last that meets the condition, tested n0 by n0 with no window."""
+        if isinstance(relation, BoxRelation):
+            regions = cell_decomposition(relation).cells
+        else:
+            regions = range(relation.space.n)
+        orbits = [relation.orbit(r).close() for r in regions]
+        # from n0 on, one transient plus one full joint period covers every j
+        span = max(o.transient for o in orbits) + math.lcm(*(o.period for o in orbits))
+        full = relation.space.full()
+        for n0 in range(1, last + 1):
+            sets = [o.value_at(n0) for o in orbits]
+            if kind == "common":
+                ok = all(not a.intersect(b).is_empty for a, b in itertools.combinations(sets, 2))
+            elif kind == "full":
+                ok = all(s == full for s in sets)
+            else:
+                ok = all(
+                    relation.space.hausdorff(oa.value_at(j), ob.value_at(j)) <= eps
+                    for oa, ob in itertools.combinations(orbits, 2)
+                    for j in range(n0, n0 + span + 1)
+                )
+            if ok:
+                return n0
+        return None
+
+    def counted(self, monkeypatch, certify, relation, *args, limit=10**6):
+        """The certificate and the number of Orbit.value_at calls; past limit calls it fails."""
+        calls = []
+        original = Orbit.value_at
+
+        def counting(orbit, j):
+            calls.append(j)
+            assert len(calls) <= limit, "the search went on past its window"
+            return original(orbit, j)
+
+        monkeypatch.setattr(Orbit, "value_at", counting)
+        try:
+            return certify(self.fresh(relation), *args), len(calls)
+        finally:
+            monkeypatch.setattr(Orbit, "value_at", original)
+
+    def relations(self, monica, fan):
+        rng = random.Random(60)
+        yield monica
+        yield fan
+        for _ in range(25):
+            yield random_box_relation(rng, max_boxes=6, max_den=12)
+        for _ in range(25):
+            space = random_finite_space(rng, rng.randint(2, 6))
+            yield random_finite_relation(rng, space, p1_full=True)
+
+    def test_huge_n0max_matches_the_window(self, monica, fan, monkeypatch):
+        found = 0
+        for relation in self.relations(monica, fan):
+            image_window = self.window(relation, period=True)
+            eventual_window = self.window(relation, period=False)
+            diameter = relation.space.diameter()
+            cases = [
+                (certify_common_image, "common", (), image_window),
+                (certify_full_image, "full", (), image_window),
+                (certify_eventual_hausdorff, "eventual", (diameter / 4,), eventual_window),
+                (certify_eventual_hausdorff, "eventual", (Fraction(0),), eventual_window),
+            ]
+            for certify, kind, eps, window in cases:
+                at_window = self.counted(monkeypatch, certify, relation, *eps, window)
+                assert self.counted(monkeypatch, certify, relation, *eps, 10**9) == at_window
+                cert = at_window[0]
+                bound = eps[0] if eps else None
+                expected = self.first_n0(self.fresh(relation), kind, bound, 2 * window + 2)
+                assert (None if cert is None else cert.n0) == expected
+                if cert is not None:
+                    found += 1
+                    assert cert.n0 <= window and recheck(self.fresh(relation), cert)
+                # any smaller n0max finds the same certificate, or none when its n0 is beyond
+                for n0_max in range(1, window + 1):
+                    smaller = certify(self.fresh(relation), *eps, n0_max)
+                    assert smaller == (cert if cert is not None and cert.n0 <= n0_max else None)
+        assert found > 20
+
+    def test_two_loops_never_meet_at_any_n0max(self, unit, monkeypatch):
+        relation = BoxRelation(unit, (box(0, F(1, 2), 0, 0), box(F(1, 2), 1, 1, 1)))
+        for certify, eps in (
+            (certify_common_image, ()),
+            (certify_full_image, ()),
+            (certify_eventual_hausdorff, (F(1, 2),)),
+        ):
+            cert, _ = self.counted(monkeypatch, certify, relation, *eps, 10**9, limit=20)
+            assert cert is None
