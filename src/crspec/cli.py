@@ -261,8 +261,9 @@ def _word_counts(scenario: Scenario, max_len: int) -> tuple[list[int], list[int]
     The number of admissible words with L symbols is 1^T A^(L-1) 1; the row
     vector 1^T A^(L-1) is carried from one length to the next over the
     successor lists.  Lengths 1, 2, ... are then enumerated, each by
-    ``admissible_words``, which builds every shorter length on its way, for
-    as long as the symbols built in all stay within WORD_SYMBOLS.
+    ``admissible_words``, for as long as WORD_SYMBOLS bounds the symbols
+    built from above.  A call for length L is charged the symbols that the
+    words of lengths 1..L hold together, which is at least what it builds.
     """
     succ = scenario.relation.successors
     row = [1] * len(succ)

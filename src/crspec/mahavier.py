@@ -22,9 +22,14 @@ the windows with admissible connecting words.
 
 Every kernel costs per edge and per position read.  Words, connecting paths
 and the splice's feasible sets follow each symbol's successor list, kept on
-the relation (``FiniteRelation.successors``).  ``mixing_index`` keeps each
-row of a matrix power as an int bitmask, so the next power costs one OR per
-edge, and it stops at Wielandt's bound (n-1)^2 + 1 whatever ``t_max`` is.
+the relation (``FiniteRelation.successors``).  ``admissible_words(L)``
+extends words one symbol at a time only up to L - L // 2 symbols; each
+word of length L is then one tuple concatenation, run in C, of a prefix of
+L // 2 symbols and a suffix that may follow it.  So a call builds at most
+the symbols that the words of lengths 1..L hold together.  ``mixing_index``
+keeps each row of a matrix power as an int bitmask, so the next power costs
+one OR per edge, and it stops at Wielandt's bound (n-1)^2 + 1 whatever
+``t_max`` is.
 ``EPSequence.shifted(j)`` drops the preperiod and rotates the cycle in one
 step, so a trace check at exponent 10^6 costs what it costs at 10.
 """
@@ -35,11 +40,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import chain
 from operator import or_
 from typing import Sequence
 
 from .errors import NoPreimageError
-from .relations import FiniteRelation
+from .relations import FiniteRelation, successor_lists
 from .sets import FiniteMetricSpace, rat
 from .specifications import TraceEntry, TraceReport
 
@@ -172,8 +178,7 @@ class TransitionMatrix:
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
-        """For each symbol, the symbols it may be followed by, ascending."""
-        return tuple(tuple(j for j, edge in enumerate(row) if edge) for row in self.entries)
+        return successor_lists(self.entries)
 
     def path_witness(self, a: int, b: int, edges: int) -> tuple[int, ...]:
         """An admissible word of `edges` + 1 symbols from a to b, min-lex."""
@@ -235,13 +240,29 @@ class ShiftSpace:
         return all(adj[a][b] for a, b in zip(word, word[1:]))
 
     def admissible_words(self, length: int) -> list[tuple[int, ...]]:
-        """All admissible words of the given length, lexicographic."""
+        """All admissible words of the given length, lexicographic.
+
+        A join of two halves.  The words of m = length - length // 2 symbols
+        are built one symbol at a time, grouped by first symbol, and those of
+        h = length // 2 symbols on the way.  ``after[a]`` lists the m-symbol
+        words that may follow a, and each h-symbol prefix p is joined to
+        ``after[p[-1]]`` by one tuple concatenation per word, in C.  No call
+        builds more symbols than the words of every length up to ``length``
+        hold together.
+        """
         if length < 1:
             raise ValueError("word length must be positive")
+        half = length // 2
+        if half == 0:
+            return [(a,) for a in range(self.n)]
         succ = self.relation.successors
-        words = [(a,) for a in range(self.n)]
-        for _ in range(length - 1):
-            words = [w + (b,) for w in words for b in succ[w[-1]]]
+        levels = [[[(a,)] for a in range(self.n)]]  # levels[k][a]: words of k + 1 symbols from a
+        while len(levels) < length - half:
+            levels.append([[w + (b,) for w in ws for b in succ[w[-1]]] for ws in levels[-1]])
+        after = [list(chain.from_iterable(levels[-1][b] for b in row)) for row in succ]
+        words: list[tuple[int, ...]] = []
+        for p in chain.from_iterable(levels[half - 1]):
+            words.extend(map(p.__add__, after[p[-1]]))
         return words
 
     def transition_matrix(self) -> TransitionMatrix:

@@ -49,6 +49,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Union
 
 from .errors import BadRangeError, EmptyImageError
@@ -337,6 +338,11 @@ class BoxRelation(_Iterates):
         return True
 
 
+def successor_lists(rows: tuple[tuple[bool, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """For each row of a square boolean matrix, the indices of its true entries, ascending."""
+    return tuple(tuple(compress(range(len(rows)), row)) for row in rows)
+
+
 @dataclass(frozen=True)
 class FiniteRelation(_Iterates):
     """A relation on a finite metric space, as a boolean adjacency matrix."""
@@ -345,7 +351,7 @@ class FiniteRelation(_Iterates):
     adjacency: tuple[tuple[bool, ...], ...]
 
     def __post_init__(self):
-        frozen = tuple(tuple(bool(v) for v in row) for row in self.adjacency)
+        frozen = tuple(tuple(map(bool, row)) for row in self.adjacency)
         object.__setattr__(self, "adjacency", frozen)
         n = self.space.n
         if len(frozen) != n or any(len(row) != n for row in frozen):
@@ -359,17 +365,12 @@ class FiniteRelation(_Iterates):
         return cls(space, tuple(tuple(row) for row in adj))
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(self.space.n)
-            for j in range(self.space.n)
-            if self.adjacency[i][j]
-        ]
+        return [(i, j) for i, row in enumerate(self.successors) for j in row]
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
         """For each point i, the points j with (i, j) in F, ascending."""
-        return tuple(tuple(j for j, edge in enumerate(row) if edge) for row in self.adjacency)
+        return successor_lists(self.adjacency)
 
     def point_set(self, x: int) -> PointSet:
         return self.space.point(x)

@@ -327,14 +327,24 @@ def _random_sequence(rng, shift):
 
 class TestKernelsAgainstDefinitions:
     def test_admissible_words_are_the_filtered_product(self):
-        for _, shift in _seeded_shifts(3):
+        # lengths 1..9 join the halves at every split h = L // 2, odd and even;
+        # the product filter is the oracle up to length 4, where it stays
+        # cheap, and a one-symbol-at-a-time extension at every length
+        for _, shift in _seeded_shifts(3, count=40):
             adj = shift.relation.adjacency
-            for length in range(1, 5):
-                want = [
-                    w for w in product(range(shift.n), repeat=length)
-                    if all(adj[a][b] for a, b in zip(w, w[1:]))
-                ]
-                assert shift.admissible_words(length) == want
+            succ = [[b for b in range(shift.n) if adj[a][b]] for a in range(shift.n)]
+            extended = [(a,) for a in range(shift.n)]
+            for length in range(1, 10):
+                got = shift.admissible_words(length)
+                assert type(got) is list and all(type(w) is tuple for w in got)
+                assert all(u < v for u, v in zip(got, got[1:]))
+                assert got == extended
+                if length <= 4:
+                    assert got == [
+                        w for w in product(range(shift.n), repeat=length)
+                        if all(adj[a][b] for a, b in zip(w, w[1:]))
+                    ]
+                extended = [w + (b,) for w in extended for b in succ[w[-1]]]
 
     def test_mixing_index_is_the_first_positive_power(self):
         for _, shift in _seeded_shifts(4, count=40):
