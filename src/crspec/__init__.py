@@ -31,14 +31,10 @@ from .relations import (
     Cell,
     CellDecomposition,
     FiniteRelation,
-    IterateAutomaton,
     Orbit,
     OrbitSegment,
     cell_decomposition,
-    cell_image,
     cell_of,
-    check_surjectivity,
-    iterate_automaton,
 )
 from .sets import (
     FiniteMetricSpace,

@@ -14,11 +14,14 @@ membership pattern ``{i : y in A_i}`` is constant.  All iterates ``F^j(y)``
 with ``j >= 1`` depend only on the cell of ``y``, which is what makes tracer
 search and "for all y" refutations exact rather than sampled.  Iterates of a
 cell range over unions of the ``B_i``, a finite lattice, so the sequence
-``j -> F^j(y)`` is eventually periodic; :func:`iterate_automaton` returns its
-preperiod and cycle per cell, turning "for all j" claims into finite checks.
+``j -> F^j(y)`` is eventually periodic; ``relation.orbit(cell).close()`` gives
+its preperiod and cycle, turning "for all j" claims into finite checks.
 
-Every iterate ``F^j`` with ``j >= 1`` is read off one :class:`Orbit` per cell
-(box relations) or per point (finite relations).  The orbit is swept once,
+A *region* is a cell of a box relation or a point of a finite relation, and
+both kinds answer the same region interface: ``regions()`` lists each region
+with a representative point, ``first_image(region)`` is F(y) for every y in
+it, and ``orbit(region)`` its iterates.  Every iterate ``F^j`` with ``j >= 1``
+is read off one :class:`Orbit` per region.  The orbit is swept once,
 one image at a time and only as far as some caller has asked; it stops for
 good at the first repeated set, and it is memoized on the relation object,
 so it lives and dies with the relation.
@@ -176,7 +179,11 @@ class _Iterates:
     """Iterates of either relation kind, read off one memoized orbit per region.
 
     A region is a cell of a box relation or a point of a finite space.
-    Subclasses name the region of a point and its first image.
+    Subclasses list their regions, in order, as ``(label, representative)``
+    pairs from ``regions()``; a point region is yielded as its own
+    representative, the same object.  They also name the region of a point
+    (``_region``) and a region's first image (``first_image``).  Everything
+    else here reads only those.
     """
 
     @cached_property
@@ -218,7 +225,7 @@ class _Iterates:
         region = self._region(x)
         orbit = self._orbits.get(region)
         if orbit is None:
-            orbit = self._orbits[region] = Orbit(self, self._first_image(region))
+            orbit = self._orbits[region] = Orbit(self, self.first_image(region))
         return orbit
 
     def iterate(self, x, j: int) -> AmbientSet:
@@ -229,6 +236,14 @@ class _Iterates:
         """F^first(x), ..., F^last(x); the orbit of x is swept to last here."""
         origin = self.point_set(x)
         return OrbitSegment(origin.min_point(), first, last, origin, self.orbit(x))
+
+    def is_function(self) -> bool:
+        """True iff every point has exactly one image point."""
+        for region, _ in self.regions():
+            image = self.first_image(region)
+            if image.is_empty or image != self.point_set(image.min_point()):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -312,11 +327,17 @@ class BoxRelation(_Iterates):
             union = self._unions[mask] = IntervalUnion(tuple(parts))
         return union
 
+    def regions(self):
+        """(cell, its representative) for each cell of the decomposition, in order."""
+        for cell in cell_decomposition(self).cells:
+            yield cell, cell.representative()
+
     def _region(self, x) -> "Cell":
         return x if isinstance(x, Cell) else cell_of(self, rat(x))
 
-    def _first_image(self, cell: "Cell") -> IntervalUnion:
-        return cell_image(self, cell)
+    def first_image(self, cell: "Cell") -> IntervalUnion:
+        """F(y) for every y in the cell: the union of B_i over the cell's pattern."""
+        return self.union_of(sum(1 << i for i in cell.pattern))
 
     def project(self, which: int) -> IntervalUnion:
         if which not in (1, 2):
@@ -326,16 +347,6 @@ class BoxRelation(_Iterates):
 
     def inverse(self) -> "BoxRelation":
         return BoxRelation(self.space, tuple((b, a) for a, b in self.boxes))
-
-    def is_function(self) -> bool:
-        """True iff every ambient point has exactly one image point."""
-        for cell in cell_decomposition(self).cells:
-            img = cell_image(self, cell)
-            if img.is_empty:
-                return False
-            if not (len(img.parts) == 1 and img.parts[0].is_point):
-                return False
-        return True
 
 
 def successor_lists(rows: tuple[tuple[bool, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -379,10 +390,15 @@ class FiniteRelation(_Iterates):
         succ = self.successors
         return PointSet.of(j for i in s.members for j in succ[i])
 
+    def regions(self):
+        """(x, x) for each point x of the space, in order."""
+        return ((x, x) for x in range(self.space.n))
+
     def _region(self, x: int) -> int:
         return x
 
-    def _first_image(self, x: int) -> PointSet:
+    def first_image(self, x: int) -> PointSet:
+        """F(x): the successors of x."""
         return self.image(self.point_set(x))
 
     def project(self, which: int) -> PointSet:
@@ -400,9 +416,6 @@ class FiniteRelation(_Iterates):
             self.space, tuple(tuple(self.adjacency[j][i] for j in range(n)) for i in range(n))
         )
 
-    def is_function(self) -> bool:
-        return all(sum(row) == 1 for row in self.adjacency)
-
 
 Relation = Union[BoxRelation, FiniteRelation]
 
@@ -416,7 +429,8 @@ class Cell:
     ends closed.  The hash is computed once, when the cell is built, since
     cells key the orbit memo; it hashes the endpoints' integer ratios, which
     equal cells share, rather than the Fractions, whose hash takes a modular
-    inverse each.
+    inverse each.  The representative is kept on the cell once first asked
+    for, since every pass over a relation's regions reads it.
     """
 
     lo: Fraction
@@ -447,9 +461,11 @@ class Cell:
 
     def representative(self) -> Fraction:
         """A deterministic interior point: the cell itself, or its midpoint."""
-        if self.is_point:
-            return self.lo
-        return (self.lo + self.hi) / 2
+        return self._representative
+
+    @cached_property
+    def _representative(self) -> Fraction:
+        return self.lo if self.is_point else (self.lo + self.hi) / 2
 
     def intersect_closed(self, lo: Fraction, hi: Fraction) -> "Cell | None":
         """Intersection with a closed interval, or None when empty."""
@@ -569,35 +585,3 @@ def cell_of(relation: BoxRelation, x: Fraction) -> Cell:
     else:
         raise ValueError(f"point {x} outside the ambient space")
     return decomposition.cells[decomposition.piece_cells[piece]]
-
-
-def cell_image(relation: BoxRelation, cell: Cell) -> IntervalUnion:
-    """F(y) for every y in the cell: the union of B_i over the cell's pattern."""
-    return relation.union_of(sum(1 << i for i in cell.pattern))
-
-
-@dataclass(frozen=True)
-class IterateAutomaton:
-    """Per-cell eventually periodic description of all iterates j >= 1."""
-
-    decomposition: CellDecomposition
-    orbits: tuple[Orbit, ...]
-
-    def orbit_for(self, cell: Cell) -> Orbit:
-        return self.orbits[self.decomposition.cells.index(cell)]
-
-
-def iterate_automaton(relation: BoxRelation) -> IterateAutomaton:
-    """The eventually periodic sequence (F^j(y))_{j>=1} for each cell.
-
-    Requires p1(F) = X; a cell whose orbit dies raises EmptyImageError naming
-    the failing exponent.
-    """
-    decomp = cell_decomposition(relation)
-    return IterateAutomaton(decomp, tuple(relation.orbit(c).close() for c in decomp.cells))
-
-
-def check_surjectivity(relation: Relation) -> tuple[bool, bool]:
-    """Whether p1(F) and p2(F) each cover the whole ambient space."""
-    full = relation.space.full()
-    return relation.project(1) == full, relation.project(2) == full

@@ -12,23 +12,24 @@ segment's iterate stays within ``eps``:
 and for initial specifications the tracer's exponent is shifted by the
 accumulated segment lengths and gaps.
 
-Tracer search is an exact decision, not a sampling heuristic.  On a box
-relation every distance with tracer exponent >= 1 depends only on the cell
-of ``y``; each exponent-0 requirement (one per segment that starts at 0)
-constrains ``y`` to the closed interval ``|y - x_i| <= eps``, and together
-they pin ``y`` to one closed window.  Searching cells intersected with that
-window therefore either produces a witness or an exhaustive per-cell failure
-table that covers all of X.  On a finite space the search enumerates points.
-Either search returns the first witness it finds.
+Tracer search is an exact decision, not a sampling heuristic.  It runs one
+loop over the relation's regions (see :mod:`crspec.relations`): the cells of
+a box relation or the points of a finite one.  Every distance with tracer
+exponent >= 1 depends only on the region of ``y``.  A point region is
+decided by the report at the point.  In a cell, each exponent-0 requirement
+(one per segment that starts at 0) constrains ``y`` to the closed interval
+``|y - x_i| <= eps``, and together they pin ``y`` to one closed window, which
+narrows the cell.  The search therefore either produces a witness or an
+exhaustive per-region failure table that covers all of X, and it returns the
+first witness it finds.
 
-Every iterate is read off the relation's memoized per-cell or per-point
-orbit, and every distance through the relation's distance memo (see
-:mod:`crspec.relations`).  A search builds one report per failing cell, at
-its representative, and reads the cell's verdict from the report's
-cell-constant entries.  So the orbit sweeps and distance evaluations behind
-a check or a search grow with the transients and periods of the orbits it
-touches, not with the exponents written in the specification; each distinct
-pair of sets is measured once per relation.
+Every iterate is read off the relation's memoized per-region orbit, and
+every distance through the relation's distance memo.  A search builds one
+report per failing region, at its representative, and reads the region's
+verdict from the report's region-constant entries.  So the orbit sweeps and
+distance evaluations behind a check or a search grow with the transients
+and periods of the orbits it touches, not with the exponents written in the
+specification; each distinct pair of sets is measured once per relation.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .relations import (
     FiniteRelation,
     OrbitSegment,
     Relation,
-    cell_decomposition,
     cell_of,
     rat,
 )
@@ -236,42 +236,44 @@ def check_initial_trace(
     return _report(relation, spec, _initial_requirements(spec), y, eps, mode, region)
 
 
+def _cell_witness(cell, rep, report, zero_bases, eps):
+    """The point of the cell to offer as a witness, or None when no point of it passes.
+
+    Entries with power >= 1 are constant on the cell, so the report at rep
+    reads them.  Each power-0 requirement (i, 0) asks |y - x_i| <= eps, so
+    together they pin y to the closed window [max x_i - eps, min x_i + eps].
+    """
+    if not all(e.distance <= eps for e in report.entries if e.tracer_power >= 1):
+        return None
+    if not zero_bases:
+        return rep
+    window = cell.intersect_closed(max(zero_bases) - eps, min(zero_bases) + eps)
+    return None if window is None else window.pick_point(prefer=zero_bases[0])
+
+
 def _search(relation, spec, reqs, eps, mode, checker) -> SearchResult:
+    """Decide each region exactly from the report at its representative.
+
+    A point region is yielded as its own representative, so its report
+    decides it; a cell is decided by :func:`_cell_witness`.
+    """
     eps = rat(eps)
-    if isinstance(relation, FiniteRelation):
-        failures = []
-        for y in range(relation.space.n):
-            report = checker(relation, spec, y, eps, mode)
-            if report.passed:
-                return TracerWitness(y, y, report)
-            failures.append(RegionFailure(y, y, report))
-        return NoTracer(tuple(failures))
-
-    # Box relation: decide each cell exactly from the report at its
-    # representative.  Entries with power >= 1 are cell-constant; each power-0
-    # requirement (i, 0) asks |y - x_i| <= eps, so together they pin y to the
-    # closed window [max x_i - eps, min x_i + eps].
-    zero_bases = [rat(spec.segments[i - 1].base) for i, _, power in reqs if power == 0]
-
+    zero_bases = [spec.segments[i - 1].base for i, _, power in reqs if power == 0]
     failures = []
-    for cell in cell_decomposition(relation).cells:
-        rep = cell.representative()
-        report = checker(relation, spec, rep, eps, mode, cell)
-        cell_ok = all(e.distance <= eps for e in report.entries if e.tracer_power >= 1)
-        y = rep
-        if cell_ok and zero_bases:
-            region = cell.intersect_closed(max(zero_bases) - eps, min(zero_bases) + eps)
-            cell_ok = region is not None
-            if cell_ok:
-                y = region.pick_point(prefer=zero_bases[0])
-        if not cell_ok:
-            failures.append(RegionFailure(cell, rep, report))
-            continue
-        if y != rep:
-            report = checker(relation, spec, y, eps, mode, cell)
-        if not report.passed:
-            raise AssertionError("cell-level pass must yield a passing witness")
-        return TracerWitness(y, cell, report)
+    for region, rep in relation.regions():
+        report = checker(relation, spec, rep, eps, mode, region)
+        if region is rep:
+            if report.passed:
+                return TracerWitness(rep, region, report)
+        else:
+            y = _cell_witness(region, rep, report, zero_bases, eps)
+            if y is not None:
+                if y != rep:
+                    report = checker(relation, spec, y, eps, mode, region)
+                if not report.passed:
+                    raise AssertionError("cell-level pass must yield a passing witness")
+                return TracerWitness(y, region, report)
+        failures.append(RegionFailure(region, rep, report))
     return NoTracer(tuple(failures))
 
 
@@ -320,22 +322,17 @@ def lift_tracer(relation: Relation, spec: Specification, z):
 
     Returns a PointSet on finite spaces and a tuple of cells on box
     relations (the set need not be closed: it is a union of cells).
-    Raises NoPreimageError when no such y exists.
+    Raises ValueError when z lies outside the space, and NoPreimageError
+    when no such y exists.
     """
     k1 = spec.segments[0].first
+    origin = relation.point_set(z)
+    z = origin.min_point()
     finite = isinstance(relation, FiniteRelation)
-    if finite:
-        if k1 == 0:
-            return PointSet.point(z)
-        regions = range(relation.space.n)
-    else:
-        z = rat(z)
-        if k1 == 0:
-            home = cell_of(relation, z)
-            return (Cell(z, z, True, True, home.pattern),)
-        regions = cell_decomposition(relation).cells
+    if k1 == 0:
+        return origin if finite else (Cell(z, z, True, True, cell_of(relation, z).pattern),)
     hits = []
-    for region in regions:
+    for region, _ in relation.regions():
         try:
             if relation.orbit(region).value_at(k1).contains(z):
                 hits.append(region)

@@ -34,16 +34,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from . import randgen
-from .relations import (
-    MODES,
-    BoxRelation,
-    FiniteRelation,
-    Orbit,
-    Relation,
-    cell_image,
-    cell_decomposition,
-    iterate_automaton,
-)
+from .relations import MODES, FiniteRelation, Orbit, Relation
 from .sets import rat
 from .specifications import (
     InitialSpecification,
@@ -60,11 +51,12 @@ from .specifications import (
 
 
 def _eventual_orbits(relation: Relation) -> list[tuple[object, Orbit]]:
-    """(region label, closed orbit of F^1, F^2, ...) for each cell or point."""
-    if isinstance(relation, BoxRelation):
-        auto = iterate_automaton(relation)
-        return list(zip(auto.decomposition.cells, auto.orbits))
-    return [(x, relation.orbit(x).close()) for x in range(relation.space.n)]
+    """(region label, closed orbit of F^1, F^2, ...) for each cell or point.
+
+    Requires p1(F) = X; a region whose orbit dies raises EmptyImageError
+    naming the failing exponent.
+    """
+    return [(region, relation.orbit(region).close()) for region, _ in relation.regions()]
 
 
 def _last_n0(orbits: list[tuple[object, Orbit]], n0_max: int, image: bool) -> int:
@@ -188,9 +180,7 @@ def certify_eventual_hausdorff(relation: Relation, eps, n0_max: int) -> Certific
 
 def _first_images(relation: Relation) -> list:
     """F(y) for one y in each cell or point; unlike an orbit's, these may be empty."""
-    if isinstance(relation, BoxRelation):
-        return [cell_image(relation, c) for c in cell_decomposition(relation).cells]
-    return [relation.image(relation.point_set(x)) for x in range(relation.space.n)]
+    return [relation.first_image(region) for region, _ in relation.regions()]
 
 
 def certify_trivial_fiber(relation: Relation) -> Certificate | None:

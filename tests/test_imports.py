@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, keeps no
-process-global cache and writes no float.
+process-global cache, writes no float and branches on the relation's kind
+only where it must.
 
 No linter runs with the test suite, so this reads each module's syntax
 tree.  ``__init__.py`` is left out of the import check: its imports are the
@@ -10,10 +11,15 @@ a stray ``/`` between ints, where ``//`` was meant, returns a float
 silently; so no module but ``randgen``, whose Bernoulli densities are floats
 by design, may hold a float literal or call ``float``.  The runtime side is
 covered by the kernel tests, which check that every distance is a
-``Fraction``.
+``Fraction``.  Both relation kinds answer one region interface (see
+``crspec.relations``), so ``isinstance`` against ``BoxRelation`` or
+``FiniteRelation`` is left to the few places whose result differs by kind:
+scenario parsing, the random point draw (whose RNG calls must not change)
+and the return type of ``lift_tracer``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,6 +30,13 @@ PACKAGE = sorted(Path(crspec.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 GLOBAL_CACHES = ("lru_cache", "cache")
 FLOATS_BY_DESIGN = ("randgen.py",)
+RELATION_KINDS = ("BoxRelation", "FiniteRelation")
+KIND_BRANCHES = (
+    "randgen.py: random_point",
+    "scenario.py: _Builder.build",
+    "scenario.py: _point",
+    "specifications.py: lift_tracer",
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -100,3 +113,49 @@ def test_the_check_sees_a_float():
 )
 def test_no_floats(path):
     assert float_uses(path.read_text(encoding="utf-8")) == []
+
+
+def kind_branches(source: str) -> list[str]:
+    """The qualified name of the function around each isinstance call on a relation kind."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
+            if names & set(RELATION_KINDS):
+                found.append(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_the_check_sees_a_relation_kind_branch():
+    source = (
+        "from crspec import relations\n"
+        "ok = isinstance(r, relations.BoxRelation)\n"
+        "class C:\n"
+        "    def f(self, r, c):\n"
+        "        return isinstance(c, Cell) or isinstance(r, (int, FiniteRelation))\n"
+        "def g(r):\n"
+        "    return isinstance(r, BoxRelation | FiniteRelation)\n"
+    )
+    assert kind_branches(source) == ["<module>", "C.f", "g"]
+
+
+def test_relation_kinds_are_branched_on_only_where_named():
+    found = Counter(
+        f"{path.name}: {site}"
+        for path in MODULES
+        for site in kind_branches(path.read_text(encoding="utf-8"))
+    )
+    assert found - Counter(KIND_BRANCHES) == Counter()

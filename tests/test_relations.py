@@ -16,13 +16,16 @@ from crspec import (
     IntervalUnion,
     PointSet,
     cell_decomposition,
-    cell_image,
     cell_of,
-    check_surjectivity,
-    iterate_automaton,
     normalize,
 )
-from crspec.randgen import random_box_relation, random_interval_union
+from crspec.randgen import (
+    random_box_relation,
+    random_finite_relation,
+    random_finite_space,
+    random_function_relation,
+    random_interval_union,
+)
 from conftest import box
 
 F = Fraction
@@ -154,6 +157,10 @@ class TestProjectInverse:
             assert inv.project(2) == relation.project(1)
 
     def test_surjectivity_probe(self, monica, constant, full_box):
+        def check_surjectivity(relation):
+            full = relation.space.full()
+            return relation.project(1) == full, relation.project(2) == full
+
         assert check_surjectivity(monica) == (True, True)
         assert check_surjectivity(constant) == (True, False)
         assert check_surjectivity(full_box) == (True, True)
@@ -173,6 +180,9 @@ class TestIsFunction:
     def test_partial_domain_is_not(self, unit):
         half = BoxRelation(unit, (box(0, "1/2", 0, 0),))
         assert not half.is_function()
+
+    def test_an_interval_image_is_not(self, full_box):
+        assert not full_box.is_function()
 
 
 class TestCells:
@@ -272,33 +282,31 @@ class TestCells:
     def test_cell_of_and_image(self, monica):
         cell = cell_of(monica, F(3, 4))
         assert str(cell) == "(1/2, 1)"
-        assert cell_image(monica, cell) == iu((1, 1))
+        assert monica.first_image(cell) == iu((1, 1))
 
 
 class TestIterateAutomaton:
+    """The per-cell eventually periodic description, read off each cell's closed orbit."""
+
     def test_constant_relation(self, constant):
-        auto = iterate_automaton(constant)
-        orbit = auto.orbits[0]
+        orbit = constant.orbit(cell_decomposition(constant).cells[0]).close()
         assert orbit.preperiod == ()
         assert orbit.cycle == (iu((1, 1)),)
 
     def test_monica_low_cell_cycles_at_zero(self, monica):
-        auto = iterate_automaton(monica)
-        orbit = auto.orbit_for(cell_of(monica, F(1, 4)))
+        orbit = monica.orbit(cell_of(monica, F(1, 4))).close()
         assert orbit.preperiod == ()
         assert orbit.cycle == (iu((0, 0)),)
 
     def test_monica_upper_cell_has_transient(self, monica):
-        auto = iterate_automaton(monica)
-        orbit = auto.orbit_for(cell_of(monica, F(3, 4)))
+        orbit = monica.orbit(cell_of(monica, F(3, 4))).close()
         assert orbit.preperiod == (iu((1, 1)),)
         assert orbit.cycle == (iu((0, 1)),)
 
     def test_matches_pointwise_iteration(self, monica, fan, constant):
         for relation in (monica, fan, constant):
-            auto = iterate_automaton(relation)
-            for cell in auto.decomposition.cells:
-                orbit = auto.orbit_for(cell)
+            for cell in cell_decomposition(relation).cells:
+                orbit = relation.orbit(cell).close()
                 stepped = relation.point_set(cell.representative())
                 horizon = orbit.transient + 2 * orbit.period
                 for j in range(1, horizon + 1):
@@ -310,13 +318,70 @@ class TestIterateAutomaton:
         for _ in range(40):
             relation = random_box_relation(rng, max_boxes=5, cover_domain=True)
             bound = 2 ** len(relation.boxes)
-            for orbit in iterate_automaton(relation).orbits:
+            for cell in cell_decomposition(relation).cells:
+                orbit = relation.orbit(cell).close()
                 assert orbit.transient + orbit.period <= bound
 
     def test_dying_cell_raises(self, unit):
         half = BoxRelation(unit, (box(0, "1/2", "3/4", 1),))
         with pytest.raises(EmptyImageError):
-            iterate_automaton(half)
+            for cell in cell_decomposition(half).cells:
+                half.orbit(cell).close()
+
+
+class TestRegions:
+    """The region interface both relation kinds answer: regions, first images, is_function."""
+
+    def test_box_regions_are_the_cells_in_order(self):
+        rng = random.Random(61)
+        for _ in range(100):
+            relation = random_box_relation(rng, cover_domain=rng.random() < 0.5)
+            regions = list(relation.regions())
+            assert [cell for cell, _ in regions] == list(cell_decomposition(relation).cells)
+            assert all(rep == cell.representative() for cell, rep in regions)
+
+    def test_finite_regions_are_the_points_in_order(self):
+        rng = random.Random(62)
+        for _ in range(50):
+            space = random_finite_space(rng, rng.randint(1, 6))
+            relation = random_finite_relation(rng, space, p1_full=False)
+            assert [x for x, _ in relation.regions()] == list(range(space.n))
+            assert all(rep == x for x, rep in relation.regions())
+
+    def test_first_image_is_the_image_of_the_representative(self):
+        rng = random.Random(63)
+        checked = 0
+        for _ in range(100):
+            space = random_finite_space(rng, rng.randint(1, 6))
+            relations = (
+                random_box_relation(rng, cover_domain=False),
+                random_finite_relation(rng, space, p1_full=False),
+            )
+            for relation in relations:
+                for label, rep in relation.regions():
+                    assert relation.first_image(label) == relation.image(relation.point_set(rep))
+                    checked += 1
+        assert checked > 500
+
+    def test_finite_is_function_against_the_row_sums(self):
+        def one_successor_each(relation):
+            return all(sum(row) == 1 for row in relation.adjacency)
+
+        rng = random.Random(64)
+        for _ in range(60):
+            space = random_finite_space(rng, rng.randint(1, 6))
+            function = random_function_relation(rng, space)
+            assert one_successor_each(function) and function.is_function()
+            pairs = function.pairs()
+            i = rng.randrange(space.n)
+            empty_row = FiniteRelation.from_pairs(space, [(a, b) for a, b in pairs if a != i])
+            assert not one_successor_each(empty_row) and not empty_row.is_function()
+            if space.n > 1:
+                j = rng.choice([b for b in range(space.n) if (i, b) not in pairs])
+                forked = FiniteRelation.from_pairs(space, pairs + [(i, j)])
+                assert not one_successor_each(forked) and not forked.is_function()
+            drawn = random_finite_relation(rng, space, p1_full=rng.random() < 0.5)
+            assert drawn.is_function() == one_successor_each(drawn)
 
 
 class TestFiniteRelation:
@@ -406,7 +471,7 @@ class TestBoxKernel:
             amb = relation.space
             produced = []
             for cell in cell_decomposition(relation).cells:
-                produced.append(cell_image(relation, cell))
+                produced.append(relation.first_image(cell))
                 try:
                     orbit = relation.orbit(cell).close()
                 except EmptyImageError:
@@ -436,7 +501,7 @@ class TestBoxKernel:
         for _ in range(200):
             relation = _seeded_box_relation(rng)
             for cell in cell_decomposition(relation).cells:
-                image = cell_image(relation, cell)
+                image = relation.first_image(cell)
                 expected = _reference_merge(
                     [(relation.boxes[i][1].lo, relation.boxes[i][1].hi) for i in cell.pattern]
                 )

@@ -28,7 +28,6 @@ from crspec import (
     find_initial_tracer,
     find_tracer,
     is_n_spaced,
-    iterate_automaton,
     lift_tracer,
     refute_property,
 )
@@ -279,6 +278,21 @@ class TestLiftTracer:
         assert lift_tracer(golden_mean, spec, 1).members == (0,)
         assert lift_tracer(golden_mean, spec, 0).members == (0, 1)
 
+    def test_finite_zero_power_returns_the_point(self, golden_mean):
+        spec = Specification.build(golden_mean, [(0, 0, 1)])
+        assert lift_tracer(golden_mean, spec, 1).members == (1,)
+
+    def test_a_point_outside_the_space_is_refused(self, golden_mean, monica):
+        for first in (0, 1):
+            spec = Specification.build(golden_mean, [(0, first, 1)])
+            for z in (7, -1, 2):
+                with pytest.raises(ValueError, match="out of range"):
+                    lift_tracer(golden_mean, spec, z)
+            spec = Specification.build(monica, [(F(0), first, 1)])
+            for z in (F(2), F(-1, 3)):
+                with pytest.raises(ValueError, match="outside"):
+                    lift_tracer(monica, spec, z)
+
 
 class TestRoundTrip:
     def test_lifted_points_trace_on_finite_systems(self):
@@ -407,16 +421,18 @@ class TestOrbitSweep:
         monkeypatch.setattr(BoxRelation, "image", counted)
         # monica's four cells sweep six sets, of which four are distinct:
         # {1/2} and (1/2, 1) both reach [0, 1], the orbit of the cell {1}
-        auto = iterate_automaton(_fresh_monica(unit))
-        swept = {s for orbit in auto.orbits for s in orbit.preperiod + orbit.cycle}
-        assert sum(len(orbit.preperiod + orbit.cycle) for orbit in auto.orbits) > len(swept)
+        relation = _fresh_monica(unit)
+        orbits = [relation.orbit(cell).close() for cell, _ in relation.regions()]
+        swept = {s for orbit in orbits for s in orbit.preperiod + orbit.cycle}
+        assert sum(len(orbit.preperiod + orbit.cycle) for orbit in orbits) > len(swept)
         assert len(calls) == len(swept)
         assert set(calls) == swept
 
     def test_relation_is_freed_once_dropped(self, unit):
         def analyse():
             relation = _fresh_monica(unit)
-            iterate_automaton(relation)
+            for cell, _ in relation.regions():
+                relation.orbit(cell).close()
             spec = Specification.build(relation, [(F(0), 2, 3), (F(1), 9, 10)])
             find_tracer(relation, spec, F(1, 4), "hausdorff")
             return weakref.ref(relation)
@@ -429,9 +445,9 @@ class TestOrbitSweep:
         checked = []
         check = crspec.specifications.check_trace
 
-        def counted(relation, spec, y, eps, mode):
+        def counted(relation, spec, y, eps, mode, region=None):
             checked.append(y)
-            return check(relation, spec, y, eps, mode)
+            return check(relation, spec, y, eps, mode, region)
 
         monkeypatch.setattr(crspec.specifications, "check_trace", counted)
         full = FiniteRelation.from_pairs(two_points, [(0, 0), (0, 1), (1, 0), (1, 1)])
