@@ -31,7 +31,10 @@ keeps each row of a matrix power as an int bitmask, so the next power costs
 one OR per edge, and it stops at Wielandt's bound (n-1)^2 + 1 whatever
 ``t_max`` is.
 ``EPSequence.shifted(j)`` drops the preperiod and rotates the cycle in one
-step, so a trace check at exponent 10^6 costs what it costs at 10.
+step, so a trace check at exponent 10^6 costs what it costs at 10.  A trace
+check shifts and measures each distinct pair of phases of a segment once:
+a segment's sup-metric scans number at most the larger preperiod plus the
+lcm of the two cycle lengths, whatever its length.
 """
 
 from __future__ import annotations
@@ -105,6 +108,11 @@ class EPSequence:
             return EPSequence(pre[j:], self.cycle)
         r = (j - len(pre)) % len(self.cycle)
         return EPSequence((), self.cycle[r:] + self.cycle[:r])
+
+    def phase(self, j: int) -> int:
+        """The least shift k with ``shifted(k) == shifted(j)``, for j >= 0."""
+        pre = len(self.preperiod)
+        return j if j <= pre else pre + (j - pre) % len(self.cycle)
 
     def __str__(self):
         pre = " ".join(str(s) for s in self.preperiod)
@@ -331,16 +339,24 @@ class ShiftSpace:
         """Classical tracing in the shift system: one entry per (i, j).
 
         ``spec`` lists (base sequence, first, last) segments; the tracer and
-        each base are shifted j times and compared in the sup metric.
+        each base are shifted j times and compared in the sup metric.  Within
+        a segment the pair of shifted sequences depends only on the pair of
+        phases, so each distinct pair is shifted and measured once and its
+        later exponents reuse that entry's sequences and distance.
         """
         eps = rat(eps)
         entries = []
         for i, (base, first, last) in enumerate(spec, start=1):
+            # (phase of y, phase of base) -> (shifted y, shifted base, distance)
+            seen: dict[tuple[int, int], tuple] = {}
             for j in range(first, last + 1):
-                sy, sx = y.shifted(j), base.shifted(j)
-                entries.append(
-                    TraceEntry(i, j, j, self.sup_metric(sy, sx), sy, sx)
-                )
+                key = (y.phase(j), base.phase(j))
+                hit = seen.get(key)
+                if hit is None:
+                    sy, sx = y.shifted(j), base.shifted(j)
+                    hit = seen[key] = (sy, sx, self.sup_metric(sy, sx))
+                sy, sx, distance = hit
+                entries.append(TraceEntry(i, j, j, distance, sy, sx))
         return TraceReport("plain", eps, tuple(entries))
 
     def splice_tracer(

@@ -128,6 +128,16 @@ class Orbit:
         return self
 
     @property
+    def swept_window(self) -> tuple[int, int] | None:
+        """(transient, period) if the sweep has already reached its first repeat, else None.
+
+        Unlike ``transient`` and ``period`` this never sweeps: an orbit still
+        open, or one that died, gives None.
+        """
+        start = self._cycle_start
+        return None if start is None else (start, len(self._sets) - start)
+
+    @property
     def preperiod(self) -> tuple[AmbientSet, ...]:
         return tuple(self.close()._sets[: self._cycle_start])
 
@@ -429,8 +439,9 @@ class Cell:
     ends closed.  The hash is computed once, when the cell is built, since
     cells key the orbit memo; it hashes the endpoints' integer ratios, which
     equal cells share, rather than the Fractions, whose hash takes a modular
-    inverse each.  The representative is kept on the cell once first asked
-    for, since every pass over a relation's regions reads it.
+    inverse each.  The representative and the text are kept on the cell once
+    first asked for, since every pass over a relation's regions reads the one
+    and every report line or payload entry naming the cell the other.
     """
 
     lo: Fraction
@@ -485,6 +496,10 @@ class Cell:
         return self.representative()
 
     def __str__(self):
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         if self.is_point:
             return f"{{{self.lo}}}"
         left = "[" if self.lo_closed else "("

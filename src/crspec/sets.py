@@ -178,6 +178,25 @@ class IntervalUnion:
                     out.append(Interval(lo, hi))
         return normalize(out)
 
+    def first_common_point(self, other: "IntervalUnion") -> Fraction | None:
+        """The least point of both unions, or None when they do not meet.
+
+        One merge of the two sorted part lists on a shared integer grid: the
+        first overlapping pair of parts it meets holds the least common point.
+        """
+        if self.is_empty or other.is_empty:
+            return None
+        _, ea, eb = _shared_grid(self, other, 1)
+        i = j = 0
+        while i < len(ea) and j < len(eb):
+            if ea[i] <= eb[j + 1] and eb[j] <= ea[i + 1]:
+                return self.parts[i // 2].lo if ea[i] >= eb[j] else other.parts[j // 2].lo
+            if ea[i + 1] < eb[j + 1]:
+                i += 2
+            else:
+                j += 2
+        return None
+
     def subset_of(self, other: "IntervalUnion") -> bool:
         return all(
             any(q.lo <= p.lo and p.hi <= q.hi for q in other.parts) for p in self.parts
@@ -338,6 +357,19 @@ class PointSet:
 
     def intersect(self, other: "PointSet") -> "PointSet":
         return PointSet.of(set(self.members) & set(other.members))
+
+    def first_common_point(self, other: "PointSet") -> int | None:
+        """The least member of both sets, or None when they do not meet; one merge."""
+        a, b = self.members, other.members
+        i = j = 0
+        while i < len(a) and j < len(b):
+            if a[i] == b[j]:
+                return a[i]
+            if a[i] < b[j]:
+                i += 1
+            else:
+                j += 1
+        return None
 
     def subset_of(self, other: "PointSet") -> bool:
         return set(self.members) <= set(other.members)

@@ -13,7 +13,9 @@ claims to decide them.  It produces three kinds of evidence instead:
   every tested spacing (or gap) admits no tracer, witnessed by an exhaustive
   per-cell failure table for each instantiation.  Because tracer search is
   exact on cells, a refutation is a proof for the tested range, not a
-  sampling result.
+  sampling result.  Each phase class of values past the orbits' transient
+  is searched once; the tables of the later values in it are relabelled
+  from that one (see below).
 * an :class:`Inconclusive` outcome carrying the tracer that defeated the
   attempted refutation.
 
@@ -23,6 +25,24 @@ window per cell pair covers every exponent.  The same periodicity bounds the
 search over n0: past the largest transient plus the lcm of the periods (plus
 one, for the eventual conditions) no new n0 can succeed, so a certificate
 search stops there whatever n0_max it was given.
+
+The same periodicity decides a refutation from one window of values.  Let
+T be the largest transient and P the lcm of the periods of the region
+orbits, so that F^{j+P} = F^j for every j > T on every region orbit.  Every
+set a search compares is F^j of some region orbit: the tracer's iterates
+are its region's orbit, and every base's orbit is its region's orbit.  A
+value v moves the exponents of segment i >= 2 by (i - 1) v: the tracer
+powers, and for a spaced template the steps too; segment 1, the target
+sets of an initial template and the power-0 requirements do not move.
+Once the smallest moving exponent (the first tail step ``head.last + N``,
+or the second segment's first tracer power ``last_1 + m``) exceeds T,
+every moving exponent does, so two such values v = v0 (mod P) compare the
+same pairs of sets and have the same table, entry for entry, up to the
+shift (i - 1)(v - v0) of the exponents.  :func:`refute_property` searches
+the first value of each phase class past T and relabels the later ones.
+It reads (T, P) only from orbits that some search has already swept to
+their first repeat; while one is open, or has died, every value is
+searched in full.
 """
 
 from __future__ import annotations
@@ -31,7 +51,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from itertools import combinations, combinations_with_replacement
+from typing import Iterable, Union
 
 from . import randgen
 from .relations import MODES, FiniteRelation, Orbit, Relation
@@ -39,7 +60,10 @@ from .sets import rat
 from .specifications import (
     InitialSpecification,
     NoTracer,
+    RegionFailure,
     Specification,
+    TraceEntry,
+    TraceReport,
     TracerWitness,
     check_trace,
     conjugacy_transport,
@@ -109,30 +133,35 @@ class Certificate:
 def certify_common_image(relation: Relation, n0_max: int) -> Certificate | None:
     """Smallest n0 <= n0_max with F^{n0}(x) and F^{n0}(y) meeting for all x, y.
 
-    Evidence lists one common point per region pair.  Each distinct pair of
-    n0-th sets is intersected once per call.  Requires p1(F) = X; a dying
-    orbit raises EmptyImageError.
+    Evidence lists one common point per region pair, the least one.  At each
+    n0 the regions are grouped by their n0-th set; each distinct pair of
+    sets is met once per call, by one merge of their sorted parts, and the
+    evidence is read off a table indexed by the groups.  Requires
+    p1(F) = X; a dying orbit raises EmptyImageError.
     """
     orbits = _eventual_orbits(relation)
-    commons = {}
+    pairs = list(combinations(range(len(orbits)), 2))
+    commons: dict = {}  # (set, set) -> their least common point, or None
     for n0 in range(1, _last_n0(orbits, n0_max, image=True) + 1):
-        evidence = []
-        ok = True
-        for a in range(len(orbits)):
-            for b in range(a + 1, len(orbits)):
-                (la, oa), (lb, ob) = orbits[a], orbits[b]
-                pair = (oa.value_at(n0), ob.value_at(n0))
-                common = commons.get(pair)
-                if common is None:
-                    common = commons[pair] = pair[0].intersect(pair[1])
-                if common.is_empty:
-                    ok = False
-                    break
-                evidence.append(((la, lb), common.min_point()))
-            if not ok:
+        sets = [orbit.value_at(n0) for _, orbit in orbits]
+        group = {}
+        ids = [group.setdefault(s, len(group)) for s in sets]
+        distinct = list(group)
+        table = [[None] * len(distinct) for _ in distinct]
+        for ka, kb in combinations_with_replacement(range(len(distinct)), 2):
+            a, b = distinct[ka], distinct[kb]
+            if (a, b) not in commons:
+                commons[a, b] = a.first_common_point(b)
+            table[ka][kb] = table[kb][ka] = commons[a, b]
+            if table[ka][kb] is None:
                 break
-        if ok:
-            return Certificate("common-image", n0, None, tuple(evidence))
+        else:
+            return Certificate(
+                "common-image",
+                n0,
+                None,
+                tuple(((orbits[a][0], orbits[b][0]), table[ids[a]][ids[b]]) for a, b in pairs),
+            )
     return None
 
 
@@ -255,6 +284,10 @@ class SpacedTemplate:
             last = start + length
         return Specification.build(relation, triples)
 
+    def first_moving(self, n: int) -> int:
+        """The smallest exponent that moves with the spacing: the first tail step."""
+        return self.head[2] + n
+
 
 @dataclass(frozen=True)
 class InitialTemplate:
@@ -266,6 +299,10 @@ class InitialTemplate:
         return InitialSpecification.build(
             relation, self.segments, (m,) * (len(self.segments) - 1)
         )
+
+    def first_moving(self, m: int) -> int:
+        """The smallest tracer power that moves with the gap: the second segment's first."""
+        return self.segments[0][1] + m
 
 
 Template = Union[SpacedTemplate, InitialTemplate]
@@ -303,15 +340,56 @@ class Inconclusive:
     witness: TracerWitness
 
 
+def _phase_window(relation: Relation) -> tuple[int, int] | None:
+    """(T, P), the largest transient and the lcm of the periods of the region orbits.
+
+    None while some region orbit is still open or has died; nothing is swept.
+    """
+    windows = [relation.orbit(region).swept_window for region, _ in relation.regions()]
+    if None in windows:
+        return None
+    return max(t for t, _ in windows), math.lcm(*(p for _, p in windows))
+
+
+def _relabel(outcome: NoTracer, shift: int, steps: bool) -> NoTracer:
+    """outcome with (i - 1) * shift added to segment i's tracer powers, and to its steps if steps."""
+    if not shift:
+        return outcome
+    failures = []
+    for failure in outcome.failures:
+        report = failure.report
+        entries = tuple(
+            e
+            if e.segment == 1
+            else TraceEntry(
+                e.segment,
+                e.step + (e.segment - 1) * shift if steps else e.step,
+                e.tracer_power + (e.segment - 1) * shift,
+                e.distance,
+                e.tracer_set,
+                e.target_set,
+            )
+            for e in report.entries
+        )
+        failures.append(
+            RegionFailure(failure.region, failure.representative, TraceReport(report.mode, report.eps, entries))
+        )
+    return NoTracer(tuple(failures))
+
+
 def refute_property(
-    relation: Relation, prop: str, eps, template: Template, values: Sequence[int]
+    relation: Relation, prop: str, eps, template: Template, values: Iterable[int]
 ) -> Refutation | Inconclusive:
     """Try to refute a specification-type property on a template of instances.
 
-    For each value in the range the template is instantiated and the exact
-    tracer search runs in the property's mode.  The result is a Refutation
-    only if every instantiation yields NoTracer; the per-cell tables are kept
-    so each recorded distance can be replayed bit-for-bit.
+    The values are read once, in order, and must not be empty.  Each value
+    is decided by the exact tracer search in the property's mode, or, once
+    the region orbits' window (T, P) is known and the value is past T, by
+    relabelling the table of the first value of its phase class (see the
+    module docstring).  The result is a Refutation only if every
+    instantiation yields NoTracer, and an Inconclusive at the first value
+    that admits a tracer; the per-cell tables are kept so each recorded
+    distance can be replayed bit-for-bit.
     """
     if prop not in PROPERTIES:
         raise ValueError(f"property must be one of {PROPERTIES}")
@@ -320,8 +398,24 @@ def refute_property(
     mode = "hausdorff" if prop in ("HSP", "HISP") else "plain"
     if initial != isinstance(template, InitialTemplate):
         raise ValueError(f"{prop} needs an {'initial' if initial else 'spaced'} template")
+    values = tuple(values)
+    if not values:
+        raise ValueError("a refutation needs at least one value")
+    window = None
+    decided: dict[int, Instantiation] = {}  # phase -> the first value of it searched past T
+
+    def phase(value: int) -> int | None:
+        if window is None or value < 1 or template.first_moving(value) <= window[0]:
+            return None
+        return value % window[1]
+
     outcomes = []
     for value in values:
+        known = decided.get(phase(value))
+        if known is not None:
+            shift = value - known.value
+            outcomes.append(Instantiation(value, _relabel(known.outcome, shift, not initial)))
+            continue
         spec = template.instantiate(relation, value)
         if initial:
             result = find_initial_tracer(relation, spec, eps, mode)
@@ -330,7 +424,18 @@ def refute_property(
         if isinstance(result, TracerWitness):
             return Inconclusive(prop, eps, value, result)
         outcomes.append(Instantiation(value, result))
-    return Refutation(prop, eps, template, tuple(values), tuple(outcomes))
+        if window is None:
+            window = _phase_window(relation)
+            if window is None:
+                continue
+            searched = outcomes  # every value so far was searched in full
+        else:
+            searched = outcomes[-1:]
+        for inst in searched:
+            key = phase(inst.value)
+            if key is not None:
+                decided.setdefault(key, inst)
+    return Refutation(prop, eps, template, values, tuple(outcomes))
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,21 @@ def hausdorff(a, b) -> Fraction:
     return max(ab, ba)
 
 
+def least_common_point(a, b):
+    """min of the points both sets hold, or None: grid members of two interval
+    unions (every part's lower end lies on the grid), or common members of two
+    point sets."""
+    if hasattr(a, "members"):
+        common = set(a.members) & set(b.members)
+        return min(common) if common else None
+    pa, pb = _parts(a), _parts(b)
+    if not pa or not pb:
+        return None
+    grid = _grid([pa, pb])
+    common = set(_members(grid, pa)) & set(_members(grid, pb))
+    return min(common) if common else None
+
+
 def image_contains(relation, s, y: Fraction) -> bool:
     """Definitional membership: y lies in some B_i whose A_i meets s."""
     for (a, b) in relation.boxes:

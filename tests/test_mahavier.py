@@ -404,3 +404,55 @@ class TestKernelsAgainstDefinitions:
             return len(built)
 
         assert sequences_built(10) == sequences_built(10**5)
+
+    def test_sup_metric_scans_do_not_grow_with_the_segment(self, full_space, monkeypatch):
+        scans = []
+        original = ShiftSpace.sup_metric
+
+        def counting(space, s, t):
+            scans.append((s, t))
+            return original(space, s, t)
+
+        monkeypatch.setattr(ShiftSpace, "sup_metric", counting)
+        base = full_space.sequence((), (0, 1))
+        y = full_space.sequence((), (0, 1, 1))
+
+        def scanned(length):
+            scans.clear()
+            report = full_space.trace_check(((base, 0, length),), y, F(1, 4))
+            assert len(report.entries) == length + 1
+            return len(scans)
+
+        assert scanned(10**2) == scanned(10**4) == 6
+
+    def test_phase_memo_keeps_every_entry(self, golden_space, full_space):
+        """Each entry equals the one built from its own shifts, segment by segment."""
+        rng = random.Random(91)
+
+        def sequence(space, words):
+            """An admissible sequence with a preperiod of 0-3 and a cycle of 1-4 symbols."""
+            while True:
+                pre = rng.choice(words)[: rng.randint(0, 3)]
+                cycle = rng.choice(words)[: rng.randint(1, 4)]
+                try:
+                    return space.sequence(pre, cycle)
+                except ValueError:
+                    continue
+
+        for space in (golden_space, full_space):
+            words = space.admissible_words(4)
+            for _ in range(40):
+                spec = [
+                    (sequence(space, words), first, first + rng.randint(0, 12))
+                    for first in rng.sample(range(8), 2)
+                ]
+                y = sequence(space, words)
+                report = space.trace_check(spec, y, F(1, 4))
+                expected = [
+                    (i, j, space.sup_metric(y.shifted(j), base.shifted(j)), y.shifted(j), base.shifted(j))
+                    for i, (base, first, last) in enumerate(spec, start=1)
+                    for j in range(first, last + 1)
+                ]
+                assert [
+                    (e.segment, e.step, e.distance, e.tracer_set, e.target_set) for e in report.entries
+                ] == expected

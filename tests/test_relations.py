@@ -329,6 +329,38 @@ class TestIterateAutomaton:
                 half.orbit(cell).close()
 
 
+class TestSweptWindow:
+    def test_reads_without_sweeping(self, unit):
+        monica = BoxRelation(unit, (box(0, F(1, 2), 0, 0), box(F(1, 2), 1, 1, 1), box(1, 1, 0, 1)))
+        orbit = monica.orbit(F(3, 4))
+        assert orbit.swept_window is None
+        orbit.value_at(2)
+        assert orbit.swept_window is None
+        assert orbit._sets == [iu((1, 1)), iu((0, 1))]
+        orbit.value_at(3)
+        assert orbit.swept_window == (1, 1) == (orbit.transient, orbit.period)
+
+    def test_matches_transient_and_period_once_closed(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            relation = random_box_relation(rng, max_boxes=5)
+            for cell, _ in relation.regions():
+                orbit = relation.orbit(cell)
+                assert orbit.swept_window is None or orbit.swept_window == (
+                    orbit.transient,
+                    orbit.period,
+                )
+                orbit.close()
+                assert orbit.swept_window == (orbit.transient, orbit.period)
+
+    def test_a_dying_orbit_has_none(self, unit):
+        half = BoxRelation(unit, (box(0, "1/2", "3/4", 1),))
+        orbit = half.orbit(F(1, 4))
+        with pytest.raises(EmptyImageError):
+            orbit.close()
+        assert orbit.swept_window is None
+
+
 class TestRegions:
     """The region interface both relation kinds answer: regions, first images, is_function."""
 

@@ -298,3 +298,25 @@ class TestIntegerKernel:
                     expected = tuple(i for i in range(n) if min(d[i][j] for j in a.members) <= e)
                     assert space.neighborhood(e, a).members == expected
         assert axioms == {None, "identity", "positivity", "symmetry", "triangle"}
+
+
+class TestFirstCommonPoint:
+    @given(unions_01, unions_01)
+    def test_interval_unions_match_the_grid_oracle(self, a, b):
+        assert a.first_common_point(b) == oracles.least_common_point(a, b)
+        assert b.first_common_point(a) == a.first_common_point(b)
+
+    def test_interval_unions_on_different_grids(self):
+        a = iu((0, F(1, 3)), (F(1, 2), F(5, 7)))
+        b = iu((F(2, 5), F(11, 21)), (F(5, 7), 1))
+        assert a.first_common_point(b) == F(1, 2)
+        assert b.first_common_point(a) == F(1, 2)
+        assert iu((0, F(1, 3))).first_common_point(iu((F(1, 2), 1))) is None
+        assert IntervalUnion.empty().first_common_point(a) is None
+
+    def test_point_sets_match_the_oracle(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            a = PointSet.of(rng.sample(range(8), rng.randint(0, 5)))
+            b = PointSet.of(rng.sample(range(8), rng.randint(0, 5)))
+            assert a.first_common_point(b) == oracles.least_common_point(a, b)

@@ -5,9 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+import crspec.sets
+import crspec.verdicts
 import oracles
 from crspec import (
+    BadRangeError,
     Certificate,
+    CRSpecError,
+    EmptyImageError,
     FiniteMetricSpace,
     FiniteRelation,
     Inconclusive,
@@ -17,6 +22,7 @@ from crspec import (
     Refutation,
     SpacedTemplate,
     Specification,
+    TracerWitness,
     certify_common_image,
     certify_eventual_hausdorff,
     certify_full_image,
@@ -24,6 +30,8 @@ from crspec import (
     check_trace,
     check_initial_trace,
     cell_decomposition,
+    find_initial_tracer,
+    find_tracer,
     implication_suite,
     recheck,
     refute_property,
@@ -37,6 +45,7 @@ from crspec.randgen import (
 )
 from conftest import box
 from crspec import BoxRelation, InitialSpecification
+from crspec.verdicts import INITIAL_PROPERTIES, PROPERTIES, Instantiation
 
 F = Fraction
 
@@ -71,6 +80,58 @@ class TestCommonImage:
             report = check_trace(monica, spec, triples[0][0], 0, "plain")
             assert report.passed
             assert all(e.distance == 0 for e in report.entries)
+
+
+def fresh(relation):
+    """The same relation built anew, sharing none of its memos."""
+    if isinstance(relation, BoxRelation):
+        return BoxRelation(relation.space, relation.boxes)
+    return FiniteRelation(relation.space, relation.adjacency)
+
+
+class TestCommonImageEvidence:
+    def relations(self):
+        rng = random.Random(73)
+        for k in range(60):
+            if k % 2:
+                space = random_finite_space(rng, rng.randint(2, 6))
+                yield random_finite_relation(rng, space, density=0.5, p1_full=True)
+            else:
+                yield random_box_relation(rng, max_boxes=6, max_den=12)
+
+    def test_evidence_is_each_pairs_least_common_point(self):
+        found = 0
+        for relation in self.relations():
+            cert = certify_common_image(relation, 12)
+            if cert is None:
+                continue
+            found += 1
+            labels = [label for label, _ in relation.regions()]
+            sets = {label: relation.orbit(label).value_at(cert.n0) for label in labels}
+            expected = [
+                ((la, lb), oracles.least_common_point(sets[la], sets[lb]))
+                for la, lb in itertools.combinations(labels, 2)
+            ]
+            assert list(cert.evidence) == expected
+            assert None not in [point for _, point in expected]
+            # no smaller n0 has a common point for every pair
+            for n0 in range(1, cert.n0):
+                level = [relation.orbit(label).value_at(n0) for label in labels]
+                assert any(
+                    oracles.least_common_point(a, b) is None
+                    for a, b in itertools.combinations(level, 2)
+                )
+        assert found > 10
+
+    def test_no_set_is_normalized(self, monica, fan, monkeypatch):
+        relations = [fresh(monica), fresh(fan), *map(fresh, self.relations())]
+
+        def refuse(parts):
+            raise AssertionError("normalize called")
+
+        monkeypatch.setattr(crspec.sets, "normalize", refuse)
+        certs = [certify_common_image(relation, 12) for relation in relations]
+        assert certs[0].n0 == 2
 
 
 class TestFullImage:
@@ -259,6 +320,163 @@ class TestRefutations:
                     e.distance for e in failure.report.entries
                 ]
 
+    def test_a_one_shot_iterable_is_read_once(self, monica):
+        template = SpacedTemplate((F(0), 2, 3), ((F(1), 1),))
+        result = refute_property(monica, "HSP", F(1, 4), template, (v for v in range(1, 4)))
+        assert result.values == (1, 2, 3)
+        assert [inst.value for inst in result.instantiations] == [1, 2, 3]
+
+    def test_no_values_is_refused(self, monica):
+        template = SpacedTemplate((F(0), 2, 3), ((F(1), 1),))
+        for values in ((), range(5, 5), iter([])):
+            with pytest.raises(ValueError):
+                refute_property(monica, "HSP", F(1, 4), template, values)
+
+
+def per_value(relation, prop, eps, template, values):
+    """What refute_property must return: each value searched alone on a fresh relation.
+
+    An error is returned as its type and message.
+    """
+    mode = "hausdorff" if prop in ("HSP", "HISP") else "plain"
+    outcomes = []
+    for value in values:
+        rel = fresh(relation)
+        try:
+            spec = template.instantiate(rel, value)
+            if prop in INITIAL_PROPERTIES:
+                found = find_initial_tracer(rel, spec, eps, mode)
+            else:
+                found = find_tracer(rel, spec, eps, mode)
+        except CRSpecError as exc:
+            return type(exc), str(exc)
+        if isinstance(found, TracerWitness):
+            return Inconclusive(prop, eps, value, found)
+        outcomes.append(Instantiation(value, found))
+    return Refutation(prop, eps, template, tuple(values), tuple(outcomes))
+
+
+class TestPhaseWindow:
+    """Values past the orbits' transient are relabelled from one search per phase class."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        """A list that grows by one for every tracer search refute_property runs."""
+        calls = []
+        for name in ("find_tracer", "find_initial_tracer"):
+            search = getattr(crspec.verdicts, name)
+
+            def counted(*args, search=search):
+                calls.append(args)
+                return search(*args)
+
+            monkeypatch.setattr(crspec.verdicts, name, counted)
+        return calls
+
+    def test_matches_a_search_per_value(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        rng = random.Random(20261018)
+        seen = {"box": 0, "finite": 0, "spaced": 0, "initial": 0, "two tails": 0, "period > 1": 0}
+        dying = 0
+        for k in range(300):
+            covered = rng.random() < 0.8
+            if k % 2:
+                space = random_finite_space(rng, rng.randint(1, 6))
+                relation = random_finite_relation(rng, space, p1_full=covered)
+                kind = "finite"
+
+                def point():
+                    return rng.randrange(space.n)
+
+            else:
+                relation = random_box_relation(rng, max_boxes=4, cover_domain=covered)
+                kind = "box"
+
+                def point():
+                    return random_fraction(rng)
+
+            prop = rng.choice(PROPERTIES)
+            eps = rng.choice([F(0), F(1, 16), F(1, 8), random_fraction(rng, F(0), F(1, 2))])
+            if prop in INITIAL_PROPERTIES:
+                segments = tuple((point(), rng.randint(0, 2)) for _ in range(rng.randint(1, 3)))
+                template = InitialTemplate(segments)
+                moving = len(segments) - 1
+            else:
+                first = rng.randint(0, 3)
+                head = (point(), first, first + rng.randint(0, 3))
+                tail = tuple((point(), rng.randint(0, 2)) for _ in range(rng.randint(1, 2)))
+                template = SpacedTemplate(head, tail)
+                moving = len(tail)
+            lo = rng.choice([1, 1, 5, 30])
+            values = list(range(lo, lo + rng.randint(1, 14)))
+            values += rng.choices(values, k=rng.randint(0, 4))
+            rng.shuffle(values)
+
+            expected = per_value(relation, prop, F(eps), template, values)
+            calls.clear()
+            try:
+                got = refute_property(fresh(relation), prop, eps, template, values)
+            except CRSpecError as exc:
+                got = type(exc), str(exc)
+            assert got == expected, (k, prop, template, values)
+            if isinstance(expected, tuple) and expected[0] is EmptyImageError:
+                dying += 1
+            if isinstance(expected, Refutation) and len(calls) < len(values):
+                orbits = [relation.orbit(r).close() for r, _ in relation.regions()]
+                seen[kind] += 1
+                seen["initial" if prop in INITIAL_PROPERTIES else "spaced"] += 1
+                seen["two tails"] += moving == 2
+                seen["period > 1"] += math.lcm(*(o.period for o in orbits)) > 1
+        assert min(seen.values()) > 0, seen
+        assert dying > 0
+
+    def test_searches_do_not_grow_with_the_range(self, unit, monkeypatch):
+        calls = self.counting(monkeypatch)
+        template = SpacedTemplate((F(0), 2, 3), ((F(1), 1),))
+        counts = []
+        for n in (20, 2000):
+            calls.clear()
+            monica = BoxRelation(unit, (box(0, F(1, 2), 0, 0), box(F(1, 2), 1, 1, 1), box(1, 1, 0, 1)))
+            result = refute_property(monica, "HSP", F(1, 4), template, range(1, n + 1))
+            assert isinstance(result, Refutation) and len(result.instantiations) == n
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 1
+
+    def test_values_below_one_are_searched(self, unit):
+        """Past monica's transient (T = 1) still, but gap 0 and spacing -6 are no instances."""
+        monica = BoxRelation(unit, (box(0, F(1, 2), 0, 0), box(F(1, 2), 1, 1, 1), box(1, 1, 0, 1)))
+        initial = InitialTemplate(((F(0), 2), (F(3, 4), 1)))
+        with pytest.raises(ValueError, match="gaps must be positive"):
+            refute_property(monica, "ISP", F(1, 8), initial, [2, 3, 0])
+        spaced = SpacedTemplate((F(0), 2, 8), ((F(1), 1), (F(1), 1)))
+        with pytest.raises(BadRangeError):
+            refute_property(monica, "HSP", F(1, 4), spaced, [1, 2, -6])
+
+    @staticmethod
+    def chain():
+        """0 -> 1 -> 2 -> 3 -> 3: region 0 has transient 2 and closes at F^4; period 1."""
+        space = FiniteMetricSpace.discrete(4)
+        return FiniteRelation.from_pairs(space, [(0, 1), (1, 2), (2, 3), (3, 3)])
+
+    def test_values_before_the_transient_are_searched(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        template = InitialTemplate(((0, 0), (0, 0)))  # gap m puts segment 2 at F^m
+        values = [4, 1, 2, 3, 5, 1]
+        result = refute_property(self.chain(), "ISP", F(0), template, values)
+        assert isinstance(result, Refutation)
+        # m = 4 closes every orbit; F^1 and F^2 lie in the transient, F^3 on does not
+        assert [args[1].gaps for args in calls] == [(4,), (1,), (2,), (1,)]
+        assert result == per_value(self.chain(), "ISP", F(0), template, values)
+
+    def test_an_orbit_still_open_is_not_read(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        template = InitialTemplate(((0, 0), (0, 0)))
+        values = [1, 2, 2, 3, 4, 5, 3]
+        result = refute_property(self.chain(), "ISP", F(0), template, values)
+        # m = 3 is past the transient, but region 0's orbit stays open until m = 4
+        assert [args[1].gaps for args in calls] == [(1,), (2,), (2,), (3,), (4,)]
+        assert result == per_value(self.chain(), "ISP", F(0), template, values)
+
 
 class TestImplicationSuite:
     def test_all_implications_hold(self):
@@ -280,12 +498,6 @@ class TestImplicationSuite:
 
 class TestCertificateWindow:
     """A certificate search stops at the orbits' periodic window, whatever its n0max."""
-
-    @staticmethod
-    def fresh(relation):
-        if isinstance(relation, BoxRelation):
-            return BoxRelation(relation.space, relation.boxes)
-        return FiniteRelation(relation.space, relation.adjacency)
 
     @staticmethod
     def window(relation, period):
@@ -337,7 +549,7 @@ class TestCertificateWindow:
 
         monkeypatch.setattr(Orbit, "value_at", counting)
         try:
-            return certify(self.fresh(relation), *args), len(calls)
+            return certify(fresh(relation), *args), len(calls)
         finally:
             monkeypatch.setattr(Orbit, "value_at", original)
 
@@ -368,14 +580,14 @@ class TestCertificateWindow:
                 assert self.counted(monkeypatch, certify, relation, *eps, 10**9) == at_window
                 cert = at_window[0]
                 bound = eps[0] if eps else None
-                expected = self.first_n0(self.fresh(relation), kind, bound, 2 * window + 2)
+                expected = self.first_n0(fresh(relation), kind, bound, 2 * window + 2)
                 assert (None if cert is None else cert.n0) == expected
                 if cert is not None:
                     found += 1
-                    assert cert.n0 <= window and recheck(self.fresh(relation), cert)
+                    assert cert.n0 <= window and recheck(fresh(relation), cert)
                 # any smaller n0max finds the same certificate, or none when its n0 is beyond
                 for n0_max in range(1, window + 1):
-                    smaller = certify(self.fresh(relation), *eps, n0_max)
+                    smaller = certify(fresh(relation), *eps, n0_max)
                     assert smaller == (cert if cert is not None and cert.n0 <= n0_max else None)
         assert found > 20
 
