@@ -37,10 +37,12 @@ one integer grid (ints over the lcm of their denominators) when it is built,
 and its hot path compares those ints:
 
 * validation checks each box against the ambient on the grid;
-* an image is found by box mask: the boxes whose domain side meets S form a
-  bit mask, and the union of their B sides is merged on the grid once per
-  mask and kept on the relation.  Its parts reuse the boxes' own ``Fraction``
-  endpoints, so it equals what :func:`~crspec.sets.normalize` would return;
+* an image is found by box mask: S's ends go from its own grid onto the
+  relation's, the boxes whose domain side meets S form a bit mask, and the
+  union of their B sides is merged on the relation's grid once per mask and
+  kept on the relation.  One gcd reduces its ends to the union's own grid, so
+  it is the union :func:`~crspec.sets.normalize` would return, and no
+  ``Fraction`` is made;
 * cells are found by integer lookup: the cell decomposition shares the grid
   and keeps the cell of each elementary piece, so :func:`cell_of` takes one
   ``divmod`` and one bisection over ints.
@@ -63,6 +65,7 @@ from .sets import (
     IntervalUnion,
     PointSet,
     common_grid,
+    merged_ends,
     normalize,
     rat,
 )
@@ -299,16 +302,13 @@ class BoxRelation(_Iterates):
     def image(self, s: IntervalUnion) -> IntervalUnion:
         """F(S): the union of the B_i whose domain side meets S.  May be empty.
 
-        S's parts go on the relation's grid, rounded inward (a part meets
-        [lo, hi] exactly when the ceiling of its lower end is at most hi and
-        the floor of its upper end at least lo), and the mask of the boxes
-        they meet picks the union.
+        S's ends go from its grid onto the relation's, rounded inward (a part
+        meets [lo, hi] exactly when the ceiling of its lower end is at most
+        hi and the floor of its upper end at least lo), and the mask of the
+        boxes they meet picks the union.
         """
-        den = self._den
-        parts = [
-            (-(-p.lo.numerator * den // p.lo.denominator), p.hi.numerator * den // p.hi.denominator)
-            for p in s.parts
-        ]
+        den, sden, ends = self._den, s.den, s.ends
+        parts = [(-(-lo * den // sden), hi * den // sden) for lo, hi in zip(ends[::2], ends[1::2])]
         mask = 0
         for bit, alo, ahi in self._domains:
             for plo, phi in parts:
@@ -321,20 +321,8 @@ class BoxRelation(_Iterates):
         """The union of the B_i with bit i set in mask, merged on the grid once per mask."""
         union = self._unions.get(mask)
         if union is None:
-            boxes = self.boxes
-            parts: list[Interval] = []
-            top = None
-            for lo, hi, k in self._ranges:
-                if not mask >> k & 1:
-                    continue
-                if parts and lo <= top:
-                    if hi > top:
-                        top = hi
-                        parts[-1] = Interval(parts[-1].lo, boxes[k][1].hi)
-                else:
-                    top = hi
-                    parts.append(boxes[k][1])
-            union = self._unions[mask] = IntervalUnion(tuple(parts))
+            sides = [(lo, hi) for lo, hi, k in self._ranges if mask >> k & 1]
+            union = self._unions[mask] = IntervalUnion.on_grid(self._den, merged_ends(sides))
         return union
 
     def regions(self):

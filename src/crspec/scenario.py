@@ -155,6 +155,10 @@ def _fields(
 # `mahavier words` prints every count in full, and Python prints no int of more
 # than 4,300 digits; n^1000 stays within that on any space of fewer than 10^4 points.
 MAX_WORD_LENGTH = 1000
+# A refutation's report holds a table for every tested value, and a suite runs
+# every instance; these keep one line's time and memory bounded (see the README).
+MAX_REFUTED_VALUES = 10_000
+MAX_SUITE_COUNT = 10_000
 
 
 def _count(kv: dict[str, list[str]], key: str, line: int) -> int:
@@ -379,7 +383,10 @@ class _Builder:
         usage = "suite needs 'count N [seed S]'"
         kv = _fields(tokens, line, usage, {"count": ONE, "seed": ONE}, optional=("seed",))
         seed = _integer(kv["seed"][0], line) if "seed" in kv else None
-        return {"count": _count(kv, "count", line), "seed": seed}, None
+        count = _count(kv, "count", line)
+        if count > MAX_SUITE_COUNT:
+            raise ScenarioParseError(line, f"'count' must be at most {MAX_SUITE_COUNT}")
+        return {"count": count, "seed": seed}, None
 
     def refute(self, line, tokens, body):
         prop = tokens[0] if tokens else None
@@ -392,6 +399,8 @@ class _Builder:
         lo, hi = (_integer(t, line) for t in kv[range_key])
         if lo < 1 or hi < lo:
             raise ScenarioValidationError(line, "range bounds must satisfy 1 <= LO <= HI")
+        if hi - lo >= MAX_REFUTED_VALUES:
+            raise ScenarioParseError(line, f"a refuted range holds at most {MAX_REFUTED_VALUES} values")
         segments = []
         for idx, (segline, seg) in enumerate(body):
             # initial: every segment 'BASE l L'; spaced: the head 'BASE k K l L',

@@ -2,16 +2,19 @@
 
 Sets on an interval ambient are canonical finite unions of closed rational
 intervals (:class:`IntervalUnion`); sets on a finite metric space are sorted
-index tuples (:class:`PointSet`).  All endpoints and distances are
-:class:`fractions.Fraction`, so every comparison in the library is exact:
-equalities like ``hausdorff == 1`` are meaningful, not approximate.
+index tuples (:class:`PointSet`).  All endpoints and distances are exact
+rationals, so every comparison in the library is exact: equalities like
+``hausdorff == 1`` are meaningful, not approximate.
 
-The distance kernel works on integers inside and returns ``Fraction`` values.
-A union's endpoints and a finite metric's entries are each put once on an
-integer grid (ints over the lcm of their denominators, see
-:func:`common_grid`); distances compare and add those ints, and only the
-value that leaves the kernel is a ``Fraction`` again -- for a finite metric
-the original matrix entry, for interval unions one new ``Fraction``.
+An interval union *is* its integer grid: ``den``, the lcm of its endpoints'
+reduced denominators, and ``ends``, the endpoints lo_0, hi_0, lo_1, hi_1, ...
+as ints over ``den``.  For one point set that pair is unique, so unions are
+built, hashed and compared on it, and every operation on unions (images,
+distances, membership, intersection) works on ints.  ``Fraction`` values are
+made only where a caller reads them: ``parts``, ``min_point``,
+``max_point``, the text, and a returned distance or common point.  A finite
+metric's entries are put on one integer grid the same way, once (see
+:func:`common_grid`), and a distance returns the original matrix entry.
 
 Distance semantics:
 
@@ -27,18 +30,18 @@ Distance semantics:
   is contained in the eps-neighborhood of the other, boundary cases included.
 
 Everything here is immutable and safe to share between threads.  An
-:class:`IntervalUnion` computes its hash once, when it is built, and its
-integer grid once, when it is first measured, since unions are the keys of
-the per-relation memos in :mod:`crspec.relations`.
+:class:`IntervalUnion` computes its hash once, when it is built, from its
+grid, since unions are the keys of the per-relation memos in
+:mod:`crspec.relations`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import EmptySetError
@@ -91,6 +94,27 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
+def merged_ends(pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The ends lo_0, hi_0, lo_1, hi_1, ... of the union of closed int intervals.
+
+    ``pairs`` must come sorted by their lower end; any two that overlap or
+    touch are merged, which leaves the unique shortest list of parts.
+    """
+    ends: list[int] = []
+    for lo, hi in pairs:
+        if ends and lo <= ends[-1]:
+            if hi > ends[-1]:
+                ends[-1] = hi
+        else:
+            ends += (lo, hi)
+    return ends
+
+
+def _pairs(ends: Sequence[int]) -> list[tuple[int, int]]:
+    """The (lo, hi) pairs of a flat list of ends."""
+    return list(zip(ends[::2], ends[1::2]))
+
+
 def normalize(parts: Iterable[Interval]) -> "IntervalUnion":
     """Canonicalize a list of closed intervals into an IntervalUnion.
 
@@ -98,52 +122,72 @@ def normalize(parts: Iterable[Interval]) -> "IntervalUnion":
     yields the unique shortest representation of the same point set.  The
     empty input produces the (representable) empty union.
     """
-    ordered = sorted(parts)
-    merged: list[Interval] = []
-    for part in ordered:
-        if merged and part.lo <= merged[-1].hi:
-            if part.hi > merged[-1].hi:
-                merged[-1] = Interval(merged[-1].lo, part.hi)
-        else:
-            merged.append(part)
-    return IntervalUnion(tuple(merged))
+    den, ints = common_grid([x for p in parts for x in (p.lo, p.hi)])
+    return IntervalUnion.on_grid(den, merged_ends(sorted(_pairs(ints))))
 
 
-@dataclass(frozen=True)
 class IntervalUnion:
-    """Canonical finite union of closed rational intervals.
+    """Canonical finite union of closed rational intervals, held on its integer grid.
 
-    Parts are sorted, pairwise disjoint and non-touching.  Construct through
-    :func:`normalize` or the classmethods; the constructor only verifies
-    canonicity, it does not repair it.
+    ``den`` is the lcm of the endpoints' reduced denominators and ``ends``
+    the endpoints lo_0, hi_0, lo_1, hi_1, ... as ints over ``den``.  Parts
+    are sorted, pairwise disjoint and non-touching.  Construct through
+    :func:`normalize`, :meth:`on_grid` or the other classmethods;
+    ``IntervalUnion(parts)`` and :meth:`on_grid` only verify canonicity,
+    they do not repair it.
     """
 
-    parts: tuple[Interval, ...]
+    __slots__ = ("den", "ends", "_hash")
 
-    def __post_init__(self):
-        for a, b in zip(self.parts, self.parts[1:]):
-            if b.lo <= a.hi:
-                raise ValueError("parts must be sorted, disjoint and non-touching; use normalize()")
-        # hashing a Fraction takes a modular inverse, and unions key every memo
-        object.__setattr__(self, "_hash", hash(self.parts))
+    def __init__(self, parts: Iterable[Interval]):
+        den, ends = common_grid([x for p in parts for x in (p.lo, p.hi)])
+        _fill(self, den, tuple(ends))
+
+    @classmethod
+    def on_grid(cls, den: int, ends: Sequence[int]) -> "IntervalUnion":
+        """The union of the parts [ends[0] / den, ends[1] / den], ... .
+
+        ``den`` may be any positive multiple of the canonical one: one gcd
+        reduces it and the ends.
+        """
+        if den < 1 or len(ends) % 2:
+            raise ValueError("a grid needs a positive den and an even number of ends")
+        g = gcd(den, *ends)
+        if g == 1:
+            return _fill(cls.__new__(cls), den, tuple(ends))
+        return _fill(cls.__new__(cls), den // g, tuple(e // g for e in ends))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not IntervalUnion:
+            return NotImplemented
+        return self.den == other.den and self.ends == other.ends
 
     def __hash__(self):
         return self._hash
 
-    @cached_property
-    def grid(self) -> tuple[int, tuple[int, ...]]:
-        """(den, ends): the endpoints lo_0, hi_0, lo_1, hi_1, ... as ints over den."""
-        den, ends = common_grid([x for p in self.parts for x in (p.lo, p.hi)])
-        return den, tuple(ends)
+    def __reduce__(self):
+        return IntervalUnion.on_grid, (self.den, self.ends)
+
+    @property
+    def parts(self) -> tuple[Interval, ...]:
+        """The parts as closed intervals with ``Fraction`` endpoints, in order."""
+        den, ends = self.den, self.ends
+        return tuple(Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in _pairs(ends))
 
     @classmethod
     def empty(cls) -> "IntervalUnion":
-        return cls(())
+        return cls.on_grid(1, ())
 
     @classmethod
     def point(cls, x: RationalLike) -> "IntervalUnion":
         x = rat(x)
-        return cls((Interval(x, x),))
+        return cls.on_grid(x.denominator, (x.numerator, x.numerator))
 
     @classmethod
     def closed(cls, lo: RationalLike, hi: RationalLike) -> "IntervalUnion":
@@ -151,32 +195,46 @@ class IntervalUnion:
 
     @property
     def is_empty(self) -> bool:
-        return not self.parts
+        return not self.ends
 
-    def contains(self, x: Fraction) -> bool:
-        return any(p.contains(x) for p in self.parts)
+    def contains(self, x: RationalLike) -> bool:
+        x = rat(x)
+        q, r = divmod(x.numerator * self.den, x.denominator)
+        ends = self.ends
+        if r:
+            # x lies strictly between q and q + 1, so inside exactly when a part
+            # holds q and goes on past it
+            return bool(bisect_right(ends, q) & 1)
+        i = bisect_left(ends, q)
+        return bool(i & 1) or (i < len(ends) and ends[i] == q)
 
     def min_point(self) -> Fraction:
         if self.is_empty:
             raise EmptySetError("empty set has no minimum")
-        return self.parts[0].lo
+        return Fraction(self.ends[0], self.den)
 
     def max_point(self) -> Fraction:
         if self.is_empty:
             raise EmptySetError("empty set has no maximum")
-        return self.parts[-1].hi
+        return Fraction(self.ends[-1], self.den)
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return normalize(self.parts + other.parts)
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        out = []
-        for p in self.parts:
-            for q in other.parts:
-                lo, hi = max(p.lo, q.lo), min(p.hi, q.hi)
-                if lo <= hi:
-                    out.append(Interval(lo, hi))
-        return normalize(out)
+        """One merge of the two sorted part lists; the overlaps of parts are the parts."""
+        den, ea, eb = _shared_grid(self, other, 1)
+        out: list[int] = []
+        i = j = 0
+        while i < len(ea) and j < len(eb):
+            lo, hi = max(ea[i], eb[j]), min(ea[i + 1], eb[j + 1])
+            if lo <= hi:
+                out += (lo, hi)
+            if ea[i + 1] < eb[j + 1]:
+                i += 2
+            else:
+                j += 2
+        return IntervalUnion.on_grid(den, out)
 
     def first_common_point(self, other: "IntervalUnion") -> Fraction | None:
         """The least point of both unions, or None when they do not meet.
@@ -186,11 +244,11 @@ class IntervalUnion:
         """
         if self.is_empty or other.is_empty:
             return None
-        _, ea, eb = _shared_grid(self, other, 1)
+        den, ea, eb = _shared_grid(self, other, 1)
         i = j = 0
         while i < len(ea) and j < len(eb):
             if ea[i] <= eb[j + 1] and eb[j] <= ea[i + 1]:
-                return self.parts[i // 2].lo if ea[i] >= eb[j] else other.parts[j // 2].lo
+                return Fraction(max(ea[i], eb[j]), den)
             if ea[i + 1] < eb[j + 1]:
                 i += 2
             else:
@@ -198,14 +256,47 @@ class IntervalUnion:
         return None
 
     def subset_of(self, other: "IntervalUnion") -> bool:
-        return all(
-            any(q.lo <= p.lo and p.hi <= q.hi for q in other.parts) for p in self.parts
-        )
+        """Each part lies in one part of other: found by bisecting other's ends."""
+        _, ea, eb = _shared_grid(self, other, 1)
+        for lo, hi in _pairs(ea):
+            k = bisect_left(eb, lo)
+            # eb[k - 1] < lo <= eb[k]: inside the part ending at eb[k], or starting there
+            if k & 1:
+                if hi > eb[k]:
+                    return False
+            elif not (k < len(eb) and eb[k] == lo and hi <= eb[k + 1]):
+                return False
+        return True
 
     def __str__(self):
         if self.is_empty:
             return "{}"
         return " u ".join(str(p) for p in self.parts)
+
+    def __repr__(self):
+        return f"IntervalUnion(parts={self.parts!r})"
+
+
+_set_den, _set_ends, _set_hash = (
+    IntervalUnion.den.__set__, IntervalUnion.ends.__set__, IntervalUnion._hash.__set__
+)
+
+
+def _fill(union: IntervalUnion, den: int, ends: tuple[int, ...]) -> IntervalUnion:
+    """Set a new union's grid once its ends pass the canonicity check:
+    lo_k <= hi_k < lo_(k+1) for every part k."""
+    it = iter(ends)
+    top = None
+    for lo in it:
+        hi = next(it)
+        if hi < lo or (top is not None and lo <= top):
+            raise ValueError("parts must be sorted, disjoint and non-touching; use normalize()")
+        top = hi
+    _set_den(union, den)
+    _set_ends(union, ends)
+    # unions key every memo; a tuple of ints hashes without a modular inverse
+    _set_hash(union, hash((den, ends)))
+    return union
 
 
 @dataclass(frozen=True)
@@ -282,8 +373,8 @@ class IntervalSpace:
 def _shared_grid(a: IntervalUnion, b: IntervalUnion, factor: int) -> tuple:
     """(den, ends of a, ends of b): both unions' endpoints as ints over one den,
     which is factor times the lcm of the unions' own denominators."""
-    da, ea = a.grid
-    db, eb = b.grid
+    da, ea = a.den, a.ends
+    db, eb = b.den, b.ends
     if da == db and factor == 1:
         return da, ea, eb
     den = lcm(da, db)

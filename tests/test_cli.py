@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from crspec import ScenarioParseError, ScenarioValidationError, ShiftSpace
 from crspec.cli import WORD_SYMBOLS, json_text, main, render_json, run
-from crspec.scenario import parse_scenario
+from crspec.scenario import MAX_REFUTED_VALUES, MAX_SUITE_COUNT, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -324,6 +324,37 @@ class TestMain:
         path.write_text(TWO_POINTS + "mahavier words maxlen 1001\n")
         assert main(["--scenario", str(path), "--quiet"]) == 2
         assert "line 10: 'maxlen' must be at most 1000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "prop, key, body",
+        [
+            ("HSP", "n", "  segment 0 k 2 l 3\n  segment 1 len 1\n"),
+            ("ISP", "gaps", "  segment 0 l 1\n  segment 3/4 l 1\n"),
+        ],
+    )
+    def test_refuted_range_is_capped(self, tmp_path, capsys, prop, key, body):
+        # every tested value gets its own table in the report, so the range is bounded
+        assert MAX_REFUTED_VALUES == 10_000
+        head = "ambient interval 0 1\nbox 0 1/2 0 0\nbox 1/2 1 1 1\nbox 1 1 0 1\n"
+
+        def text(lo, hi):
+            return f"{head}refute {prop} eps 1/4 {key} {lo} {hi}\n{body}end\n"
+
+        command = parse_scenario(text(5, 10_004)).commands[0]
+        assert command.params["range"] == (5, 10_004)
+        path = tmp_path / "wide.scn"
+        path.write_text(text(5, 10_005))
+        assert main(["--scenario", str(path), "--quiet"]) == 2
+        assert "line 5: a refuted range holds at most 10000 values" in capsys.readouterr().err
+
+    def test_suite_count_is_capped(self, tmp_path, capsys):
+        assert MAX_SUITE_COUNT == 10_000
+        head = "ambient interval 0 1\nbox 0 1 0 1\n"
+        assert parse_scenario(head + "suite count 10000 seed 7\n").commands[0].params["count"] == 10_000
+        path = tmp_path / "many.scn"
+        path.write_text(head + "suite count 10001 seed 7\n")
+        assert main(["--scenario", str(path), "--quiet"]) == 2
+        assert "line 3: 'count' must be at most 10000" in capsys.readouterr().err
 
     def test_bad_segment_base_names_only_its_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

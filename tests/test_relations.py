@@ -25,6 +25,7 @@ from crspec.randgen import (
     random_finite_space,
     random_function_relation,
     random_interval_union,
+    random_partition_relation,
 )
 from conftest import box
 
@@ -593,3 +594,78 @@ class TestBoxKernel:
                     continue
                 for j in range(1, orbit.transient + 2 * orbit.period + 1):
                     relation.iterate(cell.representative(), j)
+
+    @staticmethod
+    def thirds_and_quarters(rng):
+        """Domain sides tiling [0, 1] and B sides at multiples of 1/3 and 1/4 (lcm 12):
+        point sides, and B sides that touch one another end to end."""
+        ends = sorted({F(k, 3) for k in range(4)} | {F(k, 4) for k in range(5)})
+        cuts = sorted(rng.sample(ends[1:-1], rng.randint(1, 4)))
+        edges = [F(0), *cuts, F(1)]
+        sides = []
+        for _ in range(len(edges) - 1):
+            kind = rng.randrange(3)
+            lo = rng.choice(ends)
+            if kind == 0:
+                sides.append(Interval(lo, lo))
+            elif kind == 1 and sides:
+                # starts where the last side ends
+                sides.append(Interval(sides[-1].hi, max(sides[-1].hi, lo)))
+            else:
+                sides.append(Interval(lo, rng.choice([x for x in ends if x >= lo])))
+        boxes = tuple((Interval(a, b), s) for a, b, s in zip(edges, edges[1:], sides))
+        return BoxRelation(IntervalSpace(0, 1), boxes)
+
+    def test_every_built_union_is_its_fraction_twin(self):
+        # Unions a box relation builds on its grid -- masks, first images, image
+        # steps and point sets -- against normalize of the same Fraction parts
+        # and a Fraction-only merge, and measured against the oracles.
+        rng = random.Random(53)
+        makers = (
+            lambda: random_box_relation(rng, max_den=4),
+            lambda: random_partition_relation(rng, max_den=4),
+            lambda: self.thirds_and_quarters(rng),
+        )
+        seen = {"point part": 0, "touching sides": 0, "twelfths": 0, "measured": 0}
+        for n in range(300):
+            relation = makers[n % 3]()
+            sides = [b for _, b in relation.boxes]
+            built = []  # (union, its Fraction parts by definition)
+            count = len(sides)
+            for mask in range(1 << count) if count <= 4 else (rng.getrandbits(count) for _ in range(16)):
+                chosen = [sides[k] for k in range(len(sides)) if mask >> k & 1]
+                built.append((relation.union_of(mask), chosen))
+            cells = cell_decomposition(relation).cells
+            for cell in cells:
+                built.append((relation.first_image(cell), [sides[i] for i in cell.pattern]))
+                for x in {cell.lo, cell.hi, cell.representative()}:
+                    built.append((relation.point_set(x), [Interval(x, x)]))
+            for s, _ in list(built):
+                if not s.is_empty:
+                    held = s.parts
+                    hit = [
+                        b for a, b in relation.boxes if any(a.lo <= p.hi and p.lo <= a.hi for p in held)
+                    ]
+                    built.append((relation.image(s), hit))
+            for union, parts in built:
+                twin = normalize(parts)
+                assert union == twin and hash(union) == hash(twin) and str(union) == str(twin)
+                expected = _reference_merge([(p.lo, p.hi) for p in parts])
+                assert [(p.lo, p.hi) for p in union.parts] == expected
+                assert union.parts == twin.parts
+                if parts:
+                    assert union.min_point() == min(p.lo for p in parts) == twin.min_point()
+                    assert union.max_point() == max(p.hi for p in parts) == twin.max_point()
+                seen["point part"] += any(p.is_point for p in union.parts)
+                seen["touching sides"] += any(p.hi == q.lo for p in parts for q in parts)
+                seen["twelfths"] += union.den == 12
+            unions = [u for u, _ in built if not u.is_empty]
+            for a, b in zip(unions, rng.sample(unions, min(4, len(unions)))):
+                space = relation.space
+                assert space.set_distance(a, b) == oracles.set_distance(a, b)
+                assert space.hausdorff(a, b) == oracles.hausdorff(a, b)
+                assert a.first_common_point(b) == oracles.least_common_point(a, b)
+                for x in (b.min_point(), b.max_point(), (b.min_point() + a.max_point()) / 2):
+                    assert a.contains(x) == (oracles.set_distance(a, IntervalUnion.point(x)) == 0)
+                seen["measured"] += 1
+        assert min(seen.values()) > 100, seen

@@ -1,6 +1,9 @@
 import itertools
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -239,6 +242,49 @@ class TestIntegerKernel:
         ):
             assert type(mine) is Fraction
             assert mine == expected
+
+    @given(union_pairs())
+    def test_union_operations_match_fraction_definitions(self, pair):
+        a, b = pair
+        pa, pb = [(p.lo, p.hi) for p in a.parts], [(p.lo, p.hi) for p in b.parts]
+        both = [(max(p, r), min(q, s)) for p, q in pa for r, s in pb if max(p, r) <= min(q, s)]
+        assert [(p.lo, p.hi) for p in a.intersect(b).parts] == both
+        assert a.union(b) == normalize(a.parts + b.parts)
+        assert a.subset_of(b) == all(any(r <= p and q <= s for r, s in pb) for p, q in pa)
+        assert a.first_common_point(b) == oracles.least_common_point(a, b)
+        d = lcm(a.den, b.den)
+        for x in {F(k, 2 * d) for k in range(-2 * d - 1, 4 * d + 2)}:
+            assert a.contains(x) == any(p <= x <= q for p, q in pa)
+
+    @given(union_pairs(), st.integers(1, 6))
+    def test_grid_is_canonical_and_any_multiple_reduces_to_it(self, pair, k):
+        a, _ = pair
+        parts = a.parts
+        assert a.den == lcm(*[x.denominator for p in parts for x in (p.lo, p.hi)])
+        assert a.ends == tuple(x * a.den for p in parts for x in (p.lo, p.hi))
+        again = IntervalUnion.on_grid(k * a.den, [k * e for e in a.ends])
+        twins = (again, IntervalUnion(parts), normalize(reversed(parts)), pickle.loads(pickle.dumps(a)))
+        for twin in twins:
+            assert twin == a and hash(twin) == hash(a) and str(twin) == str(a)
+            assert (twin.den, twin.ends, twin.parts) == (a.den, a.ends, parts)
+        with pytest.raises(FrozenInstanceError):
+            a.den = 1
+
+    @pytest.mark.parametrize(
+        "den, ends",
+        [
+            (4, (0, 1, 1, 2)),  # touching parts
+            (4, (0, 2, 1, 3)),  # overlapping parts
+            (4, (2, 3, 0, 1)),  # out of order
+            (4, (1, 0)),  # a part with lo > hi
+            (4, (0, 1, 2)),  # an end without its pair
+            (0, (0, 1)),
+            (-4, (0, 1)),
+        ],
+    )
+    def test_non_canonical_grids_rejected(self, den, ends):
+        with pytest.raises(ValueError):
+            IntervalUnion.on_grid(den, ends)
 
     @staticmethod
     def matrices():

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 import crspec.specifications
+from crspec.relations import MODES
 from crspec import (
     BoxRelation,
     FiniteMetricSpace,
@@ -21,6 +22,7 @@ from crspec import (
     SizeMismatchError,
     SpacedTemplate,
     TracerWitness,
+    cell_decomposition,
     check_initial_trace,
     check_trace,
     conjugacy_transport,
@@ -36,6 +38,7 @@ from crspec.randgen import (
     random_box_relation,
     random_finite_relation,
     random_finite_space,
+    random_partition_relation,
     random_point,
     random_spaced_triples,
 )
@@ -455,3 +458,55 @@ class TestOrbitSweep:
         result = find_tracer(full, spec, F(0), "plain")
         assert isinstance(result, TracerWitness) and result.y == 0
         assert checked == [0]
+
+    def test_searches_hash_no_fraction_and_build_no_grid(self, unit, monkeypatch):
+        # Once the relation and its cells exist, a search builds, keys and
+        # measures every union on ints: no Fraction is hashed and no endpoint
+        # list is put on a fresh grid.  Counts, unlike wall times, hold on any machine.
+        import crspec.relations
+        import crspec.sets
+
+        counts = {"hash": 0, "grid": 0}
+        fraction_hash, grid = Fraction.__hash__, crspec.sets.common_grid
+
+        def counted_hash(self):
+            counts["hash"] += 1
+            return fraction_hash(self)
+
+        def counted_grid(values):
+            counts["grid"] += 1
+            return grid(values)
+
+        def search(relation, build):
+            cell_decomposition(relation)
+            with monkeypatch.context() as patch:
+                patch.setattr(Fraction, "__hash__", counted_hash)
+                for module in (crspec.sets, crspec.relations):
+                    patch.setattr(module, "common_grid", counted_grid)
+                return build(relation)
+
+        fan = BoxRelation(
+            unit,
+            (box(0, F(1, 2), 0, 0), box(0, 0, 0, F(1, 2)), box(F(1, 2), 1, 1, 1), box(1, 1, F(1, 2), 1)),
+        )
+        # the monica and fan initial searches of the box-deep benchmark workload
+        questions = [
+            (_fresh_monica(unit), [(F(0), 1), (F(3, 4), 1)], F(1, 8), "plain"),
+            (fan, [(F(1, 4), 1), (F(3, 4), 1)], F(1, 4), "hausdorff"),
+        ]
+        results = [
+            search(
+                relation,
+                lambda r: find_initial_tracer(r, InitialSpecification.build(r, pairs, (150,)), eps, mode),
+            )
+            for relation, pairs, eps, mode in questions
+        ]
+        assert isinstance(results[1], NoTracer) and max(results[1].worst_by_region()) == 1
+        rng = random.Random(12)
+        tiled = random_partition_relation(rng, max_boxes=12, max_den=24)
+        while len(tiled.boxes) < 12:
+            tiled = random_partition_relation(rng, max_boxes=12, max_den=24)
+        for mode in MODES:
+            triples = [(F(5, 24), 100, 101), (F(17, 24), 150, 151)]
+            search(tiled, lambda r: find_tracer(r, Specification.build(r, triples), F(1, 8), mode))
+        assert counts == {"hash": 0, "grid": 0}
