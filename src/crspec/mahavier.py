@@ -11,9 +11,11 @@ The metric is the weighted supremum  max_{m>=1} d(s_m, t_m) / 2^m  over the
 ambient metric rescaled to diameter 1 (the rescaling factor is recorded on
 the :class:`ShiftSpace`).  Because the weights decay geometrically and the
 rescaled distances are at most 1, a scan can stop as soon as the remaining
-tail cannot beat the best value found.  The rescaling is lazy: each term
-divides the raw distance by ``scale * 2^m``, so a scan reads only the
-pairs it visits; the rescaled matrix ``metric`` is built on first use.
+tail cannot beat the best value found.  The scan works on ints: it reads
+each term off the ambient metric's integer grid, keeps the best term as a
+pair (entry, position) compared by shifts, and builds one ``Fraction``, the
+result.  So the rescaling is lazy too; the rescaled matrix ``metric`` is
+built only when a caller asks for it.
 
 Word-level utilities (admissible word enumeration, transition-matrix
 primitivity, connecting-path extraction) support building tracers by
@@ -306,28 +308,31 @@ class ShiftSpace:
     def sup_metric(self, s: EPSequence, t: EPSequence) -> Fraction:
         """max over m >= 1 of d(s_m, t_m) / 2^m, exact.
 
-        The scan stops once 2^-(m+1) (an upper bound for the tail, since the
-        normalized diameter is at most 1) cannot beat the best value seen;
-        equal sequences are recognized within one joint period.
+        The terms are read as ints off the ambient metric's grid: the entry
+        D*d at position m weighs d / (scale * 2^m), so the best term is kept
+        as a pair (g, m) and compared by shifts, and one ``Fraction`` is built
+        for the result.  The scan stops once 2^-(m+1) (an upper bound for the
+        tail, since the normalized diameter is at most 1) cannot beat the
+        best value seen; equal sequences are recognized within one joint
+        period.
         """
         horizon = max(len(s.preperiod), len(t.preperiod)) + math.lcm(
             len(s.cycle), len(t.cycle)
         )
-        dist = self.relation.space.dist
+        grid_den, rows, _, _, _ = self.relation.space.grid
         num, den = self.scale.numerator, self.scale.denominator
-        best = Fraction(0)
+        unit = grid_den * num  # the term at (g, m) is g * den / (unit << m)
+        best_g = best_m = top = 0  # top = den * best_g
         m = 1
         while True:
-            d = dist[s.symbol(m)][t.symbol(m)]
-            if d:
-                # d / (scale * 2^m), built as one Fraction
-                term = Fraction(d.numerator * den, (d.denominator * num) << m)
-                if term > best:
-                    best = term
-            if best and best.denominator <= best.numerator << (m + 1):
-                return best
-            if not best and m >= horizon:
-                return best
+            g = rows[s.symbol(m)][t.symbol(m)]
+            if g << best_m > best_g << m:
+                best_g, best_m, top = g, m, den * g
+            if top:
+                if top << (m + 1) >= unit << best_m:
+                    return Fraction(top, unit << best_m)
+            elif m >= horizon:
+                return Fraction(0)
             m += 1
 
     def trace_check(

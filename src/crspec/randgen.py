@@ -199,7 +199,7 @@ def random_isometric_space(
     group = orbit_of_perm
 
     # base is symmetric, so each unordered pair is averaged once, over D * |group|
-    den, rows, _, _ = base.grid
+    den, rows, _, _, _ = base.grid
     zero = Fraction(0)
     dist = [[zero] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):

@@ -7,6 +7,9 @@ Two concrete relation kinds cover every construction in this library:
   the ``B_i`` whose domain side meets S, so every iterate of a point is a
   finite interval union and can be computed without approximation.
 * :class:`FiniteRelation` -- an adjacency matrix over a finite metric space.
+  The matrix is checked and frozen in C-level passes (only a matrix holding
+  something other than bools is converted entry by entry), and an image is
+  one ``set().union`` over the successor tuples of its members.
 
 For box relations the ambient interval splits into finitely many *cells*
 (maximal subintervals, possibly half-open, plus isolated points) on which the
@@ -54,7 +57,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from typing import Union
 
 from .errors import BadRangeError, EmptyImageError
@@ -360,18 +363,23 @@ class FiniteRelation(_Iterates):
     adjacency: tuple[tuple[bool, ...], ...]
 
     def __post_init__(self):
-        frozen = tuple(tuple(map(bool, row)) for row in self.adjacency)
-        object.__setattr__(self, "adjacency", frozen)
+        rows = tuple(map(tuple, self.adjacency))
+        if set(map(type, chain.from_iterable(rows))) - {bool}:
+            rows = tuple(tuple(map(bool, row)) for row in rows)
+        object.__setattr__(self, "adjacency", rows)
         n = self.space.n
-        if len(frozen) != n or any(len(row) != n for row in frozen):
+        if len(rows) != n or set(map(len, rows)) - {n}:
             raise ValueError("adjacency matrix must match the space size")
 
     @classmethod
     def from_pairs(cls, space: FiniteMetricSpace, pairs) -> "FiniteRelation":
-        adj = [[False] * space.n for _ in range(space.n)]
+        n = space.n
+        adj = [[False] * n for _ in range(n)]
         for a, b in pairs:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"pair ({a}, {b}) is not a pair of points 0..{n - 1}")
             adj[a][b] = True
-        return cls(space, tuple(tuple(row) for row in adj))
+        return cls(space, tuple(map(tuple, adj)))
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i, row in enumerate(self.successors) for j in row]
@@ -385,8 +393,7 @@ class FiniteRelation(_Iterates):
         return self.space.point(x)
 
     def image(self, s: PointSet) -> PointSet:
-        succ = self.successors
-        return PointSet.of(j for i in s.members for j in succ[i])
+        return PointSet(tuple(sorted(set().union(*map(self.successors.__getitem__, s.members)))))
 
     def regions(self):
         """(x, x) for each point x of the space, in order."""

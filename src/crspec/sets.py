@@ -12,9 +12,18 @@ as ints over ``den``.  For one point set that pair is unique, so unions are
 built, hashed and compared on it, and every operation on unions (images,
 distances, membership, intersection) works on ints.  ``Fraction`` values are
 made only where a caller reads them: ``parts``, ``min_point``,
-``max_point``, the text, and a returned distance or common point.  A finite
-metric's entries are put on one integer grid the same way, once (see
-:func:`common_grid`), and a distance returns the original matrix entry.
+``max_point``, the text, and a returned distance or common point.
+
+A finite metric space checks and freezes its matrix in C-level passes and
+converts only entries that are not yet ``Fraction`` values.  On first use it
+puts the entries on one integer grid the same way (see :func:`common_grid`),
+by row and by column, and a distance returns the original matrix entry.
+The grid also records whether the diagonal is zero and no entry negative,
+which every matrix that passes :func:`validate_metric` satisfies.  Then a
+point of both sets is at distance 0 from the other set: ``set_distance`` is
+0 as soon as the sets meet, and each directed Hausdorff term runs over the
+points of its set that the other lacks, so a distance reads |A - B|*|B| +
+|B - A|*|A| entries, not |A|*|B|.  For any other matrix nothing is skipped.
 
 Distance semantics:
 
@@ -31,8 +40,8 @@ Distance semantics:
 
 Everything here is immutable and safe to share between threads.  An
 :class:`IntervalUnion` computes its hash once, when it is built, from its
-grid, since unions are the keys of the per-relation memos in
-:mod:`crspec.relations`.
+grid, and a :class:`PointSet` from its members, since sets are the keys of
+the per-relation memos in :mod:`crspec.relations`.
 """
 
 from __future__ import annotations
@@ -41,7 +50,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
+from operator import lt
 from typing import Iterable, Sequence, Union
 
 from .errors import EmptySetError
@@ -63,8 +74,8 @@ def rat(value: RationalLike) -> Fraction:
 
 def common_grid(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(den, ints): the rationals as ints over den, the lcm of their denominators."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = lcm(*[q for _, q in ratios])
+    ratios = list(map(Fraction.as_integer_ratio, values))
+    den = lcm(*{q for _, q in ratios})
     return den, [p * (den // q) for p, q in ratios]
 
 
@@ -411,13 +422,22 @@ def _directed_hausdorff(ea: Sequence[int], eb: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class PointSet:
-    """A set of point indices into a finite metric space, sorted and unique."""
+    """A set of point indices into a finite metric space, sorted and unique.
+
+    The hash is computed once, when the set is built, since point sets key
+    the per-relation memos as interval unions do.
+    """
 
     members: tuple[int, ...]
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.members, self.members[1:])):
+        members = self.members
+        if not all(map(lt, members, members[1:])):
             raise ValueError("members must be strictly increasing; use PointSet.of()")
+        object.__setattr__(self, "_hash", hash(members))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def of(cls, indices: Iterable[int]) -> "PointSet":
@@ -480,15 +500,23 @@ class MetricCheck:
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """A finite metric space given by its full rational distance matrix."""
+    """A finite metric space given by its full rational distance matrix.
+
+    The matrix is checked and frozen in C-level passes: its shape by the
+    lengths of its rows, its entries by the set of their types, and only a
+    matrix holding something other than a ``Fraction`` is converted entry by
+    entry (which refuses floats).  The integer grid is built on first use.
+    """
 
     dist: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        frozen = tuple(tuple(rat(v) for v in row) for row in self.dist)
-        object.__setattr__(self, "dist", frozen)
-        n = len(frozen)
-        if n == 0 or any(len(row) != n for row in frozen):
+        rows = tuple(map(tuple, self.dist))
+        if set(map(type, chain.from_iterable(rows))) != {Fraction}:
+            rows = tuple(tuple(map(rat, row)) for row in rows)
+        object.__setattr__(self, "dist", rows)
+        n = len(rows)
+        if n == 0 or set(map(len, rows)) != {n}:
             raise ValueError("distance matrix must be square and non-empty")
 
     @classmethod
@@ -515,47 +543,66 @@ class FiniteMetricSpace:
 
     @cached_property
     def grid(self) -> tuple:
-        """(D, rows, columns, entry): D*d(i, j) as ints by row and by column, D the
-        lcm of the entries' denominators, and each int's original entry."""
-        flat = [v for row in self.dist for v in row]
+        """(D, rows, columns, entry, skip_shared): D*d(i, j) as ints by row and by
+        column, D the lcm of the entries' denominators, each int's original entry,
+        and whether the diagonal is zero and no entry negative.
+
+        When ``skip_shared`` holds, a point of both sets is at distance 0 from
+        the other set, so the distances below skip it.
+        """
+        flat = list(chain.from_iterable(self.dist))
         den, ints = common_grid(flat)
-        n = self.n
-        rows = tuple(tuple(ints[k : k + n]) for k in range(0, n * n, n))
-        return den, rows, tuple(zip(*rows)), dict(zip(ints, flat))
+        rows = tuple(zip(*[iter(ints)] * self.n))
+        skip_shared = not any(ints[:: self.n + 1]) and min(ints) >= 0
+        return den, rows, tuple(zip(*rows)), dict(zip(ints, flat)), skip_shared
 
     def diameter(self) -> Fraction:
-        _, rows, _, entry = self.grid
+        _, rows, _, entry, _ = self.grid
         return entry[max(map(max, rows))]
 
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
 
+    def _members(self, s: PointSet, what: str) -> tuple[int, ...]:
+        """The members of a non-empty set of this space's points, in order."""
+        members = s.members
+        if not members:
+            raise EmptySetError(f"{what} needs non-empty sets")
+        if members[0] < 0 or members[-1] >= len(self.dist):
+            raise ValueError(f"{what}: {s} is not a set of points 0..{len(self.dist) - 1}")
+        return members
+
     def set_distance(self, a: PointSet, b: PointSet) -> Fraction:
-        if a.is_empty or b.is_empty:
-            raise EmptySetError("set_distance needs non-empty sets")
-        _, rows, _, entry = self.grid
-        bm = b.members
-        return entry[min(min(map(rows[i].__getitem__, bm)) for i in a.members)]
+        am, bm = self._members(a, "set_distance"), self._members(b, "set_distance")
+        _, rows, _, entry, skip_shared = self.grid
+        if skip_shared and not set(am).isdisjoint(bm):
+            return entry[0]
+        return entry[min(min(map(rows[i].__getitem__, bm)) for i in am)]
 
     def hausdorff(self, a: PointSet, b: PointSet) -> Fraction:
-        if a.is_empty or b.is_empty:
-            raise EmptySetError("hausdorff needs non-empty sets")
-        _, rows, cols, entry = self.grid
-        am, bm = a.members, b.members
-        ab = max(min(map(rows[i].__getitem__, bm)) for i in am)
-        ba = max(min(map(cols[j].__getitem__, am)) for j in bm)
+        """max(sup_a d(a, B), sup_b d(b, A)), each sup over the points not skipped.
+
+        With ``skip_shared`` the points of both sets are skipped, and a term
+        with nothing left is 0, so a distance reads |A - B| rows and |B - A|
+        columns; otherwise every point is read.
+        """
+        am, bm = self._members(a, "hausdorff"), self._members(b, "hausdorff")
+        _, rows, cols, entry, skip_shared = self.grid
+        only_a, only_b = am, bm
+        if skip_shared:
+            only_a, only_b = set(am).difference(bm), set(bm).difference(am)
+        ab = max((min(map(rows[i].__getitem__, bm)) for i in only_a), default=0)
+        ba = max((min(map(cols[j].__getitem__, am)) for j in only_b), default=0)
         return entry[max(ab, ba)]
 
     def neighborhood(self, eps: RationalLike, a: PointSet) -> PointSet:
         eps = rat(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
-        if a.is_empty:
-            raise EmptySetError("neighborhood of the empty set is undefined")
-        den, rows, _, _ = self.grid
+        am = self._members(a, "neighborhood")
+        den, rows, _, _, _ = self.grid
         # an int m is at most eps * den exactly when it is at most its floor
         bound = eps.numerator * den // eps.denominator
-        am = a.members
         return PointSet(
             tuple(i for i, row in enumerate(rows) if min(map(row.__getitem__, am)) <= bound)
         )
@@ -574,7 +621,7 @@ def validate_metric(space: FiniteMetricSpace) -> MetricCheck:
 
     The first violated axiom is reported together with the offending indices.
     """
-    _, d, _, _ = space.grid
+    _, d, _, _, _ = space.grid
     n = space.n
     for i in range(n):
         if d[i][i] != 0:

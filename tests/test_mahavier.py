@@ -171,6 +171,36 @@ class TestSupMetric:
         assert shift.scale == 3
         assert shift.metric.diameter() == 1
 
+    @staticmethod
+    def line_shift():
+        """The full shift over the points 0, 1, 2, 4 of a line: scale 4, so the
+        normalized distances from point 0 are 1/4, 1/2 and 1."""
+        at = (0, 1, 2, 4)
+        space = FiniteMetricSpace(tuple(tuple(F(abs(p - q)) for q in at) for p in at))
+        return ShiftSpace.of(FiniteRelation.from_pairs(space, product(range(4), repeat=2)))
+
+    def test_a_later_term_can_beat_a_first_term_of_one_eighth(self):
+        shift = self.line_shift()
+        zeros = shift.sequence((), (0,))
+        # terms 1/4 / 2 = 1/8 at position 1, then 1 / 4 = 1/4 at position 2
+        assert shift.sup_metric(zeros, shift.sequence((1,), (3,))) == F(1, 4)
+        assert shift.sup_metric(shift.sequence((1,), (3,)), zeros) == F(1, 4)
+
+    def test_the_scan_stops_once_the_tail_cannot_win(self, monkeypatch):
+        shift = self.line_shift()
+        zeros, twos = shift.sequence((), (0,)), shift.sequence((), (2,))
+        read = []
+        original = EPSequence.symbol
+
+        def counting(seq, m):
+            read.append(m)
+            return original(seq, m)
+
+        monkeypatch.setattr(EPSequence, "symbol", counting)
+        # the first term is 1/2 / 2 = 1/4, and no later term exceeds 2^-2
+        assert shift.sup_metric(zeros, twos) == F(1, 4)
+        assert read == [1, 1]
+
 
 class TestMixing:
     def test_all_ones_is_immediately_positive(self, full_space):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -455,6 +456,22 @@ class TestFiniteRelation:
         partial = FiniteRelation.from_pairs(two_points, [(0, 1)])
         with pytest.raises(EmptyImageError):
             partial.iterate(0, 2)
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (3, 0), (0, -1), (0, 3)])
+    def test_from_pairs_refuses_a_pair_outside_the_space(self, pair):
+        space = FiniteMetricSpace.discrete(3)
+        with pytest.raises(ValueError, match=re.escape(str(pair))):
+            FiniteRelation.from_pairs(space, [(0, 1), pair])
+
+    def test_adjacency_is_frozen_to_bools_and_checked(self):
+        space = FiniteMetricSpace.discrete(2)
+        relation = FiniteRelation(space, [[1, 0], [0, 1]])
+        assert relation.adjacency == ((True, False), (False, True))
+        assert {type(v) for row in relation.adjacency for v in row} == {bool}
+        assert FiniteRelation(space, relation.adjacency).adjacency == relation.adjacency
+        for bad in ([[True, False]], [[True], [False, True]], [[True, False], [True, False, True]]):
+            with pytest.raises(ValueError, match="space size"):
+                FiniteRelation(space, bad)
 
 
 def _seeded_box_relation(rng):

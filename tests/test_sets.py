@@ -208,6 +208,83 @@ class TestFiniteMetricSpace:
         with pytest.raises(EmptySetError):
             space.hausdorff(PointSet.empty(), space.full())
 
+    def test_members_outside_the_space_refused(self):
+        space = FiniteMetricSpace.discrete(3)
+        inside = PointSet.of([0, 2])
+        for outside in (PointSet.of([-1]), PointSet.of([0, 3])):
+            calls = (
+                lambda: space.set_distance(outside, inside),
+                lambda: space.set_distance(inside, outside),
+                lambda: space.hausdorff(outside, inside),
+                lambda: space.hausdorff(inside, outside),
+                lambda: space.neighborhood(1, outside),
+            )
+            for call in calls:
+                with pytest.raises(ValueError, match="not a set of points 0..2"):
+                    call()
+
+    def test_entries_are_frozen_as_fractions_and_checked(self):
+        space = FiniteMetricSpace([[0, "1/2"], [F(1, 2), 0]])
+        assert space.dist == ((F(0), F(1, 2)), (F(1, 2), F(0)))
+        assert {type(v) for row in space.dist for v in row} == {Fraction}
+        with pytest.raises(TypeError, match="floats"):
+            FiniteMetricSpace(((F(0), 0.5), (F(1, 2), F(0))))
+        for bad in ((), ((F(0), F(1)),), ((F(0), F(1)), (F(1),))):
+            with pytest.raises(ValueError, match="square"):
+                FiniteMetricSpace(bad)
+
+
+def counted_reads(space):
+    """Replace the space's grid rows and columns by tuples that record each read."""
+    reads = []
+
+    class Counted(tuple):
+        def __getitem__(self, k):
+            reads.append(k)
+            return tuple.__getitem__(self, k)
+
+    den, rows, cols, entry, skip_shared = space.grid
+    space.__dict__["grid"] = (den, Counted(rows), Counted(cols), entry, skip_shared)
+    return reads
+
+
+class TestSharedMembers:
+    """On a metric matrix a point of both sets is at distance 0 from the other set."""
+
+    def test_shared_points_read_no_row(self):
+        n = 120
+        space = FiniteMetricSpace(tuple(tuple(F(abs(i - j), 7) for j in range(n)) for i in range(n)))
+        reads = counted_reads(space)
+        x = PointSet.of(range(0, n, 3))
+        assert space.hausdorff(x, x) == 0
+        assert space.set_distance(x, PointSet.of(range(1, n, 2))) == 0
+        assert reads == []
+        a = PointSet.of([*range(10, 60), 100])
+        b = PointSet.of([5, *range(10, 60)])
+        # d(100, B) = 41/7 and d(5, A) = 5/7: one row and one column
+        assert space.hausdorff(a, b) == F(41, 7)
+        assert sorted(reads) == [5, 100]
+        reads.clear()
+        assert space.set_distance(PointSet.of([0, 1]), PointSet.of([9])) == F(8, 7)
+        assert sorted(reads) == [0, 1]
+
+    @pytest.mark.parametrize("i, j, value", [(1, 1, F(5, 2)), (0, 2, F(-1, 3)), (3, 3, F(1, 9))])
+    def test_a_matrix_that_is_not_a_metric_is_read_in_full(self, i, j, value):
+        n = 4
+        dist = [[F(abs(p - q), 2) for q in range(n)] for p in range(n)]
+        dist[i][j] = value
+        space = FiniteMetricSpace(tuple(map(tuple, dist)))
+        subsets = [
+            PointSet.of(c) for k in range(1, n + 1) for c in itertools.combinations(range(n), k)
+        ]
+        for a, b in itertools.product(subsets, repeat=2):
+            am, bm = a.members, b.members
+            assert space.set_distance(a, b) == min(dist[p][q] for p in am for q in bm)
+            assert space.hausdorff(a, b) == max(
+                max(min(dist[p][q] for q in bm) for p in am),
+                max(min(dist[p][q] for p in am) for q in bm),
+            )
+
 
 @st.composite
 def union_pairs(draw):
