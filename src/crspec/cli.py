@@ -28,16 +28,7 @@ from pathlib import Path
 from .errors import CRSpecError, ScenarioError
 from .mahavier import mixing_index
 from .scenario import Scenario, parse_scenario
-from .specifications import (
-    InitialSpecification,
-    NoTracer,
-    TraceEntry,
-    TraceReport,
-    check_initial_trace,
-    check_trace,
-    find_initial_tracer,
-    find_tracer,
-)
+from .specifications import NoTracer, TraceEntry, TraceReport, check_trace, find_tracer
 from .verdicts import (
     Inconclusive,
     certify_common_image,
@@ -145,15 +136,14 @@ def _no_tracer_payload(outcome: NoTracer) -> list[dict]:
 
 def _run_trace(scenario: Scenario, params: dict) -> tuple:
     spec = scenario.specs[params["spec"]]
-    initial = isinstance(spec, InitialSpecification)
     relation, eps, mode, y = scenario.relation, params["eps"], params["mode"], params["y"]
     label = f"trace {params['spec']} eps {fmt(eps)} mode {mode}"
     if y is not None:
-        report = (check_initial_trace if initial else check_trace)(relation, spec, y, eps, mode)
+        report = check_trace(relation, spec, y, eps, mode)
         outcome = _passed(report.passed)
         data = {"y": fmt(y), **_report_payload(report)}
         return outcome, label, f"{label} y {fmt(y)}: {outcome}", _report_lines(report), data
-    result = (find_initial_tracer if initial else find_tracer)(relation, spec, eps, mode)
+    result = find_tracer(relation, spec, eps, mode)
     if isinstance(result, NoTracer):
         headline = f"{label}: no tracer (all {len(result.failures)} regions fail)"
         detail = [

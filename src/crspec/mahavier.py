@@ -245,7 +245,14 @@ class ShiftSpace:
     def n(self) -> int:
         return self.relation.space.n
 
+    def _check_symbols(self, *words: Sequence[int]) -> None:
+        """ValueError unless every symbol of the words is a point 0..n-1."""
+        for symbol in chain(*words):
+            if not 0 <= symbol < self.n:
+                raise ValueError(f"symbol {symbol} out of range 0..{self.n - 1}")
+
     def is_admissible(self, word: Sequence[int]) -> bool:
+        self._check_symbols(word)
         adj = self.relation.adjacency
         return all(adj[a][b] for a, b in zip(word, word[1:]))
 
@@ -280,6 +287,7 @@ class ShiftSpace:
 
     def sequence(self, preperiod: Sequence[int], cycle: Sequence[int]) -> EPSequence:
         """Build and admissibility-check an eventually periodic sequence."""
+        self._check_symbols(preperiod, cycle)
         seq = EPSequence(tuple(preperiod), tuple(cycle))
         horizon = len(seq.preperiod) + len(seq.cycle)
         for m in range(1, horizon + 1):
@@ -295,6 +303,7 @@ class ShiftSpace:
         right_cycle: Sequence[int],
         core_start: int = 0,
     ) -> BiEPSequence:
+        self._check_symbols(left_cycle, core, right_cycle)
         seq = BiEPSequence(tuple(left_cycle), tuple(core), tuple(right_cycle), core_start)
         adj = self.relation.adjacency
         lo = seq.core_start - len(seq.left_cycle) - 1

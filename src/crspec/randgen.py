@@ -170,14 +170,6 @@ def random_spaced_triples(
     return triples
 
 
-def random_initial_pairs(
-    rng: random.Random, relation, segments: int, max_len: int = 2
-) -> list[tuple]:
-    return [
-        (random_point(rng, relation), rng.randint(0, max_len)) for _ in range(segments)
-    ]
-
-
 def random_isometric_space(
     rng: random.Random, n: int, max_den: int = 6
 ) -> tuple[FiniteMetricSpace, tuple[int, ...]]:

@@ -393,7 +393,10 @@ class FiniteRelation(_Iterates):
         return self.space.point(x)
 
     def image(self, s: PointSet) -> PointSet:
-        return PointSet(tuple(sorted(set().union(*map(self.successors.__getitem__, s.members)))))
+        if s.is_empty:
+            return s
+        members = self.space.points_of(s, "image")
+        return PointSet(tuple(sorted(set().union(*map(self.successors.__getitem__, members)))))
 
     def regions(self):
         """(x, x) for each point x of the space, in order."""

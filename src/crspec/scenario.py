@@ -25,7 +25,7 @@ from .mahavier import EPSequence, ShiftSpace
 from .relations import MODES, BoxRelation, FiniteRelation
 from .sets import FiniteMetricSpace, Interval, IntervalSpace, validate_metric
 from .specifications import InitialSpecification, Specification
-from .verdicts import INITIAL_PROPERTIES, PROPERTIES, InitialTemplate, SpacedTemplate
+from .verdicts import PROPERTIES, InitialTemplate, SpacedTemplate
 
 _RATIONAL = re.compile(r"^-?\d+(?:/\d+)?$")
 
@@ -56,7 +56,7 @@ class Scenario:
     """A fully validated scenario, ready to run."""
 
     relation: BoxRelation | FiniteRelation
-    specs: dict[str, Specification | InitialSpecification] = field(default_factory=dict)
+    specs: dict[str, Specification] = field(default_factory=dict)
     sequences: dict[str, EPSequence] = field(default_factory=dict)
     mspecs: dict[str, tuple] = field(default_factory=dict)
     commands: list[Command] = field(default_factory=list)
@@ -392,7 +392,7 @@ class _Builder:
         prop = tokens[0] if tokens else None
         if prop not in PROPERTIES:
             raise ScenarioParseError(line, f"refute needs a property: {', '.join(PROPERTIES)}")
-        initial = prop in INITIAL_PROPERTIES
+        initial = PROPERTIES[prop][1] is InitialTemplate
         range_key = "gaps" if initial else "n"
         usage = f"refute {prop} needs 'eps Q {range_key} LO HI'"
         kv = _fields(tokens[1:], line, usage, {"eps": ONE, range_key: TWO})
@@ -467,9 +467,6 @@ class _Builder:
         for line, name, pre, cycle in self.raw_seqs:
             if name in scenario.sequences:
                 raise ScenarioValidationError(line, f"duplicate sequence name {name!r}")
-            bad = [s for s in pre + cycle if not 0 <= s < relation.space.n]
-            if bad:
-                raise ScenarioValidationError(line, f"symbol {bad[0]} out of range")
             try:
                 scenario.sequences[name] = scenario.shift_space.sequence(pre, cycle)
             except ValueError as exc:

@@ -561,10 +561,16 @@ class FiniteMetricSpace:
         return entry[max(map(max, rows))]
 
     def d(self, i: int, j: int) -> Fraction:
+        n = len(self.dist)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"({i}, {j}) is not a pair of points 0..{n - 1}")
         return self.dist[i][j]
 
-    def _members(self, s: PointSet, what: str) -> tuple[int, ...]:
-        """The members of a non-empty set of this space's points, in order."""
+    def points_of(self, s: PointSet, what: str) -> tuple[int, ...]:
+        """The members of a non-empty set of this space's points, in order.
+
+        Members are sorted, so the two ends decide whether each is a point 0..n-1.
+        """
         members = s.members
         if not members:
             raise EmptySetError(f"{what} needs non-empty sets")
@@ -573,7 +579,7 @@ class FiniteMetricSpace:
         return members
 
     def set_distance(self, a: PointSet, b: PointSet) -> Fraction:
-        am, bm = self._members(a, "set_distance"), self._members(b, "set_distance")
+        am, bm = self.points_of(a, "set_distance"), self.points_of(b, "set_distance")
         _, rows, _, entry, skip_shared = self.grid
         if skip_shared and not set(am).isdisjoint(bm):
             return entry[0]
@@ -586,7 +592,7 @@ class FiniteMetricSpace:
         with nothing left is 0, so a distance reads |A - B| rows and |B - A|
         columns; otherwise every point is read.
         """
-        am, bm = self._members(a, "hausdorff"), self._members(b, "hausdorff")
+        am, bm = self.points_of(a, "hausdorff"), self.points_of(b, "hausdorff")
         _, rows, cols, entry, skip_shared = self.grid
         only_a, only_b = am, bm
         if skip_shared:
@@ -599,7 +605,7 @@ class FiniteMetricSpace:
         eps = rat(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
-        am = self._members(a, "neighborhood")
+        am = self.points_of(a, "neighborhood")
         den, rows, _, _, _ = self.grid
         # an int m is at most eps * den exactly when it is at most its floor
         bound = eps.numerator * den // eps.denominator

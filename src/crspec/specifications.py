@@ -2,15 +2,20 @@
 
 A *specification* is a finite tuple of orbit segments; an *initial*
 specification starts every segment at exponent 0 and carries a vector of
-positive gaps.  A candidate tracer ``y`` passes when, at every index the
-definition prescribes, the distance between the tracer's iterate and the
-segment's iterate stays within ``eps``:
+positive gaps.  Either kind is its *requirement table*: the triples
+``(segment i, step j, tracer power)``, built once per specification.  A
+candidate tracer ``y`` passes when, for every requirement, the distance
+between the tracer's iterate at that power and the segment's iterate at
+step j stays within ``eps``:
 
 * plain mode compares with the min set distance,
-* hausdorff mode compares with the Hausdorff distance,
+* hausdorff mode compares with the Hausdorff distance.
 
-and for initial specifications the tracer's exponent is shifted by the
-accumulated segment lengths and gaps.
+The two kinds differ only in the powers: a spaced requirement reads power
+j, and an initial one shifts it by the accumulated segment lengths and
+gaps.  So one checker (:func:`check_trace`) and one search
+(:func:`find_tracer`) serve both; ``check_initial_trace`` and
+``find_initial_tracer`` keep the initial names over the same bodies.
 
 Tracer search is an exact decision, not a sampling heuristic.  It runs one
 loop over the relation's regions (see :mod:`crspec.relations`): the cells of
@@ -34,7 +39,8 @@ specification; each distinct pair of sets is measured once per relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -57,7 +63,7 @@ from .sets import PointSet
 
 @dataclass(frozen=True)
 class Specification:
-    """A tuple of orbit segments, in tracing order."""
+    """A tuple of orbit segments, in tracing order; power j is traced at step j."""
 
     segments: tuple[OrbitSegment, ...]
 
@@ -74,17 +80,24 @@ class Specification:
     def n(self) -> int:
         return len(self.segments)
 
+    @cached_property
+    def requirements(self) -> tuple[tuple[int, int, int], ...]:
+        """(segment i, step j, tracer power) triples; power equals j."""
+        return tuple(
+            (i, j, j)
+            for i, seg in enumerate(self.segments, start=1)
+            for j in range(seg.first, seg.last + 1)
+        )
+
 
 @dataclass(frozen=True)
-class InitialSpecification:
-    """Segments all starting at exponent 0, plus n-1 positive gap lengths."""
+class InitialSpecification(Specification):
+    """A specification whose segments all start at exponent 0, plus n-1 positive gap lengths."""
 
-    segments: tuple[OrbitSegment, ...]
     gaps: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.segments:
-            raise ValueError("a specification needs at least one segment")
+        super().__post_init__()
         if any(seg.first != 0 for seg in self.segments):
             raise ValueError("initial segments must start at exponent 0")
         if len(self.gaps) != len(self.segments) - 1:
@@ -99,12 +112,18 @@ class InitialSpecification:
             tuple(relation.orbit_segment(b, 0, l) for b, l in pairs), tuple(gaps)
         )
 
-    @property
-    def n(self) -> int:
-        return len(self.segments)
+    @cached_property
+    def requirements(self) -> tuple[tuple[int, int, int], ...]:
+        """Segment i's tracer powers are shifted by the lengths and gaps before it."""
+        reqs = []
+        offset = 0
+        for i, (seg, gap) in enumerate(zip(self.segments, self.gaps + (0,)), start=1):
+            reqs += [(i, j, offset + j) for j in range(seg.last + 1)]
+            offset += seg.last + gap
+        return tuple(reqs)
 
 
-def is_n_spaced(spec: Specification, n: int) -> bool:
+def is_n_spaced(spec: Specificationification, n: int) -> bool:
     """True iff consecutive segments satisfy first_{i+1} - last_i >= n."""
     return all(
         nxt.first - cur.last >= n for cur, nxt in zip(spec.segments, spec.segments[1:])
@@ -177,28 +196,7 @@ class NoTracer:
 SearchResult = Union[TracerWitness, NoTracer]
 
 
-def _requirements(spec: Specification) -> list[tuple[int, int, int]]:
-    """(segment i, step j, tracer power) triples; power equals j."""
-    return [
-        (i, j, j)
-        for i, seg in enumerate(spec.segments, start=1)
-        for j in range(seg.first, seg.last + 1)
-    ]
-
-
-def _initial_requirements(spec: InitialSpecification) -> list[tuple[int, int, int]]:
-    """Tracer powers are shifted by the accumulated lengths and gaps."""
-    reqs = []
-    offset = 0
-    for i, seg in enumerate(spec.segments, start=1):
-        for j in range(0, seg.last + 1):
-            reqs.append((i, j, offset + j))
-        if i <= len(spec.gaps):
-            offset += seg.last + spec.gaps[i - 1]
-    return reqs
-
-
-def _report(relation, spec, reqs, y, eps, mode, region=None) -> TraceReport:
+def _report(relation, spec, y, eps, mode, region) -> TraceReport:
     """The report at y; region, when given, is the cell or point that holds y.
 
     {y} is built only when a power-0 requirement reads it.
@@ -206,7 +204,7 @@ def _report(relation, spec, reqs, y, eps, mode, region=None) -> TraceReport:
     orbit = relation.orbit(y if region is None else region)
     origin = None
     entries = []
-    for i, j, power in reqs:
+    for i, j, power in spec.requirements:
         target = spec.segments[i - 1].set_at(j)
         if power:
             tracer = orbit.value_at(power)
@@ -219,21 +217,19 @@ def _report(relation, spec, reqs, y, eps, mode, region=None) -> TraceReport:
     return TraceReport(mode, rat(eps), tuple(entries))
 
 
-def check_trace(
-    relation: Relation, spec: Specification, y, eps, mode: str, region=None
-) -> TraceReport:
-    """Exact distances for every (i, j) demanded by plain spaced tracing.
+def check_trace(relation: Relation, spec: Specification, y, eps, mode: str, region=None) -> TraceReport:
+    """Exact distances for every (i, j) the spec requires, spaced or initial.
 
     A caller that already holds the cell or point of y may pass it as region.
     """
-    return _report(relation, spec, _requirements(spec), y, eps, mode, region)
+    return _report(relation, spec, y, eps, mode, region)
 
 
 def check_initial_trace(
     relation: Relation, spec: InitialSpecification, y, eps, mode: str, region=None
 ) -> TraceReport:
-    """Exact distances for initial tracing, with shifted tracer exponents."""
-    return _report(relation, spec, _initial_requirements(spec), y, eps, mode, region)
+    """The initial name of :func:`check_trace`, over the same body."""
+    return _report(relation, spec, y, eps, mode, region)
 
 
 def _cell_witness(cell, rep, report, zero_bases, eps):
@@ -251,17 +247,17 @@ def _cell_witness(cell, rep, report, zero_bases, eps):
     return None if window is None else window.pick_point(prefer=zero_bases[0])
 
 
-def _search(relation, spec, reqs, eps, mode, checker) -> SearchResult:
+def _search(relation, spec, eps, mode) -> SearchResult:
     """Decide each region exactly from the report at its representative.
 
     A point region is yielded as its own representative, so its report
     decides it; a cell is decided by :func:`_cell_witness`.
     """
     eps = rat(eps)
-    zero_bases = [spec.segments[i - 1].base for i, _, power in reqs if power == 0]
+    zero_bases = [spec.segments[i - 1].base for i, _, power in spec.requirements if power == 0]
     failures = []
     for region, rep in relation.regions():
-        report = checker(relation, spec, rep, eps, mode, region)
+        report = check_trace(relation, spec, rep, eps, mode, region)
         if region is rep:
             if report.passed:
                 return TracerWitness(rep, region, report)
@@ -269,7 +265,7 @@ def _search(relation, spec, reqs, eps, mode, checker) -> SearchResult:
             y = _cell_witness(region, rep, report, zero_bases, eps)
             if y is not None:
                 if y != rep:
-                    report = checker(relation, spec, y, eps, mode, region)
+                    report = check_trace(relation, spec, y, eps, mode, region)
                 if not report.passed:
                     raise AssertionError("cell-level pass must yield a passing witness")
                 return TracerWitness(y, region, report)
@@ -278,19 +274,19 @@ def _search(relation, spec, reqs, eps, mode, checker) -> SearchResult:
 
 
 def find_tracer(relation: Relation, spec: Specification, eps, mode: str) -> SearchResult:
-    """Decide whether some y in X traces the specification; exact either way."""
-    return _search(relation, spec, _requirements(spec), eps, mode, check_trace)
+    """Decide whether some y in X traces the spaced or initial spec; exact either way."""
+    return _search(relation, spec, eps, mode)
 
 
 def find_initial_tracer(
     relation: Relation, spec: InitialSpecification, eps, mode: str
 ) -> SearchResult:
-    """Exact decision for initial tracing with the shifted exponents."""
-    return _search(relation, spec, _initial_requirements(spec), eps, mode, check_initial_trace)
+    """The initial name of :func:`find_tracer`, over the same body."""
+    return _search(relation, spec, eps, mode)
 
 
 def derive_initial(
-    relation: Relation, spec: Specification
+    relation: Relation, spec: Specificationification
 ) -> tuple[InitialSpecification, tuple]:
     """Rebase an N-spaced specification at exponent 0.
 
@@ -317,7 +313,7 @@ def derive_initial(
     return InitialSpecification(segments, tuple(gaps)), bases
 
 
-def lift_tracer(relation: Relation, spec: Specification, z):
+def lift_tracer(relation: Relation, spec: Specificationification, z):
     """The full preimage set {y : z in F^{first_1}(y)}.
 
     Returns a PointSet on finite spaces and a tuple of cells on box
@@ -343,7 +339,7 @@ def lift_tracer(relation: Relation, spec: Specification, z):
     return PointSet.of(hits) if finite else tuple(hits)
 
 
-def conjugacy_transport(phi: Sequence[int], spec, relation: FiniteRelation):
+def conjugacy_transport(phi: Sequence[int], spec: Specification, relation: FiniteRelation) -> Specification:
     """Pull a specification back through a conjugating bijection.
 
     ``phi`` maps indices of the target system's space onto indices of the
@@ -355,13 +351,9 @@ def conjugacy_transport(phi: Sequence[int], spec, relation: FiniteRelation):
     if len(phi) != n or sorted(phi) != list(range(n)):
         raise SizeMismatchError("phi must be a bijection on the space's indices")
     inverse = {phi[x]: x for x in range(n)}
-    if isinstance(spec, InitialSpecification):
-        return InitialSpecification.build(
-            relation,
-            [(inverse[seg.base], seg.last) for seg in spec.segments],
-            spec.gaps,
-        )
-    return Specification.build(
-        relation,
-        [(inverse[seg.base], seg.first, seg.last) for seg in spec.segments],
+    return replace(
+        spec,
+        segments=tuple(
+            relation.orbit_segment(inverse[seg.base], seg.first, seg.last) for seg in spec.segments
+        ),
     )

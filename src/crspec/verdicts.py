@@ -19,6 +19,11 @@ claims to decide them.  It produces three kinds of evidence instead:
 * an :class:`Inconclusive` outcome carrying the tracer that defeated the
   attempted refutation.
 
+The four properties are one table, ``PROPERTIES``: property -> (distance
+mode, template kind).  SP and HSP are refuted on spaced templates, ISP and
+HISP on initial ones; either instantiates to a specification that the one
+tracer search reads through its requirement table.
+
 The "for all j" in the eventual conditions is made finite through the
 eventual periodicity of per-cell iterates: checking one preperiod-plus-cycle
 window per cell pair covers every exponent.  The same periodicity bounds the
@@ -68,7 +73,6 @@ from .specifications import (
     check_trace,
     conjugacy_transport,
     derive_initial,
-    find_initial_tracer,
     find_tracer,
     lift_tracer,
 )
@@ -83,18 +87,29 @@ def _eventual_orbits(relation: Relation) -> list[tuple[object, Orbit]]:
     return [(region, relation.orbit(region).close()) for region, _ in relation.regions()]
 
 
-def _last_n0(orbits: list[tuple[object, Orbit]], n0_max: int, image: bool) -> int:
+def _phase_window(relation: Relation) -> tuple[int, int] | None:
+    """(T, P), the largest transient and the lcm of the periods of the region orbits.
+
+    None while some region orbit is still open or has died; nothing is swept.
+    """
+    windows = [relation.orbit(region).swept_window for region, _ in relation.regions()]
+    if None in windows:
+        return None
+    return max(t for t, _ in windows), math.lcm(*(p for _, p in windows))
+
+
+def _last_n0(relation: Relation, n0_max: int, image: bool) -> int:
     """The largest n0 a certificate search needs to try, at most n0_max.
 
-    With T the largest transient and L the lcm of the periods, the tuple of
-    every region's F^{n0} repeats with period L from n0 = T + 1 on, so an
-    image condition that holds for no n0 <= T + L holds for none.  The
-    eventual worst of a pair does not grow with n0 and is constant from
-    T + 1 on, so an eventual condition needs no n0 beyond T + 1.
+    With (T, L) the :func:`_phase_window`, read once :func:`_eventual_orbits`
+    has closed every region orbit, the tuple of every region's F^{n0}
+    repeats with period L from n0 = T + 1 on, so an image condition that
+    holds for no n0 <= T + L holds for none.  The eventual worst of a pair
+    does not grow with n0 and is constant from T + 1 on, so an eventual
+    condition needs no n0 beyond T + 1.
     """
-    last = max(orbit.transient for _, orbit in orbits)
-    last += math.lcm(*(orbit.period for _, orbit in orbits)) if image else 1
-    return min(n0_max, last)
+    transient, period = _phase_window(relation)
+    return min(n0_max, transient + (period if image else 1))
 
 
 def _eventual_worst(relation: Relation, oa: Orbit, ob: Orbit, n0: int) -> Fraction:
@@ -142,7 +157,7 @@ def certify_common_image(relation: Relation, n0_max: int) -> Certificate | None:
     orbits = _eventual_orbits(relation)
     pairs = list(combinations(range(len(orbits)), 2))
     commons: dict = {}  # (set, set) -> their least common point, or None
-    for n0 in range(1, _last_n0(orbits, n0_max, image=True) + 1):
+    for n0 in range(1, _last_n0(relation, n0_max, image=True) + 1):
         sets = [orbit.value_at(n0) for _, orbit in orbits]
         group = {}
         ids = [group.setdefault(s, len(group)) for s in sets]
@@ -169,7 +184,7 @@ def certify_full_image(relation: Relation, n0_max: int) -> Certificate | None:
     """Smallest n0 <= n0_max with F^{n0}(y) = X for every y."""
     full = relation.space.full()
     orbits = _eventual_orbits(relation)
-    for n0 in range(1, _last_n0(orbits, n0_max, image=True) + 1):
+    for n0 in range(1, _last_n0(relation, n0_max, image=True) + 1):
         values = [(label, orbit.value_at(n0)) for label, orbit in orbits]
         if all(v == full for _, v in values):
             return Certificate("full-image", n0, None, tuple(values))
@@ -185,7 +200,7 @@ def certify_eventual_hausdorff(relation: Relation, eps, n0_max: int) -> Certific
     """
     eps = rat(eps)
     orbits = _eventual_orbits(relation)
-    for n0 in range(1, _last_n0(orbits, n0_max, image=False) + 1):
+    for n0 in range(1, _last_n0(relation, n0_max, image=False) + 1):
         evidence = []
         ok = True
         equal = True
@@ -307,8 +322,13 @@ class InitialTemplate:
 
 Template = Union[SpacedTemplate, InitialTemplate]
 
-PROPERTIES = ("SP", "HSP", "ISP", "HISP")
-INITIAL_PROPERTIES = ("ISP", "HISP")
+# property -> (distance mode, template kind)
+PROPERTIES = {
+    "SP": ("plain", SpacedTemplate),
+    "HSP": ("hausdorff", SpacedTemplate),
+    "ISP": ("plain", InitialTemplate),
+    "HISP": ("hausdorff", InitialTemplate),
+}
 
 
 @dataclass(frozen=True)
@@ -338,17 +358,6 @@ class Inconclusive:
     eps: Fraction
     value: int
     witness: TracerWitness
-
-
-def _phase_window(relation: Relation) -> tuple[int, int] | None:
-    """(T, P), the largest transient and the lcm of the periods of the region orbits.
-
-    None while some region orbit is still open or has died; nothing is swept.
-    """
-    windows = [relation.orbit(region).swept_window for region, _ in relation.regions()]
-    if None in windows:
-        return None
-    return max(t for t, _ in windows), math.lcm(*(p for _, p in windows))
 
 
 def _relabel(outcome: NoTracer, shift: int, steps: bool) -> NoTracer:
@@ -392,12 +401,12 @@ def refute_property(
     distance can be replayed bit-for-bit.
     """
     if prop not in PROPERTIES:
-        raise ValueError(f"property must be one of {PROPERTIES}")
+        raise ValueError(f"property must be one of {tuple(PROPERTIES)}")
     eps = rat(eps)
-    initial = prop in INITIAL_PROPERTIES
-    mode = "hausdorff" if prop in ("HSP", "HISP") else "plain"
-    if initial != isinstance(template, InitialTemplate):
-        raise ValueError(f"{prop} needs an {'initial' if initial else 'spaced'} template")
+    mode, kind = PROPERTIES[prop]
+    spaced = kind is SpacedTemplate
+    if not isinstance(template, kind):
+        raise ValueError(f"{prop} needs an {'spaced' if spaced else 'initial'} template")
     values = tuple(values)
     if not values:
         raise ValueError("a refutation needs at least one value")
@@ -414,13 +423,9 @@ def refute_property(
         known = decided.get(phase(value))
         if known is not None:
             shift = value - known.value
-            outcomes.append(Instantiation(value, _relabel(known.outcome, shift, not initial)))
+            outcomes.append(Instantiation(value, _relabel(known.outcome, shift, spaced)))
             continue
-        spec = template.instantiate(relation, value)
-        if initial:
-            result = find_initial_tracer(relation, spec, eps, mode)
-        else:
-            result = find_tracer(relation, spec, eps, mode)
+        result = find_tracer(relation, template.instantiate(relation, value), eps, mode)
         if isinstance(result, TracerWitness):
             return Inconclusive(prop, eps, value, result)
         outcomes.append(Instantiation(value, result))
@@ -482,7 +487,7 @@ def _suite_initial_round_trip(seed: int, count: int) -> PropertyVerdict:
         spec = Specification.build(relation, triples)
         eps = space.diameter() / 2
         initial, _bases = derive_initial(relation, spec)
-        found = find_initial_tracer(relation, initial, eps, "plain")
+        found = find_tracer(relation, initial, eps, "plain")
         if not isinstance(found, TracerWitness):
             continue
         lifted = lift_tracer(relation, spec, found.y)

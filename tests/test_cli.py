@@ -132,6 +132,12 @@ seq BAD cycle 1 1
         with pytest.raises(ScenarioValidationError):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("symbols", ["cycle 2", "pre -1 cycle 0", "pre 0 cycle 1 5"])
+    def test_sequence_symbol_outside_the_space_rejected_at_its_line(self, symbols):
+        with pytest.raises(ScenarioValidationError, match="out of range 0..1") as err:
+            parse_scenario(TWO_POINTS + f"seq A {symbols}\n")
+        assert err.value.line == 10
+
     @pytest.mark.parametrize(
         "line",
         [

@@ -15,7 +15,10 @@ covered by the kernel tests, which check that every distance is a
 ``crspec.relations``), so ``isinstance`` against ``BoxRelation`` or
 ``FiniteRelation`` is left to the few places whose result differs by kind:
 scenario parsing, the random point draw (whose RNG calls must not change)
-and the return type of ``lift_tracer``.
+and the return type of ``lift_tracer``.  Spaced and initial specifications
+are both their requirement table (see ``crspec.specifications``), so only
+``refute_property``'s template check may test for ``InitialSpecification``
+or ``InitialTemplate``.
 """
 
 import ast
@@ -37,6 +40,8 @@ KIND_BRANCHES = (
     "scenario.py: _point",
     "specifications.py: lift_tracer",
 )
+SPEC_KINDS = ("InitialSpecification", "InitialTemplate")
+SPEC_KIND_BRANCHES = ("verdicts.py: refute_property",)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -115,8 +120,8 @@ def test_no_floats(path):
     assert float_uses(path.read_text(encoding="utf-8")) == []
 
 
-def kind_branches(source: str) -> list[str]:
-    """The qualified name of the function around each isinstance call on a relation kind."""
+def kind_branches(source: str, kinds=RELATION_KINDS) -> list[str]:
+    """The qualified name of the function around each isinstance call on one of the kinds."""
     found = []
 
     def visit(node, scope):
@@ -130,7 +135,7 @@ def kind_branches(source: str) -> list[str]:
         ):
             names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
             names |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
-            if names & set(RELATION_KINDS):
+            if names & set(kinds):
                 found.append(".".join(scope) or "<module>")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -152,10 +157,17 @@ def test_the_check_sees_a_relation_kind_branch():
     assert kind_branches(source) == ["<module>", "C.f", "g"]
 
 
-def test_relation_kinds_are_branched_on_only_where_named():
-    found = Counter(
+def branch_sites(kinds) -> Counter:
+    return Counter(
         f"{path.name}: {site}"
         for path in MODULES
-        for site in kind_branches(path.read_text(encoding="utf-8"))
+        for site in kind_branches(path.read_text(encoding="utf-8"), kinds)
     )
-    assert found - Counter(KIND_BRANCHES) == Counter()
+
+
+def test_relation_kinds_are_branched_on_only_where_named():
+    assert branch_sites(RELATION_KINDS) - Counter(KIND_BRANCHES) == Counter()
+
+
+def test_specification_kinds_are_branched_on_only_where_named():
+    assert branch_sites(SPEC_KINDS) - Counter(SPEC_KIND_BRANCHES) == Counter()

@@ -85,6 +85,20 @@ class TestEPSequence:
         with pytest.raises(ValueError):
             golden_space.sequence((1,), (1, 0))
 
+    def test_symbols_outside_the_space_refused(self, full_space):
+        calls = (
+            lambda: full_space.sequence((-1,), (0,)),
+            lambda: full_space.sequence((), (-3,)),
+            lambda: full_space.sequence((), (5,)),
+            lambda: full_space.is_admissible((-1, 0)),
+            lambda: full_space.is_admissible((0, 2)),
+            lambda: full_space.bisequence((0,), (2,), (1,)),
+            lambda: full_space.bisequence((-1,), (), (0,)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="out of range 0..1"):
+                call()
+
 
 class TestShiftStability:
     def test_shift_preserves_admissibility(self, golden_space):

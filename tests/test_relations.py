@@ -463,6 +463,14 @@ class TestFiniteRelation:
         with pytest.raises(ValueError, match=re.escape(str(pair))):
             FiniteRelation.from_pairs(space, [(0, 1), pair])
 
+    def test_image_refuses_a_point_outside_the_space(self):
+        cycle = FiniteRelation.from_pairs(FiniteMetricSpace.discrete(3), [(2, 0), (0, 1), (1, 2)])
+        assert cycle.image(PointSet.of([0, 2])) == PointSet.of([0, 1])
+        assert cycle.image(PointSet.empty()) == PointSet.empty()
+        for outside in (PointSet.of([-1]), PointSet.of([5]), PointSet.of([0, 3])):
+            with pytest.raises(ValueError, match=re.escape(f"{outside} is not a set of points 0..2")):
+                cycle.image(outside)
+
     def test_adjacency_is_frozen_to_bools_and_checked(self):
         space = FiniteMetricSpace.discrete(2)
         relation = FiniteRelation(space, [[1, 0], [0, 1]])

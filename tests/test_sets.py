@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import lcm
@@ -222,6 +223,13 @@ class TestFiniteMetricSpace:
             for call in calls:
                 with pytest.raises(ValueError, match="not a set of points 0..2"):
                     call()
+
+    def test_a_distance_between_points_outside_the_space_refused(self):
+        space = FiniteMetricSpace.discrete(3)
+        assert space.d(0, 2) == 1 and space.d(1, 1) == 0
+        for i, j in ((-1, 0), (0, -1), (3, 0), (0, 3)):
+            with pytest.raises(ValueError, match=re.escape(f"({i}, {j}) is not a pair of points 0..2")):
+                space.d(i, j)
 
     def test_entries_are_frozen_as_fractions_and_checked(self):
         space = FiniteMetricSpace([[0, "1/2"], [F(1, 2), 0]])

@@ -128,6 +128,26 @@ class TestCheckInitialTrace:
         assert all(e.distance == 0 for e in report.entries)
 
 
+class TestRequirementTable:
+    def test_spaced_and_initial_tables(self, monica):
+        spaced = Specification.build(monica, [(F(0), 1, 2), (F(1), 4, 4)])
+        assert spaced.requirements == ((1, 1, 1), (1, 2, 2), (2, 4, 4))
+        initial = InitialSpecification.build(monica, [(F(0), 1), (F(1), 2)], (3,))
+        assert initial.requirements == ((1, 0, 0), (1, 1, 1), (2, 0, 4), (2, 1, 5), (2, 2, 6))
+        assert initial.requirements is initial.requirements
+
+    def test_one_checker_and_one_search_for_both_kinds(self, fan):
+        for m in (1, 2, 4):
+            spec = InitialSpecification.build(fan, [(F(1, 4), 1), (F(3, 4), 1)], (m,))
+            for mode in MODES:
+                report = check_trace(fan, spec, F(1, 2), F(1, 4), mode)
+                assert report == check_initial_trace(fan, spec, F(1, 2), F(1, 4), mode)
+                assert [e.tracer_power for e in report.entries] == [0, 1, 1 + m, 2 + m]
+                assert find_tracer(fan, spec, F(1, 4), mode) == find_initial_tracer(
+                    fan, spec, F(1, 4), mode
+                )
+
+
 class TestFindTracer:
     def test_hausdorff_refuted_on_every_cell(self, monica):
         spec = Specification.build(monica, [(F(0), 2, 3), (F(1), 9, 10)])
