@@ -20,7 +20,6 @@ from .errors import (
     SizeMismatchError,
 )
 from .mahavier import (
-    BiEPSequence,
     EPSequence,
     ShiftSpace,
     TransitionMatrix,
@@ -61,7 +60,6 @@ from .specifications import (
     derive_initial,
     find_initial_tracer,
     find_tracer,
-    is_n_spaced,
     lift_tracer,
 )
 from .verdicts import (

@@ -7,31 +7,29 @@ to it directly.  This module works with the eventually periodic sequences:
 they are dense in the shift space, finitely representable, and every metric
 computation on them terminates with an exact rational value.
 
-The metric is the weighted supremum  max_{m>=1} d(s_m, t_m) / 2^m  over the
-ambient metric rescaled to diameter 1 (the rescaling factor is recorded on
-the :class:`ShiftSpace`).  Because the weights decay geometrically and the
-rescaled distances are at most 1, a scan can stop as soon as the remaining
-tail cannot beat the best value found.  The scan works on ints: it reads
-each term off the ambient metric's integer grid, keeps the best term as a
-pair (entry, position) compared by shifts, and builds one ``Fraction``, the
-result.  So the rescaling is lazy too; the rescaled matrix ``metric`` is
-built only when a caller asks for it.
+The metric is the weighted supremum  max_{m>=1} d(s_m, t_m) / (scale * 2^m),
+where ``scale`` is the ambient metric's diameter (1 when that is 0) and is
+recorded on the :class:`ShiftSpace`.  Because the weights decay
+geometrically and the scaled distances are at most 1, a scan can stop as
+soon as the remaining tail cannot beat the best value found.  The scan
+works on ints: it reads each term off the ambient metric's integer grid,
+keeps the best term as a pair (entry, position) compared by shifts, and
+builds one ``Fraction``, the result.
 
 Word-level utilities (admissible word enumeration, transition-matrix
-primitivity, connecting-path extraction) support building tracers by
-splicing: agree with each segment's base on a window of symbols, and join
-the windows with admissible connecting words.
+primitivity) support building tracers by splicing: agree with each
+segment's base on a window of symbols, and join the windows with
+admissible connecting words.
 
-Every kernel costs per edge and per position read.  Words, connecting paths
-and the splice's feasible sets follow each symbol's successor list, kept on
-the relation (``FiniteRelation.successors``).  ``admissible_words(L)``
-extends words one symbol at a time only up to L - L // 2 symbols; each
-word of length L is then one tuple concatenation, run in C, of a prefix of
-L // 2 symbols and a suffix that may follow it.  So a call builds at most
-the symbols that the words of lengths 1..L hold together.  ``mixing_index``
-keeps each row of a matrix power as an int bitmask, so the next power costs
-one OR per edge, and it stops at Wielandt's bound (n-1)^2 + 1 whatever
-``t_max`` is.
+Every kernel costs per edge and per position read.  Words and the splice's
+feasible sets follow each symbol's successor list, kept on the relation
+(``FiniteRelation.successors``).  ``admissible_words(L)`` extends words one
+symbol at a time only up to L - L // 2 symbols; each word of length L is
+then one tuple concatenation, run in C, of a prefix of L // 2 symbols and a
+suffix that may follow it.  So a call builds at most the symbols that the
+words of lengths 1..L hold together.  ``mixing_index`` keeps each row of a
+matrix power as an int bitmask, so the next power costs one OR per edge,
+and it stops at Wielandt's bound (n-1)^2 + 1 whatever ``t_max`` is.
 ``EPSequence.shifted(j)`` drops the preperiod and rotates the cycle in one
 step, so a trace check at exponent 10^6 costs what it costs at 10.  A trace
 check shifts and measures each distinct pair of phases of a segment once:
@@ -51,7 +49,7 @@ from typing import Sequence
 
 from .errors import NoPreimageError
 from .relations import FiniteRelation, successor_lists
-from .sets import FiniteMetricSpace, rat
+from .sets import rat
 from .specifications import TraceEntry, TraceReport
 
 
@@ -123,56 +121,6 @@ class EPSequence:
 
 
 @dataclass(frozen=True)
-class BiEPSequence:
-    """A two-sided sequence: left cycle, finite core, right cycle.
-
-    ``core_start`` is the absolute position of the first core symbol;
-    position 0 is the marked origin.  Positions below the core repeat the
-    left cycle leftward, positions above it repeat the right cycle.
-    """
-
-    left_cycle: tuple[int, ...]
-    core: tuple[int, ...]
-    right_cycle: tuple[int, ...]
-    core_start: int = 0
-
-    def __post_init__(self):
-        if not self.left_cycle or not self.right_cycle:
-            raise ValueError("both cycles must be non-empty")
-
-    def symbol(self, p: int) -> int:
-        rel = p - self.core_start
-        if rel < 0:
-            return self.left_cycle[rel % len(self.left_cycle)]
-        if rel < len(self.core):
-            return self.core[rel]
-        return self.right_cycle[(rel - len(self.core)) % len(self.right_cycle)]
-
-    def shift(self, direction: str = "forward") -> "BiEPSequence":
-        """Move the origin: forward reads one step into the future."""
-        if direction == "forward":
-            delta = -1
-        elif direction == "backward":
-            delta = 1
-        else:
-            raise ValueError("direction must be 'forward' or 'backward'")
-        return BiEPSequence(
-            self.left_cycle, self.core, self.right_cycle, self.core_start + delta
-        )
-
-    def same_sequence(self, other: "BiEPSequence") -> bool:
-        """Positionwise equality of the two-sided sequences."""
-        left = math.lcm(len(self.left_cycle), len(other.left_cycle))
-        right = math.lcm(len(self.right_cycle), len(other.right_cycle))
-        lo = min(self.core_start, other.core_start) - left
-        hi = (
-            max(self.core_start + len(self.core), other.core_start + len(other.core))
-            + right
-        )
-        return all(self.symbol(p) == other.symbol(p) for p in range(lo, hi + 1))
-
-
-@dataclass(frozen=True)
 class TransitionMatrix:
     """Boolean reachability view of a finite relation's adjacency."""
 
@@ -189,21 +137,6 @@ class TransitionMatrix:
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
         return successor_lists(self.entries)
-
-    def path_witness(self, a: int, b: int, edges: int) -> tuple[int, ...]:
-        """An admissible word of `edges` + 1 symbols from a to b, min-lex."""
-        succ = self.successors
-        reachable = [{a}]
-        for _ in range(edges):
-            reachable.append(set().union(*(succ[i] for i in reachable[-1])))
-        if b not in reachable[-1]:
-            raise NoPreimageError(f"no path of {edges} edges from {a} to {b}")
-        word = [b]
-        for step in range(edges - 1, -1, -1):
-            word.append(
-                min(i for i in reachable[step] if self.entries[i][word[-1]])
-            )
-        return tuple(reversed(word))
 
 
 def mixing_index(matrix: TransitionMatrix, t_max: int) -> int | None:
@@ -235,11 +168,6 @@ class ShiftSpace:
     def of(cls, relation: FiniteRelation) -> "ShiftSpace":
         diam = relation.space.diameter()
         return cls(relation, diam if diam > 0 else Fraction(1))
-
-    @cached_property
-    def metric(self) -> FiniteMetricSpace:
-        """The ambient metric divided by ``scale``, so of diameter 1 (or 0)."""
-        return self.relation.space.rescale(self.scale)
 
     @property
     def n(self) -> int:
@@ -296,24 +224,6 @@ class ShiftSpace:
                 raise ValueError(f"inadmissible step ({a}, {b}) at position {m}")
         return seq
 
-    def bisequence(
-        self,
-        left_cycle: Sequence[int],
-        core: Sequence[int],
-        right_cycle: Sequence[int],
-        core_start: int = 0,
-    ) -> BiEPSequence:
-        self._check_symbols(left_cycle, core, right_cycle)
-        seq = BiEPSequence(tuple(left_cycle), tuple(core), tuple(right_cycle), core_start)
-        adj = self.relation.adjacency
-        lo = seq.core_start - len(seq.left_cycle) - 1
-        hi = seq.core_start + len(seq.core) + len(seq.right_cycle)
-        for p in range(lo, hi + 1):
-            a, b = seq.symbol(p), seq.symbol(p + 1)
-            if not adj[a][b]:
-                raise ValueError(f"inadmissible step ({a}, {b}) at position {p}")
-        return seq
-
     def sup_metric(self, s: EPSequence, t: EPSequence) -> Fraction:
         """max over m >= 1 of d(s_m, t_m) / 2^m, exact.
 
@@ -323,8 +233,9 @@ class ShiftSpace:
         for the result.  The scan stops once 2^-(m+1) (an upper bound for the
         tail, since the normalized diameter is at most 1) cannot beat the
         best value seen; equal sequences are recognized within one joint
-        period.
+        period.  The symbols of both sequences are checked once, up front.
         """
+        self._check_symbols(s.preperiod, s.cycle, t.preperiod, t.cycle)
         horizon = max(len(s.preperiod), len(t.preperiod)) + math.lcm(
             len(s.cycle), len(t.cycle)
         )
@@ -383,8 +294,10 @@ class ShiftSpace:
         tail weight 2^-(w+1) fall within eps, follows the final base
         forever, and joins the windows with admissible connecting words.
         Raises NoPreimageError when no connecting word exists (the relation
-        is not mixing enough for the requested gaps).
+        is not mixing enough for the requested gaps), and ValueError when a
+        base holds a symbol outside 0..n-1.
         """
+        self._check_symbols(*chain.from_iterable((b.preperiod, b.cycle) for b, _, _ in spec))
         eps = rat(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")

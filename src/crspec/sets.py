@@ -613,14 +613,6 @@ class FiniteMetricSpace:
             tuple(i for i, row in enumerate(rows) if min(map(row.__getitem__, am)) <= bound)
         )
 
-    def rescale(self, factor: Fraction) -> "FiniteMetricSpace":
-        """Divide every distance by a positive factor."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return FiniteMetricSpace(
-            tuple(tuple(v / factor for v in row) for row in self.dist)
-        )
-
 
 def validate_metric(space: FiniteMetricSpace) -> MetricCheck:
     """Check symmetry, identity of indiscernibles and the triangle inequality.

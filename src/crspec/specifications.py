@@ -76,10 +76,6 @@ class Specification:
         """Build segments from (base, first, last) triples."""
         return cls(tuple(relation.orbit_segment(b, k, l) for b, k, l in triples))
 
-    @property
-    def n(self) -> int:
-        return len(self.segments)
-
     @cached_property
     def requirements(self) -> tuple[tuple[int, int, int], ...]:
         """(segment i, step j, tracer power) triples; power equals j."""
@@ -121,13 +117,6 @@ class InitialSpecification(Specification):
             reqs += [(i, j, offset + j) for j in range(seg.last + 1)]
             offset += seg.last + gap
         return tuple(reqs)
-
-
-def is_n_spaced(spec: Specificationification, n: int) -> bool:
-    """True iff consecutive segments satisfy first_{i+1} - last_i >= n."""
-    return all(
-        nxt.first - cur.last >= n for cur, nxt in zip(spec.segments, spec.segments[1:])
-    )
 
 
 @dataclass(frozen=True)
@@ -285,9 +274,7 @@ def find_initial_tracer(
     return _search(relation, spec, eps, mode)
 
 
-def derive_initial(
-    relation: Relation, spec: Specificationification
-) -> tuple[InitialSpecification, tuple]:
+def derive_initial(relation: Relation, spec: Specification) -> tuple[InitialSpecification, tuple]:
     """Rebase an N-spaced specification at exponent 0.
 
     Each new base is the minimum element of F^{first_i}(x_i), the gap vector
@@ -313,7 +300,7 @@ def derive_initial(
     return InitialSpecification(segments, tuple(gaps)), bases
 
 
-def lift_tracer(relation: Relation, spec: Specificationification, z):
+def lift_tracer(relation: Relation, spec: Specification, z):
     """The full preimage set {y : z in F^{first_1}(y)}.
 
     Returns a PointSet on finite spaces and a tuple of cells on box

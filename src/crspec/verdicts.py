@@ -406,7 +406,7 @@ def refute_property(
     mode, kind = PROPERTIES[prop]
     spaced = kind is SpacedTemplate
     if not isinstance(template, kind):
-        raise ValueError(f"{prop} needs an {'spaced' if spaced else 'initial'} template")
+        raise ValueError(f"{prop} needs {'a spaced' if spaced else 'an initial'} template")
     values = tuple(values)
     if not values:
         raise ValueError("a refutation needs at least one value")

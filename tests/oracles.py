@@ -170,10 +170,13 @@ def find_ep_tracer(shift_space, spec, eps, max_pre: int, max_cyc: int):
     Candidates run over all admissible (preperiod, cycle) pairs with
     ``len(preperiod) <= max_pre`` and ``len(cycle) <= max_cyc``; the tracing
     check re-derives the weighted-metric comparisons from the raw metric
-    matrix.  Returns the (preperiod, cycle) tuple of the first success.
+    matrix, divided by its own largest entry (or by 1 when every entry is
+    0).  Returns the (preperiod, cycle) tuple of the first success.
     """
     adj = shift_space.relation.adjacency
-    dist = shift_space.metric.dist
+    raw = shift_space.relation.space.dist
+    scale = max(v for row in raw for v in row) or 1
+    dist = [[v / scale for v in row] for row in raw]
     diam = max(v for row in dist for v in row)
     n = len(adj)
     eps = Fraction(eps)

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, keeps no
-process-global cache, writes no float and branches on the relation's kind
-only where it must.
+process-global cache, writes no float, branches on the relation's kind
+only where it must, exports only what it uses or documents, and annotates
+only with names that resolve.
 
 No linter runs with the test suite, so this reads each module's syntax
 tree.  ``__init__.py`` is left out of the import check: its imports are the
@@ -18,10 +19,19 @@ scenario parsing, the random point draw (whose RNG calls must not change)
 and the return type of ``lift_tracer``.  Spaced and initial specifications
 are both their requirement table (see ``crspec.specifications``), so only
 ``refute_property``'s template check may test for ``InitialSpecification``
-or ``InitialTemplate``.
+or ``InitialTemplate``.  A name that ``__init__.py`` exports is either read
+by another module of the package or listed in the README's "Public API"
+section, so an export kept only for the tests shows up here.  Annotations
+are strings under ``from __future__ import annotations`` and are never
+evaluated at run time, so ``typing.get_type_hints`` is called on every
+function, class, method and property to catch a name that does not exist.
 """
 
 import ast
+import importlib
+import inspect
+import re
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -31,6 +41,8 @@ import crspec
 
 PACKAGE = sorted(Path(crspec.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+INIT = Path(crspec.__file__)
+README = Path(__file__).resolve().parents[1] / "README.md"
 GLOBAL_CACHES = ("lru_cache", "cache")
 FLOATS_BY_DESIGN = ("randgen.py",)
 RELATION_KINDS = ("BoxRelation", "FiniteRelation")
@@ -171,3 +183,86 @@ def test_relation_kinds_are_branched_on_only_where_named():
 
 def test_specification_kinds_are_branched_on_only_where_named():
     assert branch_sites(SPEC_KINDS) - Counter(SPEC_KIND_BRANCHES) == Counter()
+
+
+def exports(init_source: str) -> dict[str, str]:
+    """Each name that a ``from .module import name`` puts in the package, with its module."""
+    return {
+        alias.asname or alias.name: node.module
+        for node in ast.walk(ast.parse(init_source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def referenced_names(source: str) -> set[str]:
+    tree = ast.parse(source)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def public_api(readme: str) -> set[str]:
+    """The names in backquotes in the README's "Public API" section."""
+    _, found, rest = readme.partition("\n## Public API\n")
+    return set(re.findall(r"`([A-Za-z_]\w*)`", rest.split("\n## ", 1)[0])) if found else set()
+
+
+def unlisted_exports(init_source: str, modules: dict[str, str], readme: str) -> list[str]:
+    """Exports that no library module but their own references and the README does not list."""
+    listed = public_api(readme)
+    refs = {module: referenced_names(source) for module, source in modules.items()}
+    return sorted(
+        name
+        for name, home in exports(init_source).items()
+        if name not in listed and not any(name in r for module, r in refs.items() if module != home)
+    )
+
+
+def test_the_check_sees_a_test_only_export():
+    init = "from .a import used, listed, tested\n"
+    modules = {
+        "a": "def used(): pass\ndef listed(): pass\ndef tested(): return tested\n",
+        "b": "from .a import used\nused()\n",
+    }
+    readme = "# a\n\n## Public API\n\n- `a`: `listed`\n\n## Tests\n\n`tested` is for the tests.\n"
+    assert unlisted_exports(init, modules, readme) == ["tested"]
+
+
+def test_every_export_is_used_or_listed_as_public():
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    init = INIT.read_text(encoding="utf-8")
+    assert unlisted_exports(init, modules, README.read_text(encoding="utf-8")) == []
+
+
+def test_the_public_api_lists_only_exports():
+    exported = exports(INIT.read_text(encoding="utf-8"))
+    assert public_api(README.read_text(encoding="utf-8")) - set(exported) == set()
+
+
+def definitions(module) -> list:
+    """The functions and classes the module defines, and the methods, properties and
+    cached properties of those classes."""
+    found = []
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        found.append(obj)
+        if inspect.isclass(obj):
+            for member in vars(obj).values():
+                member = getattr(member, "__func__", member)
+                member = getattr(member, "fget", None) or getattr(member, "func", member)
+                if inspect.isfunction(member) and member.__module__ == module.__name__:
+                    found.append(member)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_annotation_resolves(path):
+    module = importlib.import_module(f"crspec.{path.stem}")
+    failures = []
+    for obj in definitions(module):
+        try:
+            typing.get_type_hints(obj)
+        except Exception as exc:
+            failures.append(f"{obj.__qualname__}: {exc!r}")
+    assert failures == []

@@ -6,7 +6,6 @@ import pytest
 
 import oracles
 from crspec import (
-    BiEPSequence,
     EPSequence,
     FiniteMetricSpace,
     FiniteRelation,
@@ -92,8 +91,12 @@ class TestEPSequence:
             lambda: full_space.sequence((), (5,)),
             lambda: full_space.is_admissible((-1, 0)),
             lambda: full_space.is_admissible((0, 2)),
-            lambda: full_space.bisequence((0,), (2,), (1,)),
-            lambda: full_space.bisequence((-1,), (), (0,)),
+            lambda: full_space.sup_metric(EPSequence((), (-1,)), EPSequence((), (1,))),
+            lambda: full_space.sup_metric(EPSequence((), (0,)), EPSequence((1,), (2,))),
+            lambda: full_space.trace_check(((EPSequence((), (0,)), 0, 1),), EPSequence((), (-1,)), 1),
+            lambda: full_space.splice_tracer(
+                ((EPSequence((), (0,)), 0, 1), (EPSequence((-1,), (0,)), 5, 6)), F(1, 4)
+            ),
         )
         for call in calls:
             with pytest.raises(ValueError, match="out of range 0..1"):
@@ -119,26 +122,6 @@ class TestShiftStability:
                 seq = seq.shift()
                 # revalidation through the checked constructor must succeed
                 golden_space.sequence(seq.preperiod, seq.cycle)
-
-
-class TestBiEPSequence:
-    def test_constant_is_shift_invariant(self, full_space):
-        seq = full_space.bisequence((0,), (), (0,))
-        assert seq.shift("forward").same_sequence(seq)
-
-    def test_forward_backward_identity(self, full_space):
-        seq = full_space.bisequence((0,), (1, 0, 1), (1,))
-        assert seq.shift("forward").shift("backward") == seq
-
-    def test_marker_moves_one_position(self, full_space):
-        seq = full_space.bisequence((0,), (1, 0, 1), (1,))
-        moved = seq.shift("forward")
-        for p in range(-5, 8):
-            assert moved.symbol(p) == seq.symbol(p + 1)
-
-    def test_inadmissible_junction_rejected(self, golden_space):
-        with pytest.raises(ValueError):
-            golden_space.bisequence((0,), (1, 1), (0,))
 
 
 class TestSupMetric:
@@ -183,7 +166,8 @@ class TestSupMetric:
         relation = FiniteRelation.from_pairs(wide, [(0, 1), (1, 0), (0, 0), (1, 1)])
         shift = ShiftSpace.of(relation)
         assert shift.scale == 3
-        assert shift.metric.diameter() == 1
+        # the two constant sequences are 3 apart at every position: 3 / (3 * 2)
+        assert shift.sup_metric(shift.sequence((), (0,)), shift.sequence((), (1,))) == F(1, 2)
 
     @staticmethod
     def line_shift():
@@ -242,19 +226,9 @@ class TestMixing:
         assert mixing_index(matrix, 17) == mixing_index(matrix, 10**12) == 17
 
     def test_witness_words_exist_at_the_index(self, golden_space):
-        matrix = golden_space.transition_matrix()
-        t = mixing_index(matrix, 5)
-        for a in range(2):
-            for b in range(2):
-                word = matrix.path_witness(a, b, t)
-                assert len(word) == t + 1
-                assert word[0] == a and word[-1] == b
-                assert golden_space.is_admissible(word)
-
-    def test_witness_raises_when_unreachable(self, two_points):
-        swap = FiniteRelation.from_pairs(two_points, [(0, 1), (1, 0)])
-        with pytest.raises(NoPreimageError):
-            TransitionMatrix.of(swap).path_witness(0, 0, 1)
+        t = mixing_index(golden_space.transition_matrix(), 5)
+        ends = {(word[0], word[-1]) for word in golden_space.admissible_words(t + 1)}
+        assert ends == set(product(range(2), repeat=2))
 
 
 class TestTraceCheck:
@@ -312,6 +286,13 @@ class TestSpliceTracer:
         horizon = len(y.preperiod) + 2 * len(y.cycle)
         word = tuple(y.symbol(m) for m in range(1, horizon + 1))
         assert golden_space.is_admissible(word)
+
+    def test_unreachable_connection_raises(self, two_points):
+        swap = ShiftSpace.of(FiniteRelation.from_pairs(two_points, [(0, 1), (1, 0)]))
+        # position 1 must hold 0, so position 3 holds 0; the final base puts 1 there
+        spec = ((swap.sequence((), (0, 1)), 0, 0), (swap.sequence((), (1, 0)), 2, 2))
+        with pytest.raises(NoPreimageError, match="no admissible connection into position 3"):
+            swap.splice_tracer(spec, F(1, 4))
 
 
 class TestFunctionCollapse:
@@ -411,7 +392,7 @@ class TestKernelsAgainstDefinitions:
     def test_sup_metric_from_the_metric_matrix(self):
         checked = 0
         for rng, shift in _seeded_shifts(6, count=30):
-            dist = shift.metric.dist
+            dist = [[v / shift.scale for v in row] for row in shift.relation.space.dist]
             for _ in range(6):
                 s, t = _random_sequence(rng, shift), _random_sequence(rng, shift)
                 if s is None or t is None:

@@ -29,7 +29,6 @@ from crspec import (
     derive_initial,
     find_initial_tracer,
     find_tracer,
-    is_n_spaced,
     lift_tracer,
     refute_property,
 )
@@ -44,20 +43,6 @@ from crspec.randgen import (
 )
 
 F = Fraction
-
-
-class TestSpacing:
-    def test_gap_of_six_is_five_spaced(self, monica):
-        spec = Specification.build(monica, [(F(0), 2, 3), (F(1), 9, 10)])
-        assert is_n_spaced(spec, 5)
-
-    def test_but_not_seven_spaced(self, monica):
-        spec = Specification.build(monica, [(F(0), 2, 3), (F(1), 9, 10)])
-        assert not is_n_spaced(spec, 7)
-
-    def test_single_segment_vacuous(self, monica):
-        spec = Specification.build(monica, [(F(0), 2, 3)])
-        assert is_n_spaced(spec, 10 ** 6)
 
 
 class TestCheckTrace:

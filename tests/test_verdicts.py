@@ -286,9 +286,12 @@ class TestRefutations:
         assert result.witness.report.passed
 
     def test_template_kind_checked(self, constant):
-        template = InitialTemplate(((F(1), 1), (F(0), 1)))
-        with pytest.raises(ValueError):
-            refute_property(constant, "SP", F(1, 4), template, range(1, 3))
+        initial = InitialTemplate(((F(1), 1), (F(0), 1)))
+        with pytest.raises(ValueError, match="^SP needs a spaced template$"):
+            refute_property(constant, "SP", F(1, 4), initial, range(1, 3))
+        spaced = SpacedTemplate((F(0), 0, 1), ((F(1), 1),))
+        with pytest.raises(ValueError, match="^HISP needs an initial template$"):
+            refute_property(constant, "HISP", F(1, 4), spaced, range(1, 3))
 
     def test_refutations_never_contradict_the_grid_oracle(self):
         rng = random.Random(4242)
