@@ -47,7 +47,7 @@ from itertools import chain
 from operator import or_
 from typing import Sequence
 
-from .errors import NoPreimageError
+from .errors import BadRangeError, NoPreimageError
 from .relations import FiniteRelation, successor_lists
 from .sets import rat
 from .specifications import TraceEntry, TraceReport
@@ -179,6 +179,17 @@ class ShiftSpace:
             if not 0 <= symbol < self.n:
                 raise ValueError(f"symbol {symbol} out of range 0..{self.n - 1}")
 
+    @staticmethod
+    def _check_segments(spec: Sequence[tuple[EPSequence, int, int]]) -> None:
+        """Refuse an empty spec, and a segment that ``OrbitSegment`` would refuse."""
+        if not spec:
+            raise ValueError("a specification needs at least one segment")
+        for _, first, last in spec:
+            if first < 0:
+                raise BadRangeError(f"segment exponent {first} is negative")
+            if first > last:
+                raise BadRangeError(f"segment range [{first}, {last}] is empty")
+
     def is_admissible(self, word: Sequence[int]) -> bool:
         self._check_symbols(word)
         adj = self.relation.adjacency
@@ -267,8 +278,11 @@ class ShiftSpace:
         each base are shifted j times and compared in the sup metric.  Within
         a segment the pair of shifted sequences depends only on the pair of
         phases, so each distinct pair is shifted and measured once and its
-        later exponents reuse that entry's sequences and distance.
+        later exponents reuse that entry's sequences and distance.  Raises
+        ValueError on an empty spec and BadRangeError on a segment with a
+        negative exponent or an empty range.
         """
+        self._check_segments(spec)
         eps = rat(eps)
         entries = []
         for i, (base, first, last) in enumerate(spec, start=1):
@@ -294,9 +308,11 @@ class ShiftSpace:
         tail weight 2^-(w+1) fall within eps, follows the final base
         forever, and joins the windows with admissible connecting words.
         Raises NoPreimageError when no connecting word exists (the relation
-        is not mixing enough for the requested gaps), and ValueError when a
-        base holds a symbol outside 0..n-1.
+        is not mixing enough for the requested gaps), ValueError on an empty
+        spec or when a base holds a symbol outside 0..n-1, and BadRangeError
+        on a segment with a negative exponent or an empty range.
         """
+        self._check_segments(spec)
         self._check_symbols(*chain.from_iterable((b.preperiod, b.cycle) for b, _, _ in spec))
         eps = rat(eps)
         if eps <= 0:

@@ -14,8 +14,8 @@ claims to decide them.  It produces three kinds of evidence instead:
   per-cell failure table for each instantiation.  Because tracer search is
   exact on cells, a refutation is a proof for the tested range, not a
   sampling result.  Each phase class of values past the orbits' transient
-  is searched once; the tables of the later values in it are relabelled
-  from that one (see below).
+  is searched once; a later value in it is not searched: its table is
+  each region's report, built when read (see below).
 * an :class:`Inconclusive` outcome carrying the tracer that defeated the
   attempted refutation.
 
@@ -44,7 +44,8 @@ or the second segment's first tracer power ``last_1 + m``) exceeds T,
 every moving exponent does, so two such values v = v0 (mod P) compare the
 same pairs of sets and have the same table, entry for entry, up to the
 shift (i - 1)(v - v0) of the exponents.  :func:`refute_property` searches
-the first value of each phase class past T and relabels the later ones.
+the first value of each phase class past T; a later one is not
+searched: its table is each region's report, built when read.
 It reads (T, P) only from orbits that some search has already swept to
 their first repeat; while one is open, or has died, every value is
 searched in full.
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -67,8 +69,6 @@ from .specifications import (
     NoTracer,
     RegionFailure,
     Specification,
-    TraceEntry,
-    TraceReport,
     TracerWitness,
     check_trace,
     conjugacy_transport,
@@ -339,6 +339,44 @@ class Instantiation:
     outcome: NoTracer
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class _Instantiations(Sequence):
+    """The tables of a refutation's values; slices are tuples.
+
+    A searched value reads its own table.  Any other value is in a phase
+    class whose search refuted every region, so its table is each region's
+    report, built when read.
+    """
+
+    relation: Relation
+    template: Template
+    eps: Fraction
+    mode: str
+    values: tuple[int, ...]
+    searched: dict[int, NoTracer]
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        value, relation = self.values[index], self.relation
+        if value in self.searched:
+            return Instantiation(value, self.searched[value])
+        spec = self.template.instantiate(relation, value)
+        failures = tuple(
+            RegionFailure(region, rep, check_trace(relation, spec, rep, self.eps, self.mode, region))
+            for region, rep in relation.regions()
+        )
+        return Instantiation(value, NoTracer(failures))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Instantiations)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+
 @dataclass(frozen=True)
 class Refutation:
     """No tracer for any tested instantiation of the template at this eps."""
@@ -347,7 +385,7 @@ class Refutation:
     eps: Fraction
     template: Template
     values: tuple[int, ...]
-    instantiations: tuple[Instantiation, ...]
+    instantiations: Sequence[Instantiation]
 
 
 @dataclass(frozen=True)
@@ -360,87 +398,54 @@ class Inconclusive:
     witness: TracerWitness
 
 
-def _relabel(outcome: NoTracer, shift: int, steps: bool) -> NoTracer:
-    """outcome with (i - 1) * shift added to segment i's tracer powers, and to its steps if steps."""
-    if not shift:
-        return outcome
-    failures = []
-    for failure in outcome.failures:
-        report = failure.report
-        entries = tuple(
-            e
-            if e.segment == 1
-            else TraceEntry(
-                e.segment,
-                e.step + (e.segment - 1) * shift if steps else e.step,
-                e.tracer_power + (e.segment - 1) * shift,
-                e.distance,
-                e.tracer_set,
-                e.target_set,
-            )
-            for e in report.entries
-        )
-        failures.append(
-            RegionFailure(failure.region, failure.representative, TraceReport(report.mode, report.eps, entries))
-        )
-    return NoTracer(tuple(failures))
-
-
 def refute_property(
     relation: Relation, prop: str, eps, template: Template, values: Iterable[int]
 ) -> Refutation | Inconclusive:
     """Try to refute a specification-type property on a template of instances.
 
     The values are read once, in order, and must not be empty.  Each value
-    is decided by the exact tracer search in the property's mode, or, once
-    the region orbits' window (T, P) is known and the value is past T, by
-    relabelling the table of the first value of its phase class (see the
-    module docstring).  The result is a Refutation only if every
-    instantiation yields NoTracer, and an Inconclusive at the first value
-    that admits a tracer; the per-cell tables are kept so each recorded
-    distance can be replayed bit-for-bit.
+    is decided by the exact tracer search in the property's mode, unless the
+    region orbits' window (T, P) is known, the value is past T and its phase
+    class was already searched (see the module docstring).  The result is a
+    Refutation only if every instantiation yields NoTracer, and an
+    Inconclusive at the first value that admits a tracer.  A searched value
+    keeps its table; any other value's table is each region's report, built
+    when read, so every recorded distance is measured and replays exactly.
     """
     if prop not in PROPERTIES:
         raise ValueError(f"property must be one of {tuple(PROPERTIES)}")
     eps = rat(eps)
     mode, kind = PROPERTIES[prop]
-    spaced = kind is SpacedTemplate
     if not isinstance(template, kind):
-        raise ValueError(f"{prop} needs {'a spaced' if spaced else 'an initial'} template")
+        raise ValueError(f"{prop} needs {'a spaced' if kind is SpacedTemplate else 'an initial'} template")
     values = tuple(values)
     if not values:
         raise ValueError("a refutation needs at least one value")
     window = None
-    decided: dict[int, Instantiation] = {}  # phase -> the first value of it searched past T
+    decided: set[int] = set()  # the phases with a value searched past T
+    searched: dict[int, NoTracer] = {}
 
     def phase(value: int) -> int | None:
         if window is None or value < 1 or template.first_moving(value) <= window[0]:
             return None
         return value % window[1]
 
-    outcomes = []
     for value in values:
-        known = decided.get(phase(value))
-        if known is not None:
-            shift = value - known.value
-            outcomes.append(Instantiation(value, _relabel(known.outcome, shift, spaced)))
+        if phase(value) in decided:
             continue
         result = find_tracer(relation, template.instantiate(relation, value), eps, mode)
         if isinstance(result, TracerWitness):
             return Inconclusive(prop, eps, value, result)
-        outcomes.append(Instantiation(value, result))
+        searched[value] = result
         if window is None:
             window = _phase_window(relation)
-            if window is None:
-                continue
-            searched = outcomes  # every value so far was searched in full
+            fresh = searched if window is not None else ()  # every value so far was searched
         else:
-            searched = outcomes[-1:]
-        for inst in searched:
-            key = phase(inst.value)
-            if key is not None:
-                decided.setdefault(key, inst)
-    return Refutation(prop, eps, template, values, tuple(outcomes))
+            fresh = (value,)
+        decided.update(key for key in map(phase, fresh) if key is not None)
+
+    tables = _Instantiations(relation, template, eps, mode, values, searched)
+    return Refutation(prop, eps, template, values, tables)
 
 
 @dataclass(frozen=True)

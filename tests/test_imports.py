@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, keeps no
 process-global cache, writes no float, branches on the relation's kind
-only where it must, exports only what it uses or documents, and annotates
-only with names that resolve.
+only where it must, builds trace entries only where it measures them,
+exports only what it uses or documents, and annotates only with names
+that resolve.
 
 No linter runs with the test suite, so this reads each module's syntax
 tree.  ``__init__.py`` is left out of the import check: its imports are the
@@ -19,7 +20,10 @@ scenario parsing, the random point draw (whose RNG calls must not change)
 and the return type of ``lift_tracer``.  Spaced and initial specifications
 are both their requirement table (see ``crspec.specifications``), so only
 ``refute_property``'s template check may test for ``InitialSpecification``
-or ``InitialTemplate``.  A name that ``__init__.py`` exports is either read
+or ``InitialTemplate``.  A ``TraceEntry`` is built only by
+``specifications._report`` and, for the shift space, by
+``ShiftSpace.trace_check``, so every reported distance is measured, never
+copied from another entry.  A name that ``__init__.py`` exports is either read
 by another module of the package or listed in the README's "Public API"
 section, so an export kept only for the tests shows up here.  Annotations
 are strings under ``from __future__ import annotations`` and are never
@@ -54,6 +58,7 @@ KIND_BRANCHES = (
 )
 SPEC_KINDS = ("InitialSpecification", "InitialTemplate")
 SPEC_KIND_BRANCHES = ("verdicts.py: refute_property",)
+TRACE_ENTRY_SITES = ("mahavier.py: ShiftSpace.trace_check", "specifications.py: _report")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -132,28 +137,46 @@ def test_no_floats(path):
     assert float_uses(path.read_text(encoding="utf-8")) == []
 
 
-def kind_branches(source: str, kinds=RELATION_KINDS) -> list[str]:
-    """The qualified name of the function around each isinstance call on one of the kinds."""
+def call_sites(source: str, matches) -> list[str]:
+    """The qualified name of the function around each call that matches(call) accepts."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "isinstance"
-            and len(node.args) == 2
-        ):
-            names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
-            if names & set(kinds):
-                found.append(".".join(scope) or "<module>")
+        elif isinstance(node, ast.Call) and matches(node):
+            found.append(".".join(scope) or "<module>")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source), ())
     return found
+
+
+def kind_branches(source: str, kinds=RELATION_KINDS) -> list[str]:
+    """The qualified name of the function around each isinstance call on one of the kinds."""
+
+    def matches(call):
+        func = call.func
+        if not (isinstance(func, ast.Name) and func.id == "isinstance" and len(call.args) == 2):
+            return False
+        names = {n.id for n in ast.walk(call.args[1]) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(call.args[1]) if isinstance(n, ast.Attribute)}
+        return bool(names & set(kinds))
+
+    return call_sites(source, matches)
+
+
+def constructions(source: str, name: str) -> list[str]:
+    """The qualified name of the function around each call of name(...) or module.name(...)."""
+
+    def matches(call):
+        func = call.func
+        return (isinstance(func, ast.Name) and func.id == name) or (
+            isinstance(func, ast.Attribute) and func.attr == name
+        )
+
+    return call_sites(source, matches)
 
 
 def test_the_check_sees_a_relation_kind_branch():
@@ -183,6 +206,25 @@ def test_relation_kinds_are_branched_on_only_where_named():
 
 def test_specification_kinds_are_branched_on_only_where_named():
     assert branch_sites(SPEC_KINDS) - Counter(SPEC_KIND_BRANCHES) == Counter()
+
+
+def test_the_check_sees_a_construction():
+    source = (
+        "class C:\n"
+        "    def f(self, e):\n"
+        "        return TraceEntry(1, 0, 0, e, None, None)\n"
+        "g = lambda e: specifications.TraceEntry(e) or TraceReport(e)\n"
+    )
+    assert constructions(source, "TraceEntry") == ["C.f", "<module>"]
+
+
+def test_trace_entries_are_built_only_where_named():
+    sites = Counter(
+        f"{path.name}: {site}"
+        for path in MODULES
+        for site in constructions(path.read_text(encoding="utf-8"), "TraceEntry")
+    )
+    assert sites == Counter(TRACE_ENTRY_SITES)
 
 
 def exports(init_source: str) -> dict[str, str]:

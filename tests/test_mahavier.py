@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from crspec import (
+    BadRangeError,
     EPSequence,
     FiniteMetricSpace,
     FiniteRelation,
@@ -101,6 +102,29 @@ class TestEPSequence:
         for call in calls:
             with pytest.raises(ValueError, match="out of range 0..1"):
                 call()
+
+    def test_an_empty_spec_is_refused(self, full_space):
+        ones = full_space.sequence((), (1,))
+        calls = (
+            lambda: full_space.trace_check((), ones, F(1, 4)),
+            lambda: full_space.splice_tracer((), F(1, 4)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="^a specification needs at least one segment$"):
+                call()
+
+    @pytest.mark.parametrize(
+        "first, last, message",
+        [(-2, 0, "^segment exponent -2 is negative$"), (6, 5, r"^segment range \[6, 5\] is empty$")],
+    )
+    def test_a_bad_segment_range_is_refused(self, full_space, first, last, message):
+        zeros = full_space.sequence((), (0,))
+        ones = full_space.sequence((), (1,))
+        for spec in (((zeros, first, last),), ((zeros, 0, 1), (ones, first, last))):
+            with pytest.raises(BadRangeError, match=message):
+                full_space.trace_check(spec, ones, F(1, 4))
+            with pytest.raises(BadRangeError, match=message):
+                full_space.splice_tracer(spec, F(1, 4))
 
 
 class TestShiftStability:

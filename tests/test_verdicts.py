@@ -361,7 +361,8 @@ def per_value(relation, prop, eps, template, values):
 
 
 class TestPhaseWindow:
-    """Values past the orbits' transient are relabelled from one search per phase class."""
+    """Values past the orbits' transient are decided by one search per phase class;
+    the tables of the others in it are built when read."""
 
     @staticmethod
     def counting(monkeypatch):
@@ -444,6 +445,54 @@ class TestPhaseWindow:
             assert isinstance(result, Refutation) and len(result.instantiations) == n
             counts.append(len(calls))
         assert counts[0] == counts[1] == 1
+
+    @staticmethod
+    def reporting(monkeypatch):
+        """A list that grows by one for every report specifications._report builds."""
+        calls = []
+        report = crspec.specifications._report
+
+        def counted(*args):
+            calls.append(args)
+            return report(*args)
+
+        monkeypatch.setattr(crspec.specifications, "_report", counted)
+        return calls
+
+    def test_reports_do_not_grow_with_the_range(self, unit, monkeypatch):
+        calls = self.reporting(monkeypatch)
+        template = SpacedTemplate((F(0), 2, 3), ((F(1), 1),))
+        counts = []
+        for n in (20, 10000):
+            calls.clear()
+            monica = BoxRelation(unit, (box(0, F(1, 2), 0, 0), box(F(1, 2), 1, 1, 1), box(1, 1, 0, 1)))
+            result = refute_property(monica, "HSP", F(1, 4), template, range(1, n + 1))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+        calls.clear()
+        last = result.instantiations[-1]  # spacing 10000, in the phase class of spacing 1
+        regions = list(monica.regions())
+        assert len(calls) == len(regions) == len(last.outcome.failures)
+        assert [args[2] for args in calls] == [rep for _, rep in regions]
+        assert last.outcome.worst_by_region() == (1, 1, 1, 1)
+
+    def test_the_tables_read_as_the_tuple_they_were(self, unit):
+        monica = BoxRelation(unit, (box(0, F(1, 2), 0, 0), box(F(1, 2), 1, 1, 1), box(1, 1, 0, 1)))
+        template = SpacedTemplate((F(0), 2, 3), ((F(1), 1),))
+        result = refute_property(monica, "HSP", F(1, 4), template, range(1, 8))
+        tables = result.instantiations
+        expected = per_value(monica, "HSP", F(1, 4), template, range(1, 8)).instantiations
+        assert isinstance(expected, tuple)
+        assert len(tables) == 7
+        assert tuple(tables) == tuple(iter(tables)) == expected
+        assert tables[0] == expected[0] and tables[-1] == expected[-1]
+        for part in (slice(2, 5), slice(None, None, -2), slice(5, 100), slice(4, 2)):
+            assert isinstance(tables[part], tuple) and tables[part] == expected[part]
+        assert tables == expected and expected == tables and not tables != expected
+        assert tables == tables and tables != list(expected) and tables != expected[:-1]
+        with pytest.raises(IndexError):
+            tables[7]
+        assert result == per_value(monica, "HSP", F(1, 4), template, range(1, 8))
 
     def test_values_below_one_are_searched(self, unit):
         """Past monica's transient (T = 1) still, but gap 0 and spacing -6 are no instances."""
