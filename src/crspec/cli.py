@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Callable
 
 from .errors import CRSpecError, ScenarioError
 from .mahavier import mixing_index
@@ -54,9 +55,15 @@ class CommandResult:
     outcome: str
     headline: str
     detail: list[str]
-    payload: dict
+    label: str
+    data: Callable[[], dict]
     expect: str | None
     error: str | None = None
+
+    @property
+    def payload(self) -> dict:
+        """The command's JSON data, built only when a JSON report is written."""
+        return {**self.data(), "command": self.label, "verdict": self.outcome}
 
     @property
     def met(self) -> bool | None:
@@ -130,8 +137,8 @@ def _no_tracer_payload(outcome: NoTracer) -> list[dict]:
 
 
 # Each runner takes a command's parameters and returns the outcome, the
-# command's label, the headline, the detail lines and the JSON data; run()
-# assembles them into a CommandResult.
+# command's label, the headline, the detail lines and a function that builds
+# the JSON data; run() assembles them into a CommandResult.
 
 
 def _run_trace(scenario: Scenario, params: dict) -> tuple:
@@ -141,7 +148,7 @@ def _run_trace(scenario: Scenario, params: dict) -> tuple:
     if y is not None:
         report = check_trace(relation, spec, y, eps, mode)
         outcome = _passed(report.passed)
-        data = {"y": fmt(y), **_report_payload(report)}
+        data = lambda: {"y": fmt(y), **_report_payload(report)}
         return outcome, label, f"{label} y {fmt(y)}: {outcome}", _report_lines(report), data
     result = find_tracer(relation, spec, eps, mode)
     if isinstance(result, NoTracer):
@@ -150,9 +157,9 @@ def _run_trace(scenario: Scenario, params: dict) -> tuple:
             f"  region {f.region} (rep {fmt(f.representative)}): worst {_worst(f.report.worst)}"
             for f in result.failures
         ]
-        return "notracer", label, headline, detail, {"regions": _no_tracer_payload(result)}
+        return "notracer", label, headline, detail, lambda: {"regions": _no_tracer_payload(result)}
     headline = f"{label}: witness y = {fmt(result.y)} in region {result.region}"
-    data = {
+    data = lambda: {
         "y": fmt(result.y),
         "region": str(result.region),
         "report": _report_payload(result.report),
@@ -199,11 +206,11 @@ def _run_certify(scenario: Scenario, params: dict) -> tuple:
     label = " ".join(["certify", params["condition"], *(f"{k} {fmt(params[k])}" for k in keys)])
     cert = _CERTIFIERS[params["condition"]](scenario.relation, *(params[k] for k in keys))
     if cert is None:
-        return "notfound", label, f"{label}: not found", [], {}
+        return "notfound", label, f"{label}: not found", [], lambda: {}
     detail = [f"  {cert}"]
     if cert.kind == "trivial-fiber":
         detail.append(f"  x0 = {fmt(cert.evidence[0])}")
-    data = {"certificate": _certificate_payload(cert)}
+    data = lambda: {"certificate": _certificate_payload(cert)}
     return "certificate", label, f"{label}: {cert}", detail, data
 
 
@@ -220,7 +227,7 @@ def _run_refute(scenario: Scenario, params: dict) -> tuple:
     if isinstance(result, Inconclusive):
         witness = result.witness
         headline = f"{label}: inconclusive (tracer at value {result.value}: y = {fmt(witness.y)})"
-        data = {
+        data = lambda: {
             "value": result.value,
             "witness": {"y": fmt(witness.y), "report": _report_payload(witness.report)},
         }
@@ -232,7 +239,8 @@ def _run_refute(scenario: Scenario, params: dict) -> tuple:
     ]
     if len(result.instantiations) > 1:
         detail.append(f"  ... and {len(result.instantiations) - 1} more instantiations, all refuted")
-    data = {
+    # an unsearched value's table is measured when read, and only a JSON report reads it
+    data = lambda: {
         "instantiations": [
             {"value": inst.value, "regions": _no_tracer_payload(inst.outcome)}
             for inst in result.instantiations
@@ -289,7 +297,7 @@ def _run_mahavier(scenario: Scenario, params: dict) -> tuple:
                 f"  enumeration stopped after length {len(counts)}: length {len(counts) + 1}"
                 f" would take the words built past {WORD_SYMBOLS} symbols"
             )
-        data = {"counts": counts, "matrix_counts": expected}
+        data = lambda: {"counts": counts, "matrix_counts": expected}
         return _passed(agree), label, headline, detail, data
     if sub == "mixing":
         index = mixing_index(scenario.shift_space.transition_matrix(), params["tmax"])
@@ -298,20 +306,20 @@ def _run_mahavier(scenario: Scenario, params: dict) -> tuple:
             headline = f"{label}: not primitive within {params['tmax']}"
         else:
             headline = f"{label}: primitive, index {index}"
-        return _passed(index is not None), label, headline, [], {"index": index}
+        return _passed(index is not None), label, headline, [], lambda: {"index": index}
     if sub == "surjectivity":
         full = scenario.relation.space.full()
         p1, p2 = scenario.relation.project(1), scenario.relation.project(2)
         label = "mahavier surjectivity"
         shown = ["full" if p == full else str(p) for p in (p1, p2)]
         headline = f"{label}: p1 {shown[0]}, p2 {shown[1]}"
-        data = {"p1_full": p1 == full, "p2_full": p2 == full}
+        data = lambda: {"p1_full": p1 == full, "p2_full": p2 == full}
         return _passed(p1 == full and p2 == full), label, headline, [], data
     spec = scenario.mspecs[params["mspec"]]
     report = scenario.shift_space.trace_check(spec, scenario.sequences[params["y"]], params["eps"])
     outcome = _passed(report.passed)
     label = f"mahavier trace {params['mspec']} y {params['y']} eps {fmt(params['eps'])}"
-    return outcome, label, f"{label}: {outcome}", _report_lines(report), _report_payload(report)
+    return outcome, label, f"{label}: {outcome}", _report_lines(report), lambda: _report_payload(report)
 
 
 def _run_suite(count: int, seed: int) -> tuple:
@@ -323,12 +331,15 @@ def _run_suite(count: int, seed: int) -> tuple:
     ]
     for v in verdicts:
         detail.extend(f"    {msg}" for msg in v.failures)
-    results = [
-        {"name": v.name, "instances": v.instances, "failures": list(v.failures)}
-        for v in verdicts
-    ]
     headline = f"{label}: {'all implications hold' if ok else 'FAILURES'}"
-    return _passed(ok), label, headline, detail, {"seed": seed, "results": results}
+    data = lambda: {
+        "seed": seed,
+        "results": [
+            {"name": v.name, "instances": v.instances, "failures": list(v.failures)}
+            for v in verdicts
+        ],
+    }
+    return _passed(ok), label, headline, detail, data
 
 
 def run(scenario: Scenario, seed: int = 0, name: str = "<scenario>") -> Report:
@@ -349,9 +360,9 @@ def run(scenario: Scenario, seed: int = 0, name: str = "<scenario>") -> Report:
             outcome, label, headline, detail, data = runners[command.kind](scenario, command.params)
         except CRSpecError as exc:
             error = str(exc)
-            outcome, label, detail, data = "error", command.kind, [], {"message": error}
+            outcome, label, detail = "error", command.kind, []
+            data = lambda error=error: {"message": error}
             headline = f"{command.kind} (line {command.line}): error: {error}"
-        payload = {**data, "command": label, "verdict": outcome}
         report.results.append(
             CommandResult(
                 command.line,
@@ -359,7 +370,8 @@ def run(scenario: Scenario, seed: int = 0, name: str = "<scenario>") -> Report:
                 outcome,
                 headline,
                 detail,
-                payload,
+                label,
+                data,
                 command.expect,
                 error,
             )

@@ -8,8 +8,8 @@ they are dense in the shift space, finitely representable, and every metric
 computation on them terminates with an exact rational value.
 
 The metric is the weighted supremum  max_{m>=1} d(s_m, t_m) / (scale * 2^m),
-where ``scale`` is the ambient metric's diameter (1 when that is 0) and is
-recorded on the :class:`ShiftSpace`.  Because the weights decay
+where ``scale`` is the ambient metric's diameter (1 when that is 0), which
+the :class:`ShiftSpace` reads on first use.  Because the weights decay
 geometrically and the scaled distances are at most 1, a scan can stop as
 soon as the remaining tail cannot beat the best value found.  The scan
 works on ints: it reads each term off the ambient metric's integer grid,
@@ -159,15 +159,20 @@ def mixing_index(matrix: TransitionMatrix, t_max: int) -> int | None:
 
 @dataclass(frozen=True)
 class ShiftSpace:
-    """A finite relation together with the scale that normalizes its diameter."""
+    """The one-sided shift space of a finite relation."""
 
     relation: FiniteRelation
-    scale: Fraction
 
     @classmethod
     def of(cls, relation: FiniteRelation) -> "ShiftSpace":
-        diam = relation.space.diameter()
-        return cls(relation, diam if diam > 0 else Fraction(1))
+        return cls(relation)
+
+    @cached_property
+    def scale(self) -> Fraction:
+        """The diameter that normalizes the metric, 1 when it is 0; read on first use,
+        so a space that never measures builds no metric grid."""
+        diam = self.relation.space.diameter()
+        return diam if diam > 0 else Fraction(1)
 
     @property
     def n(self) -> int:

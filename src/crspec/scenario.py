@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import CRSpecError, ScenarioParseError, ScenarioValidationError
 from .mahavier import EPSequence, ShiftSpace
@@ -78,34 +78,22 @@ def _integer(token: str, line: int) -> int:
     return int(token)
 
 
-class _Lines:
-    """Comment-stripped, tokenized lines with one-line lookahead."""
+def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The comment-stripped, tokenized lines that are not blank, with their numbers."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            yield lineno, body.split()
 
-    def __init__(self, text: str):
-        self.rows = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.rows.append((lineno, body.split()))
-        self.pos = 0
 
-    def done(self) -> bool:
-        return self.pos >= len(self.rows)
-
-    def take(self) -> tuple[int, list[str]]:
-        row = self.rows[self.pos]
-        self.pos += 1
-        return row
-
-    def take_block(self, line: int) -> list[tuple[int, list[str]]]:
-        """Everything up to the matching 'end' line."""
-        body = []
-        while not self.done():
-            lineno, tokens = self.take()
-            if tokens == ["end"]:
-                return body
-            body.append((lineno, tokens))
-        raise ScenarioParseError(line, "block is missing its 'end' line")
+def _block(rows: Iterator[tuple[int, list[str]]], line: int) -> list[tuple[int, list[str]]]:
+    """The rows up to the matching 'end' line, read from the same iterator."""
+    body = []
+    for lineno, tokens in rows:
+        if tokens == ["end"]:
+            return body
+        body.append((lineno, tokens))
+    raise ScenarioParseError(line, "block is missing its 'end' line")
 
 
 def _split_expect(tokens: list[str], line: int) -> tuple[list[str], str | None]:
@@ -492,31 +480,30 @@ class _Builder:
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario; no command is executed."""
     builder = _Builder()
-    lines = _Lines(text)
+    rows = _rows(text)
     commands = {
         "trace": builder.trace,
         "certify": builder.certify,
-        "refute": lambda line, tokens: builder.refute(line, tokens, lines.take_block(line)),
+        "refute": lambda line, tokens: builder.refute(line, tokens, _block(rows, line)),
         "mahavier": builder.mahavier,
         "suite": builder.suite,
     }
-    while not lines.done():
-        lineno, tokens = lines.take()
+    for lineno, tokens in rows:
         keyword, rest = tokens[0], tokens[1:]
         if keyword == "ambient":
             builder.ambient_line(lineno, rest)
         elif keyword == "box":
             builder.box_line(lineno, rest)
         elif keyword == "matrix":
-            builder.matrix_block(lineno, rest, lines.take_block(lineno))
+            builder.matrix_block(lineno, rest, _block(rows, lineno))
         elif keyword == "spec":
-            builder.spec_block(lineno, rest, lines.take_block(lineno), initial=False)
+            builder.spec_block(lineno, rest, _block(rows, lineno), initial=False)
         elif keyword == "ispec":
-            builder.spec_block(lineno, rest, lines.take_block(lineno), initial=True)
+            builder.spec_block(lineno, rest, _block(rows, lineno), initial=True)
         elif keyword == "seq":
             builder.seq_line(lineno, rest)
         elif keyword == "mspec":
-            builder.mspec_block(lineno, rest, lines.take_block(lineno))
+            builder.mspec_block(lineno, rest, _block(rows, lineno))
         elif keyword in commands:
             rest, expect = _split_expect(rest, lineno)
             params, resolve = commands[keyword](lineno, rest)

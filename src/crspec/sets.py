@@ -14,6 +14,12 @@ distances, membership, intersection) works on ints.  ``Fraction`` values are
 made only where a caller reads them: ``parts``, ``min_point``,
 ``max_point``, the text, and a returned distance or common point.
 
+Where two unions meet is worked out once, by :meth:`IntervalUnion.intersect`,
+one merge of their sorted parts; the least common point, containment and
+membership read its result.  ``set_distance`` and ``hausdorff`` keep walks of
+their own: they read the gaps and gap midpoints that an intersection drops,
+and they run on every search, where an endpoint form was about 3x slower.
+
 A finite metric space checks and freezes its matrix in C-level passes and
 converts only entries that are not yet ``Fraction`` values.  On first use it
 puts the entries on one integer grid the same way (see :func:`common_grid`),
@@ -46,7 +52,7 @@ the per-relation memos in :mod:`crspec.relations`.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -140,9 +146,8 @@ def normalize(parts: Iterable[Interval]) -> "IntervalUnion":
 class IntervalUnion:
     """Canonical finite union of closed rational intervals, held on its integer grid.
 
-    ``den`` is the lcm of the endpoints' reduced denominators and ``ends``
-    the endpoints lo_0, hi_0, lo_1, hi_1, ... as ints over ``den``.  Parts
-    are sorted, pairwise disjoint and non-touching.  Construct through
+    Its grid ``(den, ends)`` is the module docstring's; parts are sorted,
+    pairwise disjoint and non-touching.  Construct through
     :func:`normalize`, :meth:`on_grid` or the other classmethods;
     ``IntervalUnion(parts)`` and :meth:`on_grid` only verify canonicity,
     they do not repair it.
@@ -209,15 +214,7 @@ class IntervalUnion:
         return not self.ends
 
     def contains(self, x: RationalLike) -> bool:
-        x = rat(x)
-        q, r = divmod(x.numerator * self.den, x.denominator)
-        ends = self.ends
-        if r:
-            # x lies strictly between q and q + 1, so inside exactly when a part
-            # holds q and goes on past it
-            return bool(bisect_right(ends, q) & 1)
-        i = bisect_left(ends, q)
-        return bool(i & 1) or (i < len(ends) and ends[i] == q)
+        return not self.intersect(IntervalUnion.point(x)).is_empty
 
     def min_point(self) -> Fraction:
         if self.is_empty:
@@ -248,36 +245,12 @@ class IntervalUnion:
         return IntervalUnion.on_grid(den, out)
 
     def first_common_point(self, other: "IntervalUnion") -> Fraction | None:
-        """The least point of both unions, or None when they do not meet.
-
-        One merge of the two sorted part lists on a shared integer grid: the
-        first overlapping pair of parts it meets holds the least common point.
-        """
-        if self.is_empty or other.is_empty:
-            return None
-        den, ea, eb = _shared_grid(self, other, 1)
-        i = j = 0
-        while i < len(ea) and j < len(eb):
-            if ea[i] <= eb[j + 1] and eb[j] <= ea[i + 1]:
-                return Fraction(max(ea[i], eb[j]), den)
-            if ea[i + 1] < eb[j + 1]:
-                i += 2
-            else:
-                j += 2
-        return None
+        """The least point of both unions, or None when they do not meet."""
+        common = self.intersect(other)
+        return None if common.is_empty else common.min_point()
 
     def subset_of(self, other: "IntervalUnion") -> bool:
-        """Each part lies in one part of other: found by bisecting other's ends."""
-        _, ea, eb = _shared_grid(self, other, 1)
-        for lo, hi in _pairs(ea):
-            k = bisect_left(eb, lo)
-            # eb[k - 1] < lo <= eb[k]: inside the part ending at eb[k], or starting there
-            if k & 1:
-                if hi > eb[k]:
-                    return False
-            elif not (k < len(eb) and eb[k] == lo and hi <= eb[k + 1]):
-                return False
-        return True
+        return self.intersect(other) == self
 
     def __str__(self):
         if self.is_empty:
@@ -470,17 +443,8 @@ class PointSet:
         return PointSet.of(set(self.members) & set(other.members))
 
     def first_common_point(self, other: "PointSet") -> int | None:
-        """The least member of both sets, or None when they do not meet; one merge."""
-        a, b = self.members, other.members
-        i = j = 0
-        while i < len(a) and j < len(b):
-            if a[i] == b[j]:
-                return a[i]
-            if a[i] < b[j]:
-                i += 1
-            else:
-                j += 1
-        return None
+        """The least member of both sets, or None when they do not meet."""
+        return min(set(self.members).intersection(other.members), default=None)
 
     def subset_of(self, other: "PointSet") -> bool:
         return set(self.members) <= set(other.members)
@@ -522,12 +486,7 @@ class FiniteMetricSpace:
     @classmethod
     def discrete(cls, n: int) -> "FiniteMetricSpace":
         """The discrete metric: every pair of distinct points at distance 1."""
-        return cls(
-            tuple(
-                tuple(Fraction(0) if i == j else Fraction(1) for j in range(n))
-                for i in range(n)
-            )
-        )
+        return cls(tuple(tuple(Fraction(int(i != j)) for j in range(n)) for i in range(n)))
 
     @property
     def n(self) -> int:

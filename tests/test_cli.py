@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crspec import ScenarioParseError, ScenarioValidationError, ShiftSpace
+from crspec import ScenarioParseError, ScenarioValidationError, ShiftSpace, specifications
 from crspec.cli import WORD_SYMBOLS, json_text, main, render_json, run
 from crspec.scenario import MAX_REFUTED_VALUES, MAX_SUITE_COUNT, parse_scenario
 
@@ -352,6 +352,27 @@ class TestMain:
         path.write_text(text(5, 10_005))
         assert main(["--scenario", str(path), "--quiet"]) == 2
         assert "line 5: a refuted range holds at most 10000 values" in capsys.readouterr().err
+
+    def test_refutation_tables_are_built_only_for_a_json_report(self, tmp_path, monkeypatch):
+        # without --emit a refute line measures only its searches' tables, whatever its range
+        calls = []
+        original = specifications._report
+
+        def counting(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(specifications, "_report", counting)
+        path = tmp_path / "refute.scn"
+        counts = []
+        for hi in (20, 10_000):
+            calls.clear()
+            path.write_text(
+                MONICA_HEADER + f"refute HSP eps 1/4 n 1 {hi}\n  segment 0 k 2 l 3\n  segment 1 len 1\nend\n"
+            )
+            assert main(["--scenario", str(path), "--quiet"]) == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_suite_count_is_capped(self, tmp_path, capsys):
         assert MAX_SUITE_COUNT == 10_000

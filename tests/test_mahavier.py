@@ -193,6 +193,14 @@ class TestSupMetric:
         # the two constant sequences are 3 apart at every position: 3 / (3 * 2)
         assert shift.sup_metric(shift.sequence((), (0,)), shift.sequence((), (1,))) == F(1, 2)
 
+    def test_words_build_no_metric_grid(self):
+        """The scale is read on first use, so enumerating words never builds
+        the ambient metric's grid."""
+        space = FiniteMetricSpace(((F(0), F(3)), (F(3), F(0))))
+        relation = FiniteRelation.from_pairs(space, [(0, 1), (1, 0), (0, 0)])
+        assert len(ShiftSpace.of(relation).admissible_words(4)) == 8
+        assert "grid" not in relation.space.__dict__
+
     @staticmethod
     def line_shift():
         """The full shift over the points 0, 1, 2, 4 of a line: scale 4, so the

@@ -341,6 +341,22 @@ class TestIntegerKernel:
         for x in {F(k, 2 * d) for k in range(-2 * d - 1, 4 * d + 2)}:
             assert a.contains(x) == any(p <= x <= q for p, q in pa)
 
+    @given(
+        union_pairs(),
+        st.lists(
+            st.sampled_from([3, 5, 7, 11, 13]).flatmap(
+                lambda q: st.integers(-2 * q, 3 * q).map(lambda k: F(k, q))
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+    )
+    def test_contains_off_the_grid(self, pair, points):
+        """Points over the primes 3 to 13 mostly fall between a union's grid points."""
+        for a in pair:
+            for x in points:
+                assert a.contains(x) == any(p.lo <= x <= p.hi for p in a.parts)
+
     @given(union_pairs(), st.integers(1, 6))
     def test_grid_is_canonical_and_any_multiple_reduces_to_it(self, pair, k):
         a, _ = pair
