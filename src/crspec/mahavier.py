@@ -180,9 +180,10 @@ class ShiftSpace:
 
     def _check_symbols(self, *words: Sequence[int]) -> None:
         """ValueError unless every symbol of the words is a point 0..n-1."""
+        n = self.n
         for symbol in chain(*words):
-            if not 0 <= symbol < self.n:
-                raise ValueError(f"symbol {symbol} out of range 0..{self.n - 1}")
+            if not 0 <= symbol < n:
+                raise ValueError(f"symbol {symbol} out of range 0..{n - 1}")
 
     @staticmethod
     def _check_segments(spec: Sequence[tuple[EPSequence, int, int]]) -> None:

@@ -143,10 +143,12 @@ def _fields(
 # `mahavier words` prints every count in full, and Python prints no int of more
 # than 4,300 digits; n^1000 stays within that on any space of fewer than 10^4 points.
 MAX_WORD_LENGTH = 1000
-# A refutation's report holds a table for every tested value, and a suite runs
-# every instance; these keep one line's time and memory bounded (see the README).
+# A refutation's report holds a table for every tested value, a suite runs every
+# instance, and a check reports one entry per (segment, step) of its specification;
+# these keep one line's time and memory bounded (see the README).
 MAX_REFUTED_VALUES = 10_000
 MAX_SUITE_COUNT = 10_000
+MAX_SPEC_ENTRIES = 10_000
 
 
 def _count(kv: dict[str, list[str]], key: str, line: int) -> int:
@@ -174,6 +176,26 @@ def _segment(tokens: list[str], line: int, keys: tuple[str, ...]) -> tuple[str, 
     if min(exponents) < 0:
         raise ScenarioParseError(line, "segment exponents must be non-negative")
     return tokens[1], exponents
+
+
+def _segments(body, line: int, keys: tuple[str, ...], tail_keys: tuple[str, ...] = ()) -> list:
+    """The (base, exponents, line) of each segment row of the block headed at ``line``.
+
+    Rows after the first take ``tail_keys`` when given.  A segment `k K l L`
+    holds the steps K..L, and `l L` or `len L` the steps 0..L; a block whose
+    segments hold more than MAX_SPEC_ENTRIES (segment, step) entries in all
+    is refused at its head line.
+    """
+    segments = [
+        (*_segment(seg, segline, tail_keys if idx and tail_keys else keys), segline)
+        for idx, (segline, seg) in enumerate(body)
+    ]
+    entries = sum(max(0, exps[-1] - (exps[0] if len(exps) == 2 else 0) + 1) for _, exps, _ in segments)
+    if entries > MAX_SPEC_ENTRIES:
+        raise ScenarioParseError(
+            line, f"a block's segments hold at most {MAX_SPEC_ENTRIES} (segment, step) entries"
+        )
+    return segments
 
 
 def _point(token: str, line: int, relation):
@@ -273,8 +295,7 @@ class _Builder:
             gaps = tuple(_integer(t, line) for t in kv["gaps"])
         elif tokens[1:]:
             raise ScenarioParseError(line, "unexpected tokens after spec name")
-        keys = ("l",) if initial else ("k", "l")
-        segments = [(*_segment(seg, segline, keys), segline) for segline, seg in body]
+        segments = _segments(body, line, ("l",) if initial else ("k", "l"))
         if not segments:
             raise ScenarioValidationError(line, "a specification needs at least one segment")
         self.raw_specs.append((line, tokens[0], initial, segments, gaps))
@@ -296,7 +317,7 @@ class _Builder:
     def mspec_block(self, line, tokens, body):
         if len(tokens) != 1:
             raise ScenarioParseError(line, "mspec needs exactly a name")
-        segments = [(*_segment(seg, segline, ("k", "l")), segline) for segline, seg in body]
+        segments = _segments(body, line, ("k", "l"))
         if not segments:
             raise ScenarioValidationError(line, "an mspec needs at least one segment")
         self.raw_mspecs.append((line, tokens[0], segments))
@@ -389,12 +410,8 @@ class _Builder:
             raise ScenarioValidationError(line, "range bounds must satisfy 1 <= LO <= HI")
         if hi - lo >= MAX_REFUTED_VALUES:
             raise ScenarioParseError(line, f"a refuted range holds at most {MAX_REFUTED_VALUES} values")
-        segments = []
-        for idx, (segline, seg) in enumerate(body):
-            # initial: every segment 'BASE l L'; spaced: the head 'BASE k K l L',
-            # then tails 'BASE len L'
-            keys = ("l",) if initial else ("len",) if idx else ("k", "l")
-            segments.append((*_segment(seg, segline, keys), segline))
+        # initial: every segment 'BASE l L'; spaced: the head 'BASE k K l L', then tails 'BASE len L'
+        segments = _segments(body, line, ("l",)) if initial else _segments(body, line, ("k", "l"), ("len",))
         if len(segments) < 2:
             raise ScenarioValidationError(line, "a refutation template needs two segments")
 

@@ -79,10 +79,16 @@ def rat(value: RationalLike) -> Fraction:
 
 
 def common_grid(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(den, ints): the rationals as ints over den, the lcm of their denominators."""
-    ratios = list(map(Fraction.as_integer_ratio, values))
-    den = lcm(*{q for _, q in ratios})
-    return den, [p * (den // q) for p, q in ratios]
+    """(den, ints): the rationals as ints over den, the lcm of their denominators.
+
+    Every value is a ``Fraction``, and its reduced numerator and denominator
+    are read from its slots: ``numerator``, ``denominator`` and
+    ``as_integer_ratio`` are Python-level calls, which cost more than the
+    arithmetic on the 400 entries of a 20-point metric.  This is the one
+    routine that turns ``Fraction`` values into grid ints.
+    """
+    den = lcm(*{v._denominator for v in values})
+    return den, [v._numerator * (den // v._denominator) for v in values]
 
 
 @dataclass(frozen=True, order=True)

@@ -34,6 +34,14 @@ def _grid(parts_lists) -> list[Fraction]:
     return [Fraction(k, d) for k in range(lo_n, hi_n + 1)]
 
 
+def common_grid(values) -> tuple[int, list[int]]:
+    """(den, ints): each rational as an int over den, the lcm of the reduced denominators,
+    read through ``as_integer_ratio``."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(q for _, q in ratios))
+    return den, [p * (den // q) for p, q in ratios]
+
+
 def _members(grid, parts):
     return [x for x in grid if any(lo <= x <= hi for lo, hi in parts)]
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crspec import ScenarioParseError, ScenarioValidationError, ShiftSpace, specifications
+from crspec import ScenarioParseError, ScenarioValidationError, ShiftSpace, specifications, verdicts
 from crspec.cli import WORD_SYMBOLS, json_text, main, render_json, run
-from crspec.scenario import MAX_REFUTED_VALUES, MAX_SUITE_COUNT, parse_scenario
+from crspec.scenario import MAX_REFUTED_VALUES, MAX_SPEC_ENTRIES, MAX_SUITE_COUNT, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -28,6 +28,8 @@ spec S
   segment 1 k 9 l 10
 end
 """
+
+INTERVAL = "ambient interval 0 1\nbox 0 1 0 1\n"
 
 TWO_POINTS = """ambient finite 2
 matrix metric
@@ -374,12 +376,47 @@ class TestMain:
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
+    @pytest.mark.parametrize(
+        "head, block, at_cap",
+        [
+            (INTERVAL, "spec S\n  segment 0 k 0 l 4999\n  segment 1 k 1 l {}\n", 5000),
+            (INTERVAL, "ispec S gaps 1\n  segment 0 l 4999\n  segment 1 l {}\n", 4999),
+            (TWO_POINTS + "seq z cycle 0\n", "mspec M\n  segment z k 0 l 4999\n  segment z k 1 l {}\n", 5000),
+            (INTERVAL, "refute HSP eps 1/4 n 1 1\n  segment 0 k 0 l 4999\n  segment 1 len {}\n", 4999),
+            (INTERVAL, "refute ISP eps 1/4 gaps 1 1\n  segment 0 l 4999\n  segment 1 l {}\n", 4999),
+        ],
+        ids=["spec", "ispec", "mspec", "refute-spaced", "refute-initial"],
+    )
+    def test_spec_entries_are_capped(self, tmp_path, capsys, head, block, at_cap):
+        # a check reports every (segment, step) entry of its block, so their number is
+        # bounded; each block holds 5,000 entries in its first segment, at_cap in its second
+        assert MAX_SPEC_ENTRIES == 10_000
+        parse_scenario(head + block.format(at_cap) + "end\n")
+        path = tmp_path / "long.scn"
+        path.write_text(head + block.format(at_cap + 1) + "end\n")
+        assert main(["--scenario", str(path), "--quiet"]) == 2
+        line = head.count("\n") + 1
+        err = capsys.readouterr().err
+        assert f"line {line}: a block's segments hold at most 10000 (segment, step) entries" in err
+
+    def test_certify_lines_reach_the_verdicts_module(self, monkeypatch):
+        # the certifier is looked up when its line runs, so a wrapper installed later sees it
+        calls = []
+        original = verdicts.certify_common_image
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(verdicts, "certify_common_image", counting)
+        assert main(["--scenario", str(SCENARIOS / "monica.scn"), "--quiet"]) == 0
+        assert len(calls) == 1
+
     def test_suite_count_is_capped(self, tmp_path, capsys):
         assert MAX_SUITE_COUNT == 10_000
-        head = "ambient interval 0 1\nbox 0 1 0 1\n"
-        assert parse_scenario(head + "suite count 10000 seed 7\n").commands[0].params["count"] == 10_000
+        assert parse_scenario(INTERVAL + "suite count 10000 seed 7\n").commands[0].params["count"] == 10_000
         path = tmp_path / "many.scn"
-        path.write_text(head + "suite count 10001 seed 7\n")
+        path.write_text(INTERVAL + "suite count 10001 seed 7\n")
         assert main(["--scenario", str(path), "--quiet"]) == 2
         assert "line 3: 'count' must be at most 10000" in capsys.readouterr().err
 

@@ -103,6 +103,22 @@ class TestEPSequence:
             with pytest.raises(ValueError, match="out of range 0..1"):
                 call()
 
+    @pytest.mark.parametrize("symbol", [-1, 2], ids=["minus-one", "n"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda space, bad: space.sequence((), (0, bad)),
+            lambda space, bad: space.sup_metric(EPSequence((), (0,)), EPSequence((0,), (bad,))),
+            lambda space, bad: space.trace_check(((EPSequence((), (bad,)), 0, 1),), EPSequence((), (0,)), 1),
+            lambda space, bad: space.splice_tracer(((EPSequence((bad,), (0,)), 0, 1),), F(1, 4)),
+        ],
+        ids=["sequence", "sup_metric", "trace_check", "splice_tracer"],
+    )
+    def test_each_check_refuses_the_symbols_just_outside(self, full_space, call, symbol):
+        # the full 2-shift: -1 and n = 2 are the nearest symbols that are not points
+        with pytest.raises(ValueError, match=f"symbol {symbol} out of range 0..1"):
+            call(full_space, symbol)
+
     def test_an_empty_spec_is_refused(self, full_space):
         ones = full_space.sequence((), (1,))
         calls = (

@@ -21,6 +21,7 @@ from crspec import (
     rat,
     validate_metric,
 )
+from crspec.sets import common_grid
 
 F = Fraction
 UNIT = IntervalSpace(0, 1)
@@ -445,6 +446,32 @@ class TestIntegerKernel:
                     expected = tuple(i for i in range(n) if min(d[i][j] for j in a.members) <= e)
                     assert space.neighborhood(e, a).members == expected
         assert axioms == {None, "identity", "positivity", "symmetry", "triangle"}
+
+
+# large numerators and denominators, both signs and zero
+any_fraction = st.one_of(
+    st.fractions(),
+    st.builds(F, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+
+
+class TestCommonGrid:
+    """``common_grid`` reads each Fraction's slots; the oracle reads ``as_integer_ratio``."""
+
+    def test_fraction_keeps_the_slots_the_grid_reads(self):
+        # a release of Python without them would break every grid, so say so first
+        assert {"_numerator", "_denominator"} <= set(Fraction.__slots__)
+
+    @given(st.lists(any_fraction, max_size=30))
+    def test_matches_the_ratio_oracle(self, values):
+        den, ints = common_grid(values)
+        assert (den, ints) == oracles.common_grid(values)
+        assert all(type(k) is int for k in [den, *ints])
+        assert [F(k, den) for k in ints] == values
+
+    def test_empty_list_and_zero(self):
+        assert common_grid([]) == (1, [])
+        assert common_grid([F(0), F(-3, 4), F(5, 6)]) == (12, [0, -9, 10])
 
 
 class TestFirstCommonPoint:
