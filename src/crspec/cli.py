@@ -8,7 +8,7 @@ byte-identical for identical scenario text and seed.
 
 Exit codes: 0 when every ``expect`` clause holds and no command errored,
 1 on a missed expectation or a command error, 2 on parse/validation
-problems.
+problems, a scenario that cannot be read and a report that cannot be written.
 
 A command error is a CRSpecError raised while the command runs, such as an
 orbit that dies; it becomes the command's "error" outcome.  Any other
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
@@ -32,13 +31,6 @@ from .mahavier import mixing_index
 from .scenario import Scenario, parse_scenario
 from .specifications import NoTracer, TraceEntry, TraceReport, check_trace, find_tracer
 from .verdicts import Inconclusive, implication_suite, refute_property
-
-
-def fmt(value) -> str:
-    """Exact rendering: rationals as p/q, everything else via str."""
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    return str(value)
 
 
 @dataclass
@@ -83,35 +75,35 @@ def _passed(ok: bool) -> str:
 
 
 def _worst(w: TraceEntry) -> str:
-    return f"{fmt(w.distance)} at (i={w.segment}, j={w.step})"
+    return f"{w.distance} at (i={w.segment}, j={w.step})"
 
 
 def _report_payload(report: TraceReport) -> dict:
     worst = report.worst
     return {
         "mode": report.mode,
-        "eps": fmt(report.eps),
+        "eps": str(report.eps),
         "verdict": _passed(report.passed),
         "entries": [
             {
                 "segment": e.segment,
                 "step": e.step,
                 "power": e.tracer_power,
-                "distance": fmt(e.distance),
+                "distance": str(e.distance),
             }
             for e in report.entries
         ],
         "worst": {
             "segment": worst.segment,
             "step": worst.step,
-            "distance": fmt(worst.distance),
+            "distance": str(worst.distance),
         },
     }
 
 
 def _report_lines(report: TraceReport) -> list[str]:
     lines = [
-        f"  (i={e.segment}, j={e.step}) power {e.tracer_power}: distance {fmt(e.distance)}"
+        f"  (i={e.segment}, j={e.step}) power {e.tracer_power}: distance {e.distance}"
         for e in report.entries
     ]
     lines.append(f"  worst: {_worst(report.worst)}")
@@ -122,7 +114,7 @@ def _no_tracer_payload(outcome: NoTracer) -> list[dict]:
     return [
         {
             "region": str(f.region),
-            "representative": fmt(f.representative),
+            "representative": str(f.representative),
             "report": _report_payload(f.report),
         }
         for f in outcome.failures
@@ -137,23 +129,23 @@ def _no_tracer_payload(outcome: NoTracer) -> list[dict]:
 def _run_trace(scenario: Scenario, params: dict) -> tuple:
     spec = scenario.specs[params["spec"]]
     relation, eps, mode, y = scenario.relation, params["eps"], params["mode"], params["y"]
-    label = f"trace {params['spec']} eps {fmt(eps)} mode {mode}"
+    label = f"trace {params['spec']} eps {eps} mode {mode}"
     if y is not None:
         report = check_trace(relation, spec, y, eps, mode)
         outcome = _passed(report.passed)
-        data = lambda: {"y": fmt(y), **_report_payload(report)}
-        return outcome, label, f"{label} y {fmt(y)}: {outcome}", _report_lines(report), data
+        data = lambda: {"y": str(y), **_report_payload(report)}
+        return outcome, label, f"{label} y {y}: {outcome}", _report_lines(report), data
     result = find_tracer(relation, spec, eps, mode)
     if isinstance(result, NoTracer):
         headline = f"{label}: no tracer (all {len(result.failures)} regions fail)"
         detail = [
-            f"  region {f.region} (rep {fmt(f.representative)}): worst {_worst(f.report.worst)}"
+            f"  region {f.region} (rep {f.representative}): worst {_worst(f.report.worst)}"
             for f in result.failures
         ]
         return "notracer", label, headline, detail, lambda: {"regions": _no_tracer_payload(result)}
-    headline = f"{label}: witness y = {fmt(result.y)} in region {result.region}"
+    headline = f"{label}: witness y = {result.y} in region {result.region}"
     data = lambda: {
-        "y": fmt(result.y),
+        "y": str(result.y),
         "region": str(result.region),
         "report": _report_payload(result.report),
     }
@@ -165,10 +157,10 @@ def _certificate_payload(cert) -> dict:
     if cert.n0 is not None:
         payload["n0"] = cert.n0
     if cert.eps is not None:
-        payload["eps"] = fmt(cert.eps)
+        payload["eps"] = str(cert.eps)
     if cert.kind == "common-image":
         payload["evidence"] = [
-            {"pair": [str(la), str(lb)], "common_point": fmt(pt)}
+            {"pair": [str(la), str(lb)], "common_point": str(pt)}
             for (la, lb), pt in cert.evidence
         ]
     elif cert.kind == "full-image":
@@ -177,11 +169,11 @@ def _certificate_payload(cert) -> dict:
         ]
     elif cert.kind in ("eventual-hausdorff", "eventual-equal"):
         payload["evidence"] = [
-            {"pair": [str(la), str(lb)], "worst": fmt(worst)}
+            {"pair": [str(la), str(lb)], "worst": str(worst)}
             for (la, lb), worst in cert.evidence
         ]
     else:
-        payload["evidence"] = {"x0": fmt(cert.evidence[0]), "fiber": str(cert.evidence[1])}
+        payload["evidence"] = {"x0": str(cert.evidence[0]), "fiber": str(cert.evidence[1])}
     return payload
 
 
@@ -189,21 +181,21 @@ def _run_certify(scenario: Scenario, params: dict) -> tuple:
     # each certifier takes the relation, then eps and n0max where it needs them; it is
     # looked up when the line runs, so a wrapper on crspec.verdicts sees the call
     keys = [key for key in ("eps", "n0max") if key in params]
-    label = " ".join(["certify", params["condition"], *(f"{k} {fmt(params[k])}" for k in keys)])
+    label = " ".join(["certify", params["condition"], *(f"{k} {params[k]}" for k in keys)])
     certifier = getattr(verdicts, "certify_" + params["condition"].replace("-", "_"))
     cert = certifier(scenario.relation, *(params[k] for k in keys))
     if cert is None:
         return "notfound", label, f"{label}: not found", [], lambda: {}
     detail = [f"  {cert}"]
     if cert.kind == "trivial-fiber":
-        detail.append(f"  x0 = {fmt(cert.evidence[0])}")
+        detail.append(f"  x0 = {cert.evidence[0]}")
     data = lambda: {"certificate": _certificate_payload(cert)}
     return "certificate", label, f"{label}: {cert}", detail, data
 
 
 def _run_refute(scenario: Scenario, params: dict) -> tuple:
     lo, hi = params["range"]
-    label = f"refute {params['property']} eps {fmt(params['eps'])} over {lo}..{hi}"
+    label = f"refute {params['property']} eps {params['eps']} over {lo}..{hi}"
     result = refute_property(
         scenario.relation,
         params["property"],
@@ -213,10 +205,10 @@ def _run_refute(scenario: Scenario, params: dict) -> tuple:
     )
     if isinstance(result, Inconclusive):
         witness = result.witness
-        headline = f"{label}: inconclusive (tracer at value {result.value}: y = {fmt(witness.y)})"
+        headline = f"{label}: inconclusive (tracer at value {result.value}: y = {witness.y})"
         data = lambda: {
             "value": result.value,
-            "witness": {"y": fmt(witness.y), "report": _report_payload(witness.report)},
+            "witness": {"y": str(witness.y), "report": _report_payload(witness.report)},
         }
         return "inconclusive", label, headline, _report_lines(witness.report), data
     first = result.instantiations[0]
@@ -305,7 +297,7 @@ def _run_mahavier(scenario: Scenario, params: dict) -> tuple:
     spec = scenario.mspecs[params["mspec"]]
     report = scenario.shift_space.trace_check(spec, scenario.sequences[params["y"]], params["eps"])
     outcome = _passed(report.passed)
-    label = f"mahavier trace {params['mspec']} y {params['y']} eps {fmt(params['eps'])}"
+    label = f"mahavier trace {params['mspec']} y {params['y']} eps {params['eps']}"
     return outcome, label, f"{label}: {outcome}", _report_lines(report), lambda: _report_payload(report)
 
 
@@ -448,7 +440,7 @@ def main(argv=None) -> int:
 
     try:
         text = args.scenario.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return 2
     try:
@@ -461,7 +453,11 @@ def main(argv=None) -> int:
     if not args.quiet:
         sys.stdout.write(render_human(report))
     if args.emit is not None:
-        args.emit.write_text(render_json(report), encoding="utf-8")
+        try:
+            args.emit.write_text(render_json(report), encoding="utf-8")
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return 2
     return 0 if report.ok else 1
 
 

@@ -15,9 +15,9 @@ class EmptyImageError(CRSpecError):
     ``step`` is the first exponent whose image is empty.
     """
 
-    def __init__(self, step, message=None):
+    def __init__(self, step):
         self.step = step
-        super().__init__(message or f"image became empty at step {step}")
+        super().__init__(f"image became empty at step {step}")
 
 
 class BadRangeError(CRSpecError):

@@ -487,9 +487,9 @@ class Cell:
             return None
         return Cell(new_lo, new_hi, lo_closed, hi_closed, self.pattern)
 
-    def pick_point(self, prefer: Fraction | None = None) -> Fraction:
+    def pick_point(self, prefer: Fraction) -> Fraction:
         """A deterministic member; `prefer` wins when it lies inside."""
-        if prefer is not None and self.contains(prefer):
+        if self.contains(prefer):
             return prefer
         return self.representative()
 

@@ -63,6 +63,11 @@ class Scenario:
     shift_space: ShiftSpace | None = None
 
 
+def _too_long(token: str, line: int) -> ScenarioParseError:
+    # Python refuses to read an int of more than sys.get_int_max_str_digits() digits
+    return ScenarioParseError(line, f"numeric literal of {len(token)} characters has too many digits")
+
+
 def _rational(token: str, line: int) -> Fraction:
     if not _RATIONAL.match(token):
         raise ScenarioParseError(line, f"not an integer or fraction literal: {token!r}")
@@ -70,12 +75,17 @@ def _rational(token: str, line: int) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise ScenarioParseError(line, f"zero denominator in {token!r}") from None
+    except ValueError:
+        raise _too_long(token, line) from None
 
 
 def _integer(token: str, line: int) -> int:
     if not re.match(r"^-?\d+$", token):
         raise ScenarioParseError(line, f"not an integer literal: {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise _too_long(token, line) from None
 
 
 def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -236,10 +246,10 @@ class _Builder:
         if self.ambient is not None:
             raise ScenarioParseError(line, "ambient already declared")
         if len(tokens) == 3 and tokens[0] == "interval":
-            lo, hi = _rational(tokens[1], line), _rational(tokens[2], line)
-            if lo >= hi:
-                raise ScenarioValidationError(line, "ambient interval must have positive length")
-            self.ambient = IntervalSpace(lo, hi)
+            try:
+                self.ambient = IntervalSpace(_rational(tokens[1], line), _rational(tokens[2], line))
+            except ValueError as exc:
+                raise ScenarioValidationError(line, str(exc)) from None
         elif len(tokens) == 2 and tokens[0] == "finite":
             self.finite_size = _integer(tokens[1], line)
             if self.finite_size < 1:
@@ -295,9 +305,8 @@ class _Builder:
             gaps = tuple(_integer(t, line) for t in kv["gaps"])
         elif tokens[1:]:
             raise ScenarioParseError(line, "unexpected tokens after spec name")
+        # an empty block is refused by Specification when build() makes it
         segments = _segments(body, line, ("l",) if initial else ("k", "l"))
-        if not segments:
-            raise ScenarioValidationError(line, "a specification needs at least one segment")
         self.raw_specs.append((line, tokens[0], initial, segments, gaps))
 
     def seq_line(self, line, tokens):

@@ -185,12 +185,9 @@ class NoTracer:
 SearchResult = Union[TracerWitness, NoTracer]
 
 
-def _report(relation, spec, y, eps, mode, region) -> TraceReport:
-    """The report at y; region, when given, is the cell or point that holds y.
-
-    {y} is built only when a power-0 requirement reads it.
-    """
-    orbit = relation.orbit(y if region is None else region)
+def _report(relation, spec, y, eps, mode) -> TraceReport:
+    """The report at y; {y} is built only when a power-0 requirement reads it."""
+    orbit = relation.orbit(y)
     origin = None
     entries = []
     for i, j, power in spec.requirements:
@@ -206,19 +203,16 @@ def _report(relation, spec, y, eps, mode, region) -> TraceReport:
     return TraceReport(mode, rat(eps), tuple(entries))
 
 
-def check_trace(relation: Relation, spec: Specification, y, eps, mode: str, region=None) -> TraceReport:
-    """Exact distances for every (i, j) the spec requires, spaced or initial.
-
-    A caller that already holds the cell or point of y may pass it as region.
-    """
-    return _report(relation, spec, y, eps, mode, region)
+def check_trace(relation: Relation, spec: Specification, y, eps, mode: str) -> TraceReport:
+    """Exact distances for every (i, j) the spec requires, spaced or initial."""
+    return _report(relation, spec, y, eps, mode)
 
 
 def check_initial_trace(
-    relation: Relation, spec: InitialSpecification, y, eps, mode: str, region=None
+    relation: Relation, spec: InitialSpecification, y, eps, mode: str
 ) -> TraceReport:
     """The initial name of :func:`check_trace`, over the same body."""
-    return _report(relation, spec, y, eps, mode, region)
+    return _report(relation, spec, y, eps, mode)
 
 
 def _cell_witness(cell, rep, report, zero_bases, eps):
@@ -233,7 +227,7 @@ def _cell_witness(cell, rep, report, zero_bases, eps):
     if not zero_bases:
         return rep
     window = cell.intersect_closed(max(zero_bases) - eps, min(zero_bases) + eps)
-    return None if window is None else window.pick_point(prefer=zero_bases[0])
+    return None if window is None else window.pick_point(zero_bases[0])
 
 
 def _search(relation, spec, eps, mode) -> SearchResult:
@@ -246,7 +240,7 @@ def _search(relation, spec, eps, mode) -> SearchResult:
     zero_bases = [spec.segments[i - 1].base for i, _, power in spec.requirements if power == 0]
     failures = []
     for region, rep in relation.regions():
-        report = check_trace(relation, spec, rep, eps, mode, region)
+        report = check_trace(relation, spec, rep, eps, mode)
         if region is rep:
             if report.passed:
                 return TracerWitness(rep, region, report)
@@ -254,7 +248,7 @@ def _search(relation, spec, eps, mode) -> SearchResult:
             y = _cell_witness(region, rep, report, zero_bases, eps)
             if y is not None:
                 if y != rep:
-                    report = check_trace(relation, spec, y, eps, mode, region)
+                    report = check_trace(relation, spec, y, eps, mode)
                 if not report.passed:
                     raise AssertionError("cell-level pass must yield a passing witness")
                 return TracerWitness(y, region, report)

@@ -202,22 +202,13 @@ def certify_eventual_hausdorff(relation: Relation, eps, n0_max: int) -> Certific
     orbits = _eventual_orbits(relation)
     for n0 in range(1, _last_n0(relation, n0_max, image=False) + 1):
         evidence = []
-        ok = True
-        equal = True
-        for a in range(len(orbits)):
-            for b in range(a + 1, len(orbits)):
-                (la, oa), (lb, ob) = orbits[a], orbits[b]
-                worst = _eventual_worst(relation, oa, ob, n0)
-                if worst > eps:
-                    ok = False
-                    break
-                if worst > 0:
-                    equal = False
-                evidence.append(((la, lb), worst))
-            if not ok:
+        for (la, oa), (lb, ob) in combinations(orbits, 2):
+            worst = _eventual_worst(relation, oa, ob, n0)
+            if worst > eps:
                 break
-        if ok:
-            kind = "eventual-equal" if equal else "eventual-hausdorff"
+            evidence.append(((la, lb), worst))
+        else:
+            kind = "eventual-hausdorff" if any(w > 0 for _, w in evidence) else "eventual-equal"
             return Certificate(kind, n0, eps, tuple(evidence))
     return None
 
@@ -366,7 +357,7 @@ class _Instantiations(Sequence):
             return Instantiation(value, self.searched[value])
         spec = self.template.instantiate(relation, value)
         failures = tuple(
-            RegionFailure(region, rep, check_trace(relation, spec, rep, self.eps, self.mode, region))
+            RegionFailure(region, rep, check_trace(relation, spec, rep, self.eps, self.mode))
             for region, rep in relation.regions()
         )
         return Instantiation(value, NoTracer(failures))

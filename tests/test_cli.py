@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -440,6 +441,42 @@ class TestMain:
         assert main(["--scenario", str(tmp_path / "nope.scn"), "--quiet"]) == 2
         capsys.readouterr()
 
+    def test_exit_two_on_a_file_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_bytes(b"# \xff\n" + MINIMAL.encode())
+        assert main(["--scenario", str(bad), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("cannot read scenario: ")
+
+    def test_exit_two_on_an_unwritable_report(self, tmp_path, capsys):
+        path = tmp_path / "ok.scn"
+        path.write_text(MINIMAL)
+        emit = tmp_path / "missing" / "r.json"
+        assert main(["--scenario", str(path), "--emit", str(emit)]) == 2
+        captured = capsys.readouterr()
+        assert "all expectations met" in captured.out
+        assert captured.err.startswith("cannot write report: ")
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python reads int literals of any length",
+    )
+    @pytest.mark.parametrize(
+        "block, line",
+        [
+            pytest.param("trace S eps 1{} mode plain\n", 9, id="eps"),
+            pytest.param("suite count 1{}\n", 9, id="count"),
+            pytest.param("spec T\n  segment 0 k 0 l 1{}\nend\n", 10, id="exponent"),
+        ],
+    )
+    def test_literal_past_the_digit_limit_exits_two(self, block, line, tmp_path, capsys):
+        zeros = "0" * sys.get_int_max_str_digits()
+        bad = tmp_path / "bad.scn"
+        bad.write_text(MONICA_HEADER + block.format(zeros))
+        assert main(["--scenario", str(bad), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: " in err
+        assert "Traceback" not in err and zeros not in err
+
     def test_reports_are_byte_identical_across_runs(self, tmp_path, capsys):
         outs = []
         jsons = []
@@ -468,9 +505,12 @@ class TestMain:
         assert "seed 9" in out
 
 
-# Small integers, negatives included, and small fractions (zero denominators too).
+# Small integers, negatives included, small fractions (zero denominators too),
+# and one literal past Python's default limit of 4,300 digits for an int.
 SMALL = st.integers(-3, 8)
-NUMBERS = st.one_of(SMALL.map(str), st.builds("{}/{}".format, SMALL, st.integers(0, 8)))
+NUMBERS = st.one_of(
+    SMALL.map(str), st.builds("{}/{}".format, SMALL, st.integers(0, 8)), st.just("1" + "0" * 5000)
+)
 NUMERIC = re.compile(r"^-?\d+(?:/\d+)?$")
 FUZZED = ["monica.scn", "constant.scn", "exi.scn", "goldenmean.scn"]
 COUNT_KEYS = ("maxlen", "tmax", "n0max", "count")

@@ -453,9 +453,9 @@ class TestOrbitSweep:
         checked = []
         check = crspec.specifications.check_trace
 
-        def counted(relation, spec, y, eps, mode, region=None):
+        def counted(relation, spec, y, eps, mode):
             checked.append(y)
-            return check(relation, spec, y, eps, mode, region)
+            return check(relation, spec, y, eps, mode)
 
         monkeypatch.setattr(crspec.specifications, "check_trace", counted)
         full = FiniteRelation.from_pairs(two_points, [(0, 0), (0, 1), (1, 0), (1, 1)])

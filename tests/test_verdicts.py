@@ -186,6 +186,30 @@ class TestEventualHausdorff:
         assert cert.n0 == 4
         assert recheck(fan, cert)
 
+    @pytest.mark.parametrize("name, eps, n0max", [("monica", F(1, 4), 8), ("fan", F(1, 8), 6)])
+    def test_each_n0_stops_at_its_first_failing_pair(self, name, eps, n0max, request, monkeypatch):
+        relation = request.getfixturevalue(name)
+        measured = {}
+        worst_of = crspec.verdicts._eventual_worst
+
+        def counted(relation, oa, ob, n0):
+            worst = worst_of(relation, oa, ob, n0)
+            measured.setdefault(n0, []).append(worst)
+            return worst
+
+        monkeypatch.setattr(crspec.verdicts, "_eventual_worst", counted)
+        cert = certify_eventual_hausdorff(relation, eps, n0max)
+        pairs = math.comb(len(list(relation.regions())), 2)
+        assert list(measured) == list(range(1, len(measured) + 1))
+        for n0, worsts in measured.items():
+            if cert is not None and n0 == cert.n0:
+                assert worsts == [worst for _, worst in cert.evidence] and len(worsts) == pairs
+            else:
+                # the first pair past eps is the last one measured at this n0
+                assert [w > eps for w in worsts] == [False] * (len(worsts) - 1) + [True]
+        assert (cert is None) == (name == "monica")
+        assert any(len(worsts) < pairs for worsts in measured.values())
+
     def test_soundness_hausdorff_tracing_from_the_first_base(self, fan):
         cert = certify_eventual_hausdorff(fan, F(1, 4), 6)
         rng = random.Random(77)
