@@ -19,22 +19,23 @@ builds one ``Fraction``, the result.
 Word-level utilities (admissible word enumeration, transition-matrix
 primitivity) support building tracers by splicing: agree with each
 segment's base on a window of symbols, and join the windows with
-admissible connecting words.
+admissible connecting words, whose symbols are read off the relation's
+memoized orbits: deciding a splice costs the windows plus the orbits'
+transients and periods, not the gaps.
 
-Every kernel costs per edge and per position read.  Words and the splice's
-feasible sets follow each symbol's successor list, kept on the relation
-(``FiniteRelation.successors``).  ``admissible_words(L)`` extends words one
-symbol at a time only up to L - L // 2 symbols; each word of length L is
-then one tuple concatenation, run in C, of a prefix of L // 2 symbols and a
-suffix that may follow it.  So a call builds at most the symbols that the
-words of lengths 1..L hold together.  ``mixing_index`` keeps each row of a
-matrix power as an int bitmask, so the next power costs one OR per edge,
-and it stops at Wielandt's bound (n-1)^2 + 1 whatever ``t_max`` is.
-``EPSequence.shifted(j)`` drops the preperiod and rotates the cycle in one
-step, so a trace check at exponent 10^6 costs what it costs at 10.  A trace
-check shifts and measures each distinct pair of phases of a segment once:
-a segment's sup-metric scans number at most the larger preperiod plus the
-lcm of the two cycle lengths, whatever its length.
+Every kernel costs per edge and per position read.  Words follow each
+symbol's successor list, ``FiniteRelation.successors``.  ``admissible_words(L)``
+extends words one symbol at a time only up to L - L // 2 symbols; each word
+of length L is then one tuple concatenation, run in C, of a prefix of
+L // 2 symbols and a suffix that may follow it.  So a call builds at most
+the symbols that the words of lengths 1..L hold together.  ``mixing_index``
+keeps each row of a matrix power as an int bitmask, so the next power costs
+one OR per edge, and it stops at Wielandt's bound (n-1)^2 + 1 whatever
+``t_max`` is.  ``EPSequence.shifted(j)`` drops the preperiod and rotates the
+cycle in one step, so a trace check at exponent 10^6 costs what it costs at
+10.  A trace check shifts and measures each distinct pair of phases of a
+segment once: a segment's sup-metric scans number at most the larger
+preperiod plus the lcm of the two cycle lengths, whatever its length.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from itertools import chain
 from operator import or_
 from typing import Sequence
 
-from .errors import BadRangeError, NoPreimageError
-from .relations import FiniteRelation, successor_lists
+from .errors import BadRangeError, EmptyImageError, NoPreimageError
+from .relations import FiniteRelation, Orbit, successor_lists
 from .sets import rat
 from .specifications import TraceEntry, TraceReport
 
@@ -304,19 +305,20 @@ class ShiftSpace:
                 entries.append(TraceEntry(i, j, j, distance, sy, sx))
         return TraceReport("plain", eps, tuple(entries))
 
-    def splice_tracer(
-        self, spec: Sequence[tuple[EPSequence, int, int]], eps
-    ) -> EPSequence:
+    def splice_tracer(self, spec: Sequence[tuple[EPSequence, int, int]], eps) -> EPSequence:
         """Build a tracer by word surgery.
 
         The tracer copies each base on the window of positions
         [first_i + 1, last_i + w], where w is the least depth making the
         tail weight 2^-(w+1) fall within eps, follows the final base
-        forever, and joins the windows with admissible connecting words.
-        Raises NoPreimageError when no connecting word exists (the relation
-        is not mixing enough for the requested gaps), ValueError on an empty
-        spec or when a base holds a symbol outside 0..n-1, and BadRangeError
-        on a segment with a negative exponent or an empty range.
+        forever, and joins the windows with the least admissible connecting
+        words.  Deciding costs the windows plus the relation's orbit
+        transients and periods, whatever the gaps; a witness still spells
+        out every symbol before the final segment.  Raises NoPreimageError
+        at the first position left with no symbol (the relation is not
+        mixing enough for the requested gaps), ValueError on an empty spec
+        or when a base holds a symbol outside 0..n-1, and BadRangeError on
+        a segment with a negative exponent or an empty range.
         """
         self._check_segments(spec)
         self._check_symbols(*chain.from_iterable((b.preperiod, b.cycle) for b, _, _ in spec))
@@ -327,42 +329,39 @@ class ShiftSpace:
         while Fraction(1, 2 ** (w + 1)) > eps:
             w += 1
 
-        final_base, final_first, _ = spec[-1]
-        tail = final_base.shifted(final_first)
-        prefix_len = final_first
+        final_base, prefix_len, _ = spec[-1]
+        tail = final_base.shifted(prefix_len)
 
         fixed: dict[int, int] = {}
         for base, first, last in spec[:-1]:
             for pos in range(first + 1, last + w + 1):
                 sym = base.symbol(pos)
                 if fixed.get(pos, sym) != sym:
-                    raise NoPreimageError(
-                        f"segment windows conflict at position {pos}"
-                    )
+                    raise NoPreimageError(f"segment windows conflict at position {pos}")
                 fixed[pos] = sym
         if any(pos > prefix_len for pos in fixed):
             raise NoPreimageError("segment windows overrun the final segment")
 
-        if prefix_len == 0:
-            return tail
-
-        # Feasible symbol sets position by position, then a min-lex backtrack.
-        adj = self.relation.adjacency
-        succ = self.relation.successors
-        feasible = [set()] * (prefix_len + 2)
-        feasible[1] = {fixed[1]} if 1 in fixed else set(range(self.n))
-        for p in range(2, prefix_len + 2):
-            reach = set().union(*(succ[a] for a in feasible[p - 1]))
-            if p == prefix_len + 1:
-                reach &= {tail.symbol(1)}
-            elif p in fixed:
-                reach &= {fixed[p]}
-            feasible[p] = reach
-            if not feasible[p]:
-                raise NoPreimageError(f"no admissible connection into position {p}")
-        word = [tail.symbol(1)]
-        for p in range(prefix_len, 0, -1):
-            word.append(min(a for a in feasible[p] if adj[a][word[-1]]))
+        # A free position p after the fixed position a opens F^(p-a)({fixed[a]}), and
+        # one before the first F^(p-1)(X): the orbit of X, read from a virtual position 0.
+        relation = self.relation
+        fixed[prefix_len + 1] = tail.symbol(1)
+        starts = sorted(fixed)
+        whole = Orbit(relation, relation.space.full())
+        stretches = [(a, q, relation.orbit(fixed[a]) if a else whole) for a, q in zip([0] + starts, starts)]
+        for a, q, orbit in stretches:
+            try:
+                dead = None if orbit.value_at(q - a).contains(fixed[q]) else q
+            except EmptyImageError as death:
+                dead = a + death.step
+            if dead is not None:
+                raise NoPreimageError(f"no admissible connection into position {dead}")
+        adj = relation.adjacency
+        word = [fixed[prefix_len + 1]]
+        for a, q, orbit in reversed(stretches):
+            for p in range(q - 1, a, -1):
+                word.append(next(s for s in orbit.value_at(p - a).members if adj[s][word[-1]]))
+            if a:
+                word.append(fixed[a])
         prefix = tuple(reversed(word))[:-1]
         return EPSequence(prefix + tail.preperiod, tail.cycle)
-

@@ -16,6 +16,7 @@ metric raises ScenarioValidationError.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -63,29 +64,36 @@ class Scenario:
     shift_space: ShiftSpace | None = None
 
 
-def _too_long(token: str, line: int) -> ScenarioParseError:
-    # Python refuses to read an int of more than sys.get_int_max_str_digits() digits
-    return ScenarioParseError(line, f"numeric literal of {len(token)} characters has too many digits")
+def _check_digits(token: str, line: int) -> None:
+    """Refuse a literal with a numerator or denominator of more than D = (L - 1) // 4
+    digits, L being the most digits Python prints in an int (no cap when L is 0).
+
+    A printed value combines at most four literals: a witness midpoint of a cell
+    end c and x_j + eps, measured against another base x_k, is
+    |c + x_j + eps - 2 x_k| / 2.  Its numerator and denominator stay below
+    10^(4 D + 1), so they print.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() = 0 where Python has no limit
+    cap = (limit - 1) // 4
+    if limit and len(token) > cap and max(map(len, token.lstrip("-").split("/"))) > cap:
+        raise ScenarioParseError(line, f"numeric literal of {len(token)} characters has too many digits")
 
 
 def _rational(token: str, line: int) -> Fraction:
     if not _RATIONAL.match(token):
         raise ScenarioParseError(line, f"not an integer or fraction literal: {token!r}")
+    _check_digits(token, line)
     try:
         return Fraction(token)
     except ZeroDivisionError:
         raise ScenarioParseError(line, f"zero denominator in {token!r}") from None
-    except ValueError:
-        raise _too_long(token, line) from None
 
 
 def _integer(token: str, line: int) -> int:
     if not re.match(r"^-?\d+$", token):
         raise ScenarioParseError(line, f"not an integer literal: {token!r}")
-    try:
-        return int(token)
-    except ValueError:
-        raise _too_long(token, line) from None
+    _check_digits(token, line)
+    return int(token)
 
 
 def _rows(text: str) -> Iterator[tuple[int, list[str]]]:

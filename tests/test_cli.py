@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -477,6 +478,47 @@ class TestMain:
         assert f"line {line}: " in err
         assert "Traceback" not in err and zeros not in err
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python prints ints of any length",
+    )
+    @pytest.mark.parametrize(
+        "d1, d2, line",
+        [
+            pytest.param(10**3000, 3 * 10**3000 + 7, 4, id="two-long-denominators"),
+            pytest.param(None, None, 2, id="four-literals-past-the-cap"),
+        ],
+    )
+    def test_a_value_too_long_to_print_exits_two(self, d1, d2, line, tmp_path, capsys):
+        # each alone prints, but |1/d1 - 1/d2| or the worst case below would not
+        if d1 is None:
+            text = _four_literal_witness((sys.get_int_max_str_digits() - 1) // 4 + 1)
+        else:
+            text = (
+                f"ambient interval 0 1\nbox 0 1 0 1\nspec S\n  segment 1/{d2} k 0 l 0\nend\n"
+                f"trace S y 1/{d1} eps 1 mode plain\n"
+            )
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text)
+        assert main(["--scenario", str(bad), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: " in err and "too many digits" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python prints ints of any length",
+    )
+    def test_the_worst_printed_value_fits_at_the_cap(self, tmp_path, capsys):
+        cap = (sys.get_int_max_str_digits() - 1) // 4
+        path = tmp_path / "worst.scn"
+        path.write_text(_four_literal_witness(cap))
+        assert main(["--scenario", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "witness y = " in out
+        # the distance from y to the first base has a denominator of 4 * cap + 1 digits
+        assert max(map(len, re.findall(r"\d+", out))) == 4 * cap + 1
+
     def test_reports_are_byte_identical_across_runs(self, tmp_path, capsys):
         outs = []
         jsons = []
@@ -649,3 +691,32 @@ class TestLineNumbers:
         path.write_text(MONICA_HEADER + line + "\n")
         assert main(["--scenario", str(path), "--quiet"]) == 0
         capsys.readouterr()
+
+
+def _four_literal_witness(digits):
+    """A scenario whose witness distance combines four literals of the given digits.
+
+    Bases x1 ~ 3/10 and x2 ~ 1/2 with eps ~ 3/20 pin y to [x2 - eps, x1 + eps],
+    which the cell [0, c), c ~ 2/5, cuts at c; x1 lies outside, so the witness
+    is the midpoint (x2 - eps + c) / 2, and its distance to x1 reads c, x1, x2
+    and eps.  Each denominator is the largest below 10^digits that is coprime to
+    the ones before it.
+    """
+    dens: list[int] = []
+    den = 10**digits
+    while len(dens) < 4:
+        den -= 1
+        if all(math.gcd(den, d) == 1 for d in dens):
+            dens.append(den)
+    values = []
+    for den, twentieths in zip(dens, (6, 10, 8, 3)):
+        num = den * twentieths // 20
+        while math.gcd(num, den) != 1:
+            num += 1
+        values.append(f"{num}/{den}")
+    x1, x2, c, eps = values
+    return (
+        f"ambient interval 0 1\nbox 0 {c} 0 0\nbox {c} 1 1 1\n"
+        f"spec S\n  segment {x1} k 0 l 0\n  segment {x2} k 0 l 0\nend\n"
+        f"trace S eps {eps} mode plain\n"
+    )

@@ -342,6 +342,113 @@ class TestSpliceTracer:
         with pytest.raises(NoPreimageError, match="no admissible connection into position 3"):
             swap.splice_tracer(spec, F(1, 4))
 
+    def test_matches_the_position_by_position_reference(self):
+        # 2,400 seeded instances: n = 2..6 with dead symbols, 1-3 segments, gaps 0-6
+        rng = random.Random(2113)
+        outcomes = set()
+        for _ in range(2400):
+            n = rng.randint(2, 6)
+            dead = set(rng.sample(range(n), rng.randint(0, n - 1)))
+            adjacency = [[i not in dead and rng.random() < 0.4 for _ in range(n)] for i in range(n)]
+            shift = ShiftSpace.of(FiniteRelation(FiniteMetricSpace.discrete(n), adjacency))
+            spec, first = [], rng.randint(0, 3)
+            for _ in range(rng.randint(1, 3)):
+                last = first + rng.randint(0, 2)
+                pre = tuple(rng.randrange(n) for _ in range(rng.randint(0, 2)))
+                cycle = tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))
+                spec.append((EPSequence(pre, cycle), first, last))
+                first = last + rng.randint(0, 6)
+            eps = rng.choice([F(1, 2), F(1, 3), F(1, 4), F(1, 8)])
+            got, want = _outcome(shift.splice_tracer, spec, eps), _outcome(_reference_splice, shift, spec, eps)
+            assert got == want, (adjacency, spec, eps)
+            outcomes.add(want[0] if want[0] == "witness" else want[1].split(" position")[0])
+        # witnesses, connections that die or miss, conflicts and overruns all occur
+        assert len(outcomes) == 4
+
+    @staticmethod
+    def _image_calls(monkeypatch, shift, spec):
+        """How many FiniteRelation.image calls a refused splice makes, and its error text."""
+        calls = []
+        image = FiniteRelation.image
+        with monkeypatch.context() as patch, pytest.raises(NoPreimageError) as refused:
+            patch.setattr(FiniteRelation, "image", lambda rel, s: calls.append(s) or image(rel, s))
+            shift.splice_tracer(spec, F(1, 4))
+        return len(calls), str(refused.value)
+
+    def test_a_refutation_costs_the_same_at_any_gap(self, two_points, monkeypatch):
+        counts = set()
+        for k in (10**3, 10**9):
+            swap = ShiftSpace.of(FiniteRelation.from_pairs(two_points, [(0, 1), (1, 0)]))
+            spec = ((swap.sequence((), (0, 1)), 0, 0), (swap.sequence((), (1, 0)), k, k))
+            calls, message = self._image_calls(monkeypatch, swap, spec)
+            assert message == f"no admissible connection into position {k + 1}"
+            counts.add(calls)
+        assert len(counts) == 1
+
+    def test_a_connection_that_dies_names_its_death_step(self, monkeypatch):
+        # 0 -> 1 -> 2 -> nothing, and 3 -> 0 or 3: the window at position a = k + 1
+        # holds 0, so position a + 3 opens no symbol, however far off the final segment
+        k = 10**9
+        pairs = [(0, 1), (1, 2), (3, 0), (3, 3)]
+        dying = FiniteRelation.from_pairs(FiniteMetricSpace.discrete(4), pairs)
+        zeros = EPSequence((), (0,))
+        calls, message = self._image_calls(
+            monkeypatch, ShiftSpace.of(dying), ((zeros, k, k), (zeros, 2 * k, 2 * k))
+        )
+        assert message == f"no admissible connection into position {k + 4}"
+        # F(X) = X, then F({0}), F({1}) and the empty F({2})
+        assert calls == 4
+
+
+def _outcome(call, *args):
+    """A splice's (preperiod, cycle), or the text of the NoPreimageError it raises."""
+    try:
+        y = call(*args)
+    except NoPreimageError as refused:
+        return "refused", str(refused)
+    return "witness", y.preperiod, y.cycle
+
+
+def _reference_splice(shift, spec, eps):
+    """splice_tracer as it stood before it read the relation's orbits: one
+    feasible symbol set per position, each the union of the successor lists
+    of the last, then a min-lex backtrack."""
+    w = 0
+    while Fraction(1, 2 ** (w + 1)) > eps:
+        w += 1
+    final_base, final_first, _ = spec[-1]
+    tail = final_base.shifted(final_first)
+    prefix_len = final_first
+    fixed = {}
+    for base, first, last in spec[:-1]:
+        for pos in range(first + 1, last + w + 1):
+            sym = base.symbol(pos)
+            if fixed.get(pos, sym) != sym:
+                raise NoPreimageError(f"segment windows conflict at position {pos}")
+            fixed[pos] = sym
+    if any(pos > prefix_len for pos in fixed):
+        raise NoPreimageError("segment windows overrun the final segment")
+    if prefix_len == 0:
+        return tail
+    adj = shift.relation.adjacency
+    succ = shift.relation.successors
+    feasible = [set()] * (prefix_len + 2)
+    feasible[1] = {fixed[1]} if 1 in fixed else set(range(shift.n))
+    for p in range(2, prefix_len + 2):
+        reach = set().union(*(succ[a] for a in feasible[p - 1]))
+        if p == prefix_len + 1:
+            reach &= {tail.symbol(1)}
+        elif p in fixed:
+            reach &= {fixed[p]}
+        feasible[p] = reach
+        if not feasible[p]:
+            raise NoPreimageError(f"no admissible connection into position {p}")
+    word = [tail.symbol(1)]
+    for p in range(prefix_len, 0, -1):
+        word.append(min(a for a in feasible[p] if adj[a][word[-1]]))
+    prefix = tuple(reversed(word))[:-1]
+    return EPSequence(prefix + tail.preperiod, tail.cycle)
+
 
 class TestFunctionCollapse:
     def test_single_sequence_per_start_and_verdict_transfer(self, two_points):
