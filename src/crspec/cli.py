@@ -39,7 +39,7 @@ class CommandResult:
     kind: str
     outcome: str
     headline: str
-    detail: list[str]
+    detail: Callable[[], list[str]]
     label: str
     data: Callable[[], dict]
     expect: str | None
@@ -122,8 +122,10 @@ def _no_tracer_payload(outcome: NoTracer) -> list[dict]:
 
 
 # Each runner takes a command's parameters and returns the outcome, the
-# command's label, the headline, the detail lines and a function that builds
-# the JSON data; run() assembles them into a CommandResult.
+# command's label, the headline, a function that builds the detail lines and
+# one that builds the JSON data; run() assembles them into a CommandResult.
+# Only the human report calls the first and only a JSON report the second, so
+# a run with --quiet builds no detail line and one without --emit no payload.
 
 
 def _run_trace(scenario: Scenario, params: dict) -> tuple:
@@ -134,11 +136,11 @@ def _run_trace(scenario: Scenario, params: dict) -> tuple:
         report = check_trace(relation, spec, y, eps, mode)
         outcome = _passed(report.passed)
         data = lambda: {"y": str(y), **_report_payload(report)}
-        return outcome, label, f"{label} y {y}: {outcome}", _report_lines(report), data
+        return outcome, label, f"{label} y {y}: {outcome}", lambda: _report_lines(report), data
     result = find_tracer(relation, spec, eps, mode)
     if isinstance(result, NoTracer):
         headline = f"{label}: no tracer (all {len(result.failures)} regions fail)"
-        detail = [
+        detail = lambda: [
             f"  region {f.region} (rep {f.representative}): worst {_worst(f.report.worst)}"
             for f in result.failures
         ]
@@ -149,7 +151,7 @@ def _run_trace(scenario: Scenario, params: dict) -> tuple:
         "region": str(result.region),
         "report": _report_payload(result.report),
     }
-    return "witness", label, headline, _report_lines(result.report), data
+    return "witness", label, headline, lambda: _report_lines(result.report), data
 
 
 def _certificate_payload(cert) -> dict:
@@ -185,12 +187,10 @@ def _run_certify(scenario: Scenario, params: dict) -> tuple:
     certifier = getattr(verdicts, "certify_" + params["condition"].replace("-", "_"))
     cert = certifier(scenario.relation, *(params[k] for k in keys))
     if cert is None:
-        return "notfound", label, f"{label}: not found", [], lambda: {}
-    detail = [f"  {cert}"]
-    if cert.kind == "trivial-fiber":
-        detail.append(f"  x0 = {cert.evidence[0]}")
+        return "notfound", label, f"{label}: not found", lambda: [], lambda: {}
+    x0 = [f"  x0 = {cert.evidence[0]}"] if cert.kind == "trivial-fiber" else []
     data = lambda: {"certificate": _certificate_payload(cert)}
-    return "certificate", label, f"{label}: {cert}", detail, data
+    return "certificate", label, f"{label}: {cert}", lambda: [f"  {cert}", *x0], data
 
 
 def _run_refute(scenario: Scenario, params: dict) -> tuple:
@@ -210,14 +210,19 @@ def _run_refute(scenario: Scenario, params: dict) -> tuple:
             "value": result.value,
             "witness": {"y": str(witness.y), "report": _report_payload(witness.report)},
         }
-        return "inconclusive", label, headline, _report_lines(witness.report), data
-    first = result.instantiations[0]
-    detail = [
-        f"  value {first.value}, region {f.region}: worst {_worst(f.report.worst)}"
-        for f in first.outcome.failures
-    ]
-    if len(result.instantiations) > 1:
-        detail.append(f"  ... and {len(result.instantiations) - 1} more instantiations, all refuted")
+        return "inconclusive", label, headline, lambda: _report_lines(witness.report), data
+
+    def detail():
+        first = result.instantiations[0]
+        lines = [
+            f"  value {first.value}, region {f.region}: worst {_worst(f.report.worst)}"
+            for f in first.outcome.failures
+        ]
+        if len(result.instantiations) > 1:
+            more = len(result.instantiations) - 1
+            lines.append(f"  ... and {more} more instantiations, all refuted")
+        return lines
+
     # an unsearched value's table is measured when read, and only a JSON report reads it
     data = lambda: {
         "instantiations": [
@@ -277,7 +282,7 @@ def _run_mahavier(scenario: Scenario, params: dict) -> tuple:
                 f" would take the words built past {WORD_SYMBOLS} symbols"
             )
         data = lambda: {"counts": counts, "matrix_counts": expected}
-        return _passed(agree), label, headline, detail, data
+        return _passed(agree), label, headline, lambda: detail, data
     if sub == "mixing":
         index = mixing_index(scenario.shift_space.transition_matrix(), params["tmax"])
         label = f"mahavier mixing tmax {params['tmax']}"
@@ -285,7 +290,7 @@ def _run_mahavier(scenario: Scenario, params: dict) -> tuple:
             headline = f"{label}: not primitive within {params['tmax']}"
         else:
             headline = f"{label}: primitive, index {index}"
-        return _passed(index is not None), label, headline, [], lambda: {"index": index}
+        return _passed(index is not None), label, headline, lambda: [], lambda: {"index": index}
     if sub == "surjectivity":
         full = scenario.relation.space.full()
         p1, p2 = scenario.relation.project(1), scenario.relation.project(2)
@@ -293,12 +298,13 @@ def _run_mahavier(scenario: Scenario, params: dict) -> tuple:
         shown = ["full" if p == full else str(p) for p in (p1, p2)]
         headline = f"{label}: p1 {shown[0]}, p2 {shown[1]}"
         data = lambda: {"p1_full": p1 == full, "p2_full": p2 == full}
-        return _passed(p1 == full and p2 == full), label, headline, [], data
+        return _passed(p1 == full and p2 == full), label, headline, lambda: [], data
     spec = scenario.mspecs[params["mspec"]]
     report = scenario.shift_space.trace_check(spec, scenario.sequences[params["y"]], params["eps"])
     outcome = _passed(report.passed)
     label = f"mahavier trace {params['mspec']} y {params['y']} eps {params['eps']}"
-    return outcome, label, f"{label}: {outcome}", _report_lines(report), lambda: _report_payload(report)
+    detail, data = lambda: _report_lines(report), lambda: _report_payload(report)
+    return outcome, label, f"{label}: {outcome}", detail, data
 
 
 def _run_suite(count: int, seed: int) -> tuple:
@@ -318,7 +324,7 @@ def _run_suite(count: int, seed: int) -> tuple:
             for v in results
         ],
     }
-    return _passed(ok), label, headline, detail, data
+    return _passed(ok), label, headline, lambda: detail, data
 
 
 def run(scenario: Scenario, seed: int = 0, name: str = "<scenario>") -> Report:
@@ -339,7 +345,7 @@ def run(scenario: Scenario, seed: int = 0, name: str = "<scenario>") -> Report:
             outcome, label, headline, detail, data = runners[command.kind](scenario, command.params)
         except CRSpecError as exc:
             error = str(exc)
-            outcome, label, detail = "error", command.kind, []
+            outcome, label, detail = "error", command.kind, lambda: []
             data = lambda error=error: {"message": error}
             headline = f"{command.kind} (line {command.line}): error: {error}"
         report.results.append(
@@ -362,7 +368,7 @@ def render_human(report: Report) -> str:
     lines = [f"scenario {report.scenario} (seed {report.seed})", ""]
     for result in report.results:
         lines.append(f"[line {result.line}] {result.headline}")
-        lines.extend(result.detail)
+        lines.extend(result.detail())
         if result.expect is not None:
             status = "met" if result.met else "NOT MET"
             lines.append(f"  expect {result.expect}: {status}")
@@ -392,39 +398,72 @@ def render_json(report: Report) -> str:
     return json_text(doc) + "\n"
 
 
-def json_text(value, indent: str = "") -> str:
+def json_text(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for the types a report holds.
 
     Those are dict with str keys, list, str, int, bool and None; anything
     else raises TypeError.  Python's encoder falls back to its pure-Python
-    code whenever ``indent`` is set; this writer gives the same text in a
-    fraction of the time.
+    code whenever ``indent`` is set, with one call and one joined string per
+    value.  This writer gives the same text in one pass: it appends every
+    piece to one list of strings and joins that list once.  The loops over a
+    dict's items and a list's members write a scalar member in place, so
+    only a nested dict or list costs a call.
     """
+    out: list[str] = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append the text of value to out; ``newline`` ends a line at value's own indent."""
     kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        # encode_basestring_ascii raises TypeError on a key that is not a str
-        items = [
-            encode_basestring_ascii(k) + ": " + json_text(value[k], inner) for k in sorted(value)
-        ]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if kind is list:
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        items = [json_text(v, inner) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is int:
-        return repr(value)
-    raise TypeError(f"{kind.__name__} does not belong in a report")
+    if kind is dict and value:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            kind = type(item)
+            # encode_basestring_ascii raises TypeError on a key that is not a str
+            if kind is str:
+                out += (sep, encode_basestring_ascii(key), ": ", encode_basestring_ascii(item))
+            elif kind is int:
+                out += (sep, encode_basestring_ascii(key), ": ", int.__repr__(item))
+            elif kind is bool or item is None:
+                out += (sep, encode_basestring_ascii(key), ": ", _LITERALS[item])
+            else:
+                out += (sep, encode_basestring_ascii(key), ": ")
+                _write(item, inner, out)
+            sep = "," + inner
+        out += (newline, "}")
+    elif kind is list and value:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                out += (sep, encode_basestring_ascii(item))
+            elif kind is int:
+                out += (sep, int.__repr__(item))
+            elif kind is bool or item is None:
+                out += (sep, _LITERALS[item])
+            else:
+                out.append(sep)
+                _write(item, inner, out)
+            sep = "," + inner
+        out += (newline, "]")
+    elif kind is dict or kind is list:
+        out.append("{}" if kind is dict else "[]")
+    elif kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool or value is None:
+        out.append(_LITERALS[value])
+    else:
+        raise TypeError(f"{kind.__name__} does not belong in a report")
 
 
 def main(argv=None) -> int:

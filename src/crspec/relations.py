@@ -39,7 +39,8 @@ A box relation puts the ambient ends and all four endpoints of every box on
 one integer grid (ints over the lcm of their denominators) when it is built,
 and its hot path compares those ints:
 
-* validation checks each box against the ambient on the grid;
+* validation checks each box against the ambient on the grid, and
+  ``point_set`` checks a point against the ambient ends there;
 * an image is found by box mask: S's ends go from its own grid onto the
   relation's, the boxes whose domain side meets S form a bit mask, and the
   union of their B sides is merged on the relation's grid once per mask and
@@ -48,7 +49,11 @@ and its hot path compares those ints:
   ``Fraction`` is made;
 * cells are found by integer lookup: the cell decomposition shares the grid
   and keeps the cell of each elementary piece, so :func:`cell_of` takes one
-  ``divmod`` and one bisection over ints.
+  ``divmod`` and one bisection over ints;
+* cells are built and decided on ints: a cell keeps its box mask, which its
+  first image reads, hashes the reduced numerators and denominators of its
+  ends, compares those to tell a point cell, and builds its representative
+  as one ``Fraction`` from them, with no ``Fraction`` sum or quotient.
 """
 
 from __future__ import annotations
@@ -300,7 +305,14 @@ class BoxRelation(_Iterates):
         return {}
 
     def point_set(self, x) -> IntervalUnion:
-        return self.space.point(x)
+        """{x}, checked against the ambient ends on the grid: with the ends at
+        lo / D and hi / D, x = n / d lies between them when lo * d <= n * D <= hi * d."""
+        x = rat(x)
+        num, den = x._numerator, x._denominator
+        lo, hi = self._span
+        if not lo * den <= num * self._den <= hi * den:
+            raise ValueError(f"point {x} outside ambient {self.space}")
+        return IntervalUnion.on_grid(den, (num, num))
 
     def image(self, s: IntervalUnion) -> IntervalUnion:
         """F(S): the union of the B_i whose domain side meets S.  May be empty.
@@ -337,8 +349,8 @@ class BoxRelation(_Iterates):
         return x if isinstance(x, Cell) else cell_of(self, rat(x))
 
     def first_image(self, cell: "Cell") -> IntervalUnion:
-        """F(y) for every y in the cell: the union of B_i over the cell's pattern."""
-        return self.union_of(sum(1 << i for i in cell.pattern))
+        """F(y) for every y in the cell: the union of B_i over the cell's mask."""
+        return self.union_of(cell.mask)
 
     def project(self, which: int) -> IntervalUnion:
         if which not in (1, 2):
@@ -434,12 +446,15 @@ class Cell:
 
     Endpoints may be open: e.g. the pattern on [0, 1/2) can differ from the
     one at the isolated breakpoint {1/2}.  A point cell has lo == hi and both
-    ends closed.  The hash is computed once, when the cell is built, since
-    cells key the orbit memo; it hashes the endpoints' integer ratios, which
-    equal cells share, rather than the Fractions, whose hash takes a modular
-    inverse each.  The representative and the text are kept on the cell once
-    first asked for, since every pass over a relation's regions reads the one
-    and every report line or payload entry naming the cell the other.
+    ends closed.  Building a cell reads its ends' reduced numerators and
+    denominators from their slots, as :func:`~crspec.sets.common_grid` does,
+    and keeps ``mask``, the pattern as a bit mask (bit i for box i).  Its
+    hash is taken once, from those ints and the mask, since cells key the
+    orbit memo; ``is_point`` compares the ints, and the representative is one
+    ``Fraction`` built from them.  The representative and the text are kept
+    on the cell once first asked for, since every pass over a relation's
+    regions reads the one and every report line or payload entry naming the
+    cell the other.
     """
 
     lo: Fraction
@@ -449,15 +464,19 @@ class Cell:
     pattern: frozenset[int]
 
     def __post_init__(self):
-        ends = self.lo.as_integer_ratio() + self.hi.as_integer_ratio()
-        object.__setattr__(self, "_hash", hash((ends, self.lo_closed, self.hi_closed, self.pattern)))
+        ends = (self.lo._numerator, self.lo._denominator, self.hi._numerator, self.hi._denominator)
+        mask = sum(1 << i for i in self.pattern)
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_hash", hash((ends, self.lo_closed, self.hi_closed, mask)))
 
     def __hash__(self):
         return self._hash
 
     @property
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        lo_num, lo_den, hi_num, hi_den = self._ends
+        return lo_num == hi_num and lo_den == hi_den
 
     def contains(self, x: Fraction) -> bool:
         if x < self.lo or x > self.hi:
@@ -474,7 +493,10 @@ class Cell:
 
     @cached_property
     def _representative(self) -> Fraction:
-        return self.lo if self.is_point else (self.lo + self.hi) / 2
+        if self.is_point:
+            return self.lo
+        lo_num, lo_den, hi_num, hi_den = self._ends
+        return Fraction(lo_num * hi_den + hi_num * lo_den, 2 * lo_den * hi_den)
 
     def intersect_closed(self, lo: Fraction, hi: Fraction) -> "Cell | None":
         """Intersection with a closed interval, or None when empty."""
@@ -589,7 +611,7 @@ def cell_of(relation: BoxRelation, x: Fraction) -> Cell:
     """
     decomposition = cell_decomposition(relation)
     grid = decomposition.grid
-    q, r = divmod(x.numerator * relation._den, x.denominator)
+    q, r = divmod(x._numerator * relation._den, x._denominator)
     k = bisect_right(grid, q)
     if not r and k and grid[k - 1] == q:
         piece = 2 * k - 2

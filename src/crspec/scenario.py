@@ -79,6 +79,31 @@ def _check_digits(token: str, line: int) -> None:
         raise ScenarioParseError(line, f"numeric literal of {len(token)} characters has too many digits")
 
 
+def _check_seq_length(symbols: int, line: int) -> None:
+    """Refuse a ``seq`` of more than S symbols (preperiod plus cycle), S being the
+    largest with 2^(2S - 1) <= 10^(L - 3D): L is the most digits Python prints in
+    an int and D = (L - 1) // 4 the cap of :func:`_check_digits` (no cap when L is 0).
+
+    Every distance the shift metric returns between two such sequences then
+    prints.  A trace shifts them, which only shortens their preperiods.  If
+    they differ, they differ within max(p, p') + q + q' - gcd(q, q') <= 2S - 1
+    positions, p and q being preperiod and cycle lengths: past the longer
+    preperiod both are periodic, and two sequences of periods q and q' that
+    agree on q + q' - gcd(q, q') symbols agree forever (Fine and Wilf).  Let
+    m0 be that first difference.  The distance is d / (c * 2^m) at the
+    position m of the largest term, with d = a/b a metric entry and c = e/f
+    the diameter.  It is at least the term at m0, and that term is at least
+    d' / (c * 2^m0), with d' = a'/b' the least positive entry, so
+    2^(m - m0) <= d / d' = a b' / (b a').  Every literal has at most D digits,
+    so the numerator a f is below 10^(2D) and the denominator divides
+    b e 2^m <= e a b' 2^m0 < 10^(3D) * 2^(2S - 1) <= 10^L.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    cap = (10 ** (limit - 3 * ((limit - 1) // 4))).bit_length() // 2
+    if limit and symbols > cap:
+        raise ScenarioParseError(line, f"a seq holds at most {cap} symbols")
+
+
 def _rational(token: str, line: int) -> Fraction:
     if not _RATIONAL.match(token):
         raise ScenarioParseError(line, f"not an integer or fraction literal: {token!r}")
@@ -327,6 +352,7 @@ class _Builder:
             {"pre": SOME, "cycle": SOME},
             optional=("pre",),
         )
+        _check_seq_length(len(kv.get("pre", [])) + len(kv["cycle"]), line)
         pre = tuple(_integer(t, line) for t in kv.get("pre", []))
         cycle = tuple(_integer(t, line) for t in kv["cycle"])
         self.raw_seqs.append((line, tokens[0], pre, cycle))

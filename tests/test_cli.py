@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -378,6 +379,23 @@ class TestMain:
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
+    def test_detail_lines_are_built_only_for_a_human_report(self, capsys, monkeypatch):
+        # each failing region's line reads its report's worst entry, and each
+        # witness's lines every entry; --quiet prints none of them, so none is built
+        reads = []
+        worst = specifications.TraceReport.worst.fget
+
+        def counting(report):
+            reads.append(None)
+            return worst(report)
+
+        monkeypatch.setattr(specifications.TraceReport, "worst", property(counting))
+        scenario = str(SCENARIOS / "monica.scn")
+        assert main(["--scenario", scenario, "--quiet"]) == 0
+        assert reads == [] and capsys.readouterr().out == ""
+        assert main(["--scenario", scenario]) == 0
+        assert len(reads) > 10 and "worst: 1 at (i=2, j=9)" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "head, block, at_cap",
         [
@@ -518,6 +536,44 @@ class TestMain:
         assert "witness y = " in out
         # the distance from y to the first base has a denominator of 4 * cap + 1 digits
         assert max(map(len, re.findall(r"\d+", out))) == 4 * cap + 1
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python prints ints of any length",
+    )
+    def test_a_seq_past_the_symbol_cap_exits_two(self, tmp_path, capsys):
+        # the first difference from (0)* at position 14,401 weighs 2^-14401, which
+        # has more digits than Python prints; the cap refuses the seq line instead
+        bad = tmp_path / "bad.scn"
+        bad.write_text(_late_difference(TWO_POINTS, 14_400))
+        assert main(["--scenario", str(bad), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "line 10: a seq holds at most" in err and "Traceback" not in err
+        cap = int(re.search(r"at most (\d+) symbols", err).group(1))
+        bad.write_text(_late_difference(TWO_POINTS, cap))
+        assert main(["--scenario", str(bad), "--quiet"]) == 2
+        assert f"line 10: a seq holds at most {cap} symbols" in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python prints ints of any length",
+    )
+    def test_a_trace_at_the_symbol_cap_prints(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        digits = (limit - 1) // 4
+        cap = (10 ** (limit - 3 * digits)).bit_length() // 2
+        # d(0, 1) = 1/b and the diameter c, both literals at the digit cap
+        b, c = 10**digits - 1, 10**digits - 3
+        metric = f"ambient finite 3\nmatrix metric\n  0 1/{b} {c}\n  1/{b} 0 {c}\n  {c} {c} 0\nend\n"
+        header = metric + "matrix adjacency\n  1 1 1\n  1 1 1\n  1 1 1\nend\n"
+        path = tmp_path / "cap.scn"
+        path.write_text(_late_difference(header, cap - 1))
+        assert main(["--scenario", str(path)]) == 0
+        out = capsys.readouterr().out
+        # Y and Z first differ at position cap, by 1/b, scaled by c and 2^cap
+        distance = Fraction(1, b * c * 2**cap)
+        assert f"distance {distance}\n" in out
+        assert len(str(distance.denominator)) > 2 * digits + cap // 4
 
     def test_reports_are_byte_identical_across_runs(self, tmp_path, capsys):
         outs = []
@@ -719,4 +775,15 @@ def _four_literal_witness(digits):
         f"ambient interval 0 1\nbox 0 {c} 0 0\nbox {c} 1 1 1\n"
         f"spec S\n  segment {x1} k 0 l 0\n  segment {x2} k 0 l 0\nend\n"
         f"trace S eps {eps} mode plain\n"
+    )
+
+
+def _late_difference(header, zeros):
+    """A ``mahavier trace`` of Y = 0^zeros (1)* against Z = (0)* on the header's space.
+
+    Y holds zeros + 1 symbols, and the two first differ at position zeros + 1.
+    """
+    return header + (
+        f"seq Y pre{' 0' * zeros} cycle 1\nseq Z cycle 0\n"
+        "mspec M\n  segment Z k 0 l 0\nend\nmahavier trace M y Y eps 1/4\n"
     )

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,9 +29,12 @@ from crspec.randgen import (
     random_interval_union,
     random_partition_relation,
 )
+from crspec.scenario import parse_scenario
 from conftest import box
 
 F = Fraction
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def iu(*pairs):
@@ -285,6 +289,80 @@ class TestCells:
         cell = cell_of(monica, F(3, 4))
         assert str(cell) == "(1/2, 1)"
         assert monica.first_image(cell) == iu((1, 1))
+
+
+class TestGridCells:
+    """Cells are built and decided on the relation's integer grid, and read as their
+    Fraction twins: the same representative, hash, equality and first image."""
+
+    @staticmethod
+    def relations():
+        """(origin, relation): seeded random relations, on [0, 1] and on a wider
+        ambient, then the relation of every bundled interval scenario."""
+        rng = random.Random(71)
+        wide = IntervalSpace(F(-1, 2), F(3, 2))
+        for k in range(120):
+            space = wide if k % 3 == 0 else IntervalSpace(0, 1)
+            relation = random_box_relation(rng, space, max_boxes=8, max_den=12, cover_domain=k % 2 == 0)
+            yield "wide" if space is wide else "unit", relation
+        for path in sorted(SCENARIOS.glob("*.scn")):
+            relation = parse_scenario(path.read_text(encoding="utf-8")).relation
+            if isinstance(relation, BoxRelation):
+                yield "bundled", relation
+
+    def test_each_cell_is_its_fraction_twin(self):
+        seen = {"point": 0, "interval": 0, "unit": 0, "wide": 0, "bundled": 0}
+        for origin, relation in self.relations():
+            for cell in cell_decomposition(relation).cells:
+                lo, hi = cell.lo, cell.hi
+                expected = lo if lo == hi else (lo + hi) / 2
+                rep = cell.representative()
+                assert type(rep) is Fraction and rep == expected and str(rep) == str(expected)
+                assert cell.is_point == (lo == hi)
+                fresh = (Fraction(str(lo)), Fraction(2 * hi.numerator, 2 * hi.denominator))
+                twin = Cell(*fresh, cell.lo_closed, cell.hi_closed, frozenset(cell.pattern))
+                assert twin == cell and hash(twin) == hash(cell)
+                assert twin.representative() == rep and str(twin) == str(cell)
+                assert relation.first_image(twin) == relation.first_image(cell)
+                seen["point" if cell.is_point else "interval"] += 1
+            seen[origin] += 1
+        assert min(seen.values()) >= 5, seen
+
+    def test_point_set_checks_the_ambient_ends_on_the_grid(self):
+        tiny = F(1, 10**12)
+        for _, relation in self.relations():
+            amb = relation.space
+            for x in (amb.lo, amb.hi, amb.lo + tiny, amb.hi - tiny, str(amb.hi)):
+                assert relation.point_set(x) == IntervalUnion.point(x)
+            for x in (amb.lo - tiny, amb.hi + tiny, amb.lo - 1, amb.hi + F(1, 97)):
+                with pytest.raises(ValueError) as got:
+                    relation.point_set(x)
+                with pytest.raises(ValueError) as want:
+                    amb.point(x)
+                assert str(got.value) == str(want.value)
+
+    def test_listing_regions_adds_and_divides_no_fraction(self, monkeypatch):
+        # A fresh relation's cells and representatives come off the grid ints:
+        # no Fraction sum or quotient.  Counts, unlike wall times, hold on any machine.
+        counts = {"add": 0, "truediv": 0}
+        add, truediv = Fraction.__add__, Fraction.__truediv__
+
+        def counted_add(self, other):
+            counts["add"] += 1
+            return add(self, other)
+
+        def counted_truediv(self, other):
+            counts["truediv"] += 1
+            return truediv(self, other)
+
+        listed = 0
+        for _, relation in self.relations():
+            with monkeypatch.context() as patch:
+                patch.setattr(Fraction, "__add__", counted_add)
+                patch.setattr(Fraction, "__truediv__", counted_truediv)
+                listed += len(list(relation.regions()))
+        assert listed > 500
+        assert counts == {"add": 0, "truediv": 0}
 
 
 class TestIterateAutomaton:

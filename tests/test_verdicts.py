@@ -500,6 +500,31 @@ class TestPhaseWindow:
         assert [args[2] for args in calls] == [rep for _, rep in regions]
         assert last.outcome.worst_by_region() == (1, 1, 1, 1)
 
+    def test_reading_the_tables_finds_no_base_again(self, unit, monkeypatch):
+        # each base's point set and orbit are found once per refutation, however
+        # many values' tables are read
+        calls = []
+        orbit_segment = BoxRelation.orbit_segment
+
+        def counted(self, x, first, last):
+            calls.append(x)
+            return orbit_segment(self, x, first, last)
+
+        monkeypatch.setattr(BoxRelation, "orbit_segment", counted)
+        counts = []
+        for template, prop in (
+            (SpacedTemplate((F(0), 2, 3), ((F(1), 1), (F(3, 4), 0))), "HSP"),
+            (InitialTemplate(((F(0), 1), (F(3, 4), 1))), "ISP"),
+        ):
+            for n in (20, 200):
+                calls.clear()
+                monica = BoxRelation(unit, (box(0, F(1, 2), 0, 0), box(F(1, 2), 1, 1, 1), box(1, 1, 0, 1)))
+                result = refute_property(monica, prop, F(1, 8), template, range(1, n + 1))
+                assert isinstance(result, Refutation)
+                assert len(list(result.instantiations)) == n
+                counts.append(len(calls))
+        assert counts == [3, 3, 2, 2]
+
     def test_the_tables_read_as_the_tuple_they_were(self, unit):
         monica = BoxRelation(unit, (box(0, F(1, 2), 0, 0), box(F(1, 2), 1, 1, 1), box(1, 1, 0, 1)))
         template = SpacedTemplate((F(0), 2, 3), ((F(1), 1),))
