@@ -43,14 +43,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain
 from operator import or_
 from typing import Sequence
 
 from .errors import BadRangeError, EmptyImageError, NoPreimageError
 from .relations import FiniteRelation, Orbit, successor_lists
-from .sets import rat
+from .sets import memo_property, rat
 from .specifications import TraceEntry, TraceReport
 
 
@@ -135,7 +135,7 @@ class TransitionMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    @cached_property
+    @memo_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
         return successor_lists(self.entries)
 
@@ -168,7 +168,7 @@ class ShiftSpace:
     def of(cls, relation: FiniteRelation) -> "ShiftSpace":
         return cls(relation)
 
-    @cached_property
+    @memo_property
     def scale(self) -> Fraction:
         """The diameter that normalizes the metric, 1 when it is 0; read on first use,
         so a space that never measures builds no metric grid."""

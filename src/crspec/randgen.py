@@ -3,7 +3,10 @@
 Sizes are deliberately small (a handful of boxes with denominator <= 8
 endpoints, finite spaces with at most six points) so that the exhaustive
 oracles used to cross-check every implication stay fast.  All generation is
-driven by an explicit :class:`random.Random`, never by global state.
+driven by an explicit :class:`random.Random`, never by global state.  Integer
+draws call ``randrange(a, b + 1)``, which is all that CPython's
+``randint(a, b)`` does, so every seed draws what it drew through ``randint``,
+with one Python frame less per draw.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ UNIT = IntervalSpace(0, 1)
 def random_fraction(
     rng: random.Random, lo=Fraction(0), hi=Fraction(1), max_den: int = 8
 ) -> Fraction:
-    den = rng.randint(1, max_den)
+    den = rng.randrange(1, max_den + 1)
     lo_num = -(-lo.numerator * den // lo.denominator)  # ceil(lo * den)
     hi_num = hi.numerator * den // hi.denominator  # floor(hi * den)
-    return Fraction(rng.randint(lo_num, hi_num), den)
+    return Fraction(rng.randrange(lo_num, hi_num + 1), den)
 
 
 def random_interval(rng: random.Random, space: IntervalSpace, max_den: int = 8) -> Interval:
@@ -36,7 +39,7 @@ def random_interval(rng: random.Random, space: IntervalSpace, max_den: int = 8) 
 def random_interval_union(
     rng: random.Random, space: IntervalSpace, max_parts: int = 3, max_den: int = 8
 ) -> IntervalUnion:
-    parts = [random_interval(rng, space, max_den) for _ in range(rng.randint(1, max_parts))]
+    parts = [random_interval(rng, space, max_den) for _ in range(rng.randrange(1, max_parts + 1))]
     return normalize(parts)
 
 
@@ -61,7 +64,7 @@ def random_box_relation(
     cover_domain: bool = True,
 ) -> BoxRelation:
     """A random box relation; with cover_domain, p1(F) = X is guaranteed."""
-    count = rng.randint(1, max_boxes)
+    count = rng.randrange(1, max_boxes + 1)
     boxes = [
         (random_interval(rng, space, max_den), random_interval(rng, space, max_den))
         for _ in range(count)
@@ -83,7 +86,7 @@ def random_partition_relation(
     cuts = sorted(
         {
             random_fraction(rng, space.lo, space.hi, max_den)
-            for _ in range(rng.randint(0, max_boxes - 1))
+            for _ in range(rng.randrange(max_boxes))
         }
         - {space.lo, space.hi}
     )[: max_boxes - 1]
@@ -162,11 +165,11 @@ def random_spaced_triples(
     max_first: int = 2,
 ) -> list[tuple]:
     triples = []
-    first = rng.randint(0, max_first)
+    first = rng.randrange(0, max_first + 1)
     for _ in range(segments):
-        last = first + rng.randint(0, max_len)
+        last = first + rng.randrange(0, max_len + 1)
         triples.append((random_point(rng, relation), first, last))
-        first = last + spacing + rng.randint(0, 1)
+        first = last + spacing + rng.randrange(0, 2)
     return triples
 
 

@@ -34,6 +34,9 @@ orbit takes is kept by its set, so orbits of different regions that reach
 the same set share the rest of their sweep; and each distance between two
 sets is kept by its mode and pair of sets, so it is computed once however
 many requirements, cells, spacings or certificates compare that pair.
+No memo refers back to the relation (see :class:`Orbit`), so dropping the
+relation frees it and its memos by reference counting, with no cycle
+collection.
 
 A box relation puts the ambient ends and all four endpoints of every box on
 one integer grid (ints over the lcm of their denominators) when it is built,
@@ -61,7 +64,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, compress
 from typing import Union
 
@@ -73,6 +75,7 @@ from .sets import (
     IntervalUnion,
     PointSet,
     common_grid,
+    memo_property,
     merged_ends,
     normalize,
     rat,
@@ -92,10 +95,17 @@ class Orbit:
     off ``preperiod`` and ``cycle``.  An orbit that dies raises
     EmptyImageError naming its first empty step, whenever an exponent at or
     beyond that step is asked for.
+
+    An orbit holds its sets, their positions, and the relation's ``step``,
+    which holds the memo of image steps and the image data (the grid ints,
+    domain masks and unions of a box relation, or the successor lists of a
+    finite one), never the relation.  So the orbit and the memos are freed
+    when the last of the relation and the orbits taken from it goes, and an
+    orbit that outlives its relation still sweeps.
     """
 
     def __init__(self, relation, first: AmbientSet):
-        self._relation = relation
+        self._step = relation.step
         self._sets: list[AmbientSet] = []
         self._seen: dict[AmbientSet, int] = {}
         self._cycle_start: int | None = None
@@ -116,7 +126,7 @@ class Orbit:
         """Extend the orbit to exponent j, or to its first repeat when j is None."""
         sets = self._sets
         while self._cycle_start is None and self._death is None and (j is None or len(sets) < j):
-            self._push(self._relation.step(sets[-1]))
+            self._push(self._step(sets[-1]))
         if self._death is not None and (j is None or j >= self._death):
             raise EmptyImageError(self._death)
 
@@ -203,28 +213,30 @@ class _Iterates:
     Subclasses list their regions, in order, as ``(label, representative)``
     pairs from ``regions()``; a point region is yielded as its own
     representative, the same object.  They also name the region of a point
-    (``_region``) and a region's first image (``first_image``).  Everything
-    else here reads only those.
+    (``_region``) and a region's first image (``first_image``), and, when
+    built, call :meth:`_start_memos` with their image function and its data.
+    Everything else here reads only those.
+
+    The memos are plain dicts made when the relation is built.  Nothing a
+    relation holds refers back to it, so once its last reference goes,
+    reference counting frees it with every memo, orbit and set only it held.
     """
 
-    @cached_property
-    def _orbits(self) -> dict:
-        return {}
+    def _start_memos(self, image, *data) -> None:
+        """Make the memos, and ``step``: F(S) through the memo of image steps; may be empty.
 
-    @cached_property
-    def _steps(self) -> dict:
-        return {}
+        ``step`` calls ``image(*data, s)`` once per distinct set, and holds
+        the memo, the function and its data, never the relation.
+        """
+        steps = {}
 
-    @cached_property
-    def _distances(self) -> dict:
-        return {}
+        def step(s: AmbientSet) -> AmbientSet:
+            out = steps.get(s)
+            if out is None:
+                out = steps[s] = image(*data, s)
+            return out
 
-    def step(self, s: AmbientSet) -> AmbientSet:
-        """F(S) through the relation's memo of image steps; may be empty."""
-        image = self._steps.get(s)
-        if image is None:
-            image = self._steps[s] = self.image(s)
-        return image
+        self.__dict__.update(_orbits={}, _distances={}, step=step)
 
     def distance(self, mode: str, a: AmbientSet, b: AmbientSet) -> Fraction:
         """The set distance ("plain") or Hausdorff distance of two non-empty sets.
@@ -294,15 +306,11 @@ class BoxRelation(_Iterates):
             if not (lo <= alo and ahi <= hi and lo <= blo and bhi <= hi):
                 raise ValueError(f"box {a} x {b} leaves the ambient space {amb}")
         count = len(self.boxes)
-        memo = self.__dict__
-        memo["_den"] = den
-        memo["_span"] = (lo, hi)
-        memo["_domains"] = tuple((1 << k, ints[4 * k + 2], ints[4 * k + 3]) for k in range(count))
-        memo["_ranges"] = tuple(sorted((ints[4 * k + 4], ints[4 * k + 5], k) for k in range(count)))
-
-    @cached_property
-    def _unions(self) -> dict:
-        return {}
+        domains = tuple((1 << k, ints[4 * k + 2], ints[4 * k + 3]) for k in range(count))
+        ranges = tuple(sorted((ints[4 * k + 4], ints[4 * k + 5], k) for k in range(count)))
+        unions: dict[int, IntervalUnion] = {}
+        self.__dict__.update(_den=den, _span=(lo, hi), _domains=domains, _ranges=ranges, _unions=unions)
+        self._start_memos(_box_image, den, domains, ranges, unions)
 
     def point_set(self, x) -> IntervalUnion:
         """{x}, checked against the ambient ends on the grid: with the ends at
@@ -315,30 +323,12 @@ class BoxRelation(_Iterates):
         return IntervalUnion.on_grid(den, (num, num))
 
     def image(self, s: IntervalUnion) -> IntervalUnion:
-        """F(S): the union of the B_i whose domain side meets S.  May be empty.
-
-        S's ends go from its grid onto the relation's, rounded inward (a part
-        meets [lo, hi] exactly when the ceiling of its lower end is at most
-        hi and the floor of its upper end at least lo), and the mask of the
-        boxes they meet picks the union.
-        """
-        den, sden, ends = self._den, s.den, s.ends
-        parts = [(-(-lo * den // sden), hi * den // sden) for lo, hi in zip(ends[::2], ends[1::2])]
-        mask = 0
-        for bit, alo, ahi in self._domains:
-            for plo, phi in parts:
-                if plo <= ahi and alo <= phi:
-                    mask |= bit
-                    break
-        return self.union_of(mask)
+        """F(S): the union of the B_i whose domain side meets S.  May be empty."""
+        return _box_image(self._den, self._domains, self._ranges, self._unions, s)
 
     def union_of(self, mask: int) -> IntervalUnion:
         """The union of the B_i with bit i set in mask, merged on the grid once per mask."""
-        union = self._unions.get(mask)
-        if union is None:
-            sides = [(lo, hi) for lo, hi, k in self._ranges if mask >> k & 1]
-            union = self._unions[mask] = IntervalUnion.on_grid(self._den, merged_ends(sides))
-        return union
+        return _union_of(self._den, self._ranges, self._unions, mask)
 
     def regions(self):
         """(cell, its representative) for each cell of the decomposition, in order."""
@@ -362,6 +352,34 @@ class BoxRelation(_Iterates):
         return BoxRelation(self.space, tuple((b, a) for a, b in self.boxes))
 
 
+def _box_image(den, domains, ranges, unions, s: IntervalUnion) -> IntervalUnion:
+    """F(S) from a box relation's grid data alone; see :meth:`BoxRelation.image`.
+
+    S's ends go from its grid onto the relation's, rounded inward (a part
+    meets [lo, hi] exactly when the ceiling of its lower end is at most hi
+    and the floor of its upper end at least lo), and the mask of the boxes
+    they meet picks the union.
+    """
+    sden, ends = s.den, s.ends
+    parts = [(-(-lo * den // sden), hi * den // sden) for lo, hi in zip(ends[::2], ends[1::2])]
+    mask = 0
+    for bit, alo, ahi in domains:
+        for plo, phi in parts:
+            if plo <= ahi and alo <= phi:
+                mask |= bit
+                break
+    return _union_of(den, ranges, unions, mask)
+
+
+def _union_of(den, ranges, unions, mask: int) -> IntervalUnion:
+    """The union of the B sides picked by mask, kept in ``unions`` by mask."""
+    union = unions.get(mask)
+    if union is None:
+        sides = [(lo, hi) for lo, hi, k in ranges if mask >> k & 1]
+        union = unions[mask] = IntervalUnion.on_grid(den, merged_ends(sides))
+    return union
+
+
 def successor_lists(rows: tuple[tuple[bool, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """For each row of a square boolean matrix, the indices of its true entries, ascending."""
     return tuple(tuple(compress(range(len(rows)), row)) for row in rows)
@@ -369,7 +387,11 @@ def successor_lists(rows: tuple[tuple[bool, ...], ...]) -> tuple[tuple[int, ...]
 
 @dataclass(frozen=True)
 class FiniteRelation(_Iterates):
-    """A relation on a finite metric space, as a boolean adjacency matrix."""
+    """A relation on a finite metric space, as a boolean adjacency matrix.
+
+    Building one also lists ``successors``: for each point i, the points j
+    with (i, j) in F, ascending.  Images are read off those lists.
+    """
 
     space: FiniteMetricSpace
     adjacency: tuple[tuple[bool, ...], ...]
@@ -382,6 +404,8 @@ class FiniteRelation(_Iterates):
         n = self.space.n
         if len(rows) != n or set(map(len, rows)) - {n}:
             raise ValueError("adjacency matrix must match the space size")
+        successors = self.__dict__["successors"] = successor_lists(rows)
+        self._start_memos(_finite_image, self.space, successors)
 
     @classmethod
     def from_pairs(cls, space: FiniteMetricSpace, pairs) -> "FiniteRelation":
@@ -396,19 +420,11 @@ class FiniteRelation(_Iterates):
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i, row in enumerate(self.successors) for j in row]
 
-    @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """For each point i, the points j with (i, j) in F, ascending."""
-        return successor_lists(self.adjacency)
-
     def point_set(self, x: int) -> PointSet:
         return self.space.point(x)
 
     def image(self, s: PointSet) -> PointSet:
-        if s.is_empty:
-            return s
-        members = self.space.points_of(s, "image")
-        return PointSet(tuple(sorted(set().union(*map(self.successors.__getitem__, members)))))
+        return _finite_image(self.space, self.successors, s)
 
     def regions(self):
         """(x, x) for each point x of the space, in order."""
@@ -418,8 +434,9 @@ class FiniteRelation(_Iterates):
         return x
 
     def first_image(self, x: int) -> PointSet:
-        """F(x): the successors of x."""
-        return self.image(self.point_set(x))
+        """F(x): the successors of x, once ``point_set`` has checked that x is a point."""
+        self.point_set(x)
+        return PointSet._presorted(self.successors[x])
 
     def project(self, which: int) -> PointSet:
         if which not in (1, 2):
@@ -435,6 +452,14 @@ class FiniteRelation(_Iterates):
         return FiniteRelation(
             self.space, tuple(tuple(self.adjacency[j][i] for j in range(n)) for i in range(n))
         )
+
+
+def _finite_image(space, successors, s: PointSet) -> PointSet:
+    """F(S) from a finite relation's successor lists alone: their union, sorted."""
+    if s.is_empty:
+        return s
+    members = space.points_of(s, "image")
+    return PointSet._presorted(tuple(sorted(set().union(*map(successors.__getitem__, members)))))
 
 
 Relation = Union[BoxRelation, FiniteRelation]
@@ -491,7 +516,7 @@ class Cell:
         """A deterministic interior point: the cell itself, or its midpoint."""
         return self._representative
 
-    @cached_property
+    @memo_property
     def _representative(self) -> Fraction:
         if self.is_point:
             return self.lo
@@ -518,7 +543,7 @@ class Cell:
     def __str__(self):
         return self._text
 
-    @cached_property
+    @memo_property
     def _text(self) -> str:
         if self.is_point:
             return f"{{{self.lo}}}"

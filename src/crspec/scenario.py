@@ -28,7 +28,7 @@ from .sets import FiniteMetricSpace, Interval, IntervalSpace, validate_metric
 from .specifications import InitialSpecification, Specification
 from .verdicts import PROPERTIES, InitialTemplate, SpacedTemplate
 
-_RATIONAL = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 EXPECTATIONS = (
     "pass",
@@ -105,13 +105,18 @@ def _check_seq_length(symbols: int, line: int) -> None:
 
 
 def _rational(token: str, line: int) -> Fraction:
-    if not _RATIONAL.match(token):
+    """The literal as a ``Fraction``, built from the numerator and denominator that
+    ``_RATIONAL`` matched, so the text is parsed once."""
+    match = _RATIONAL.match(token)
+    if not match:
         raise ScenarioParseError(line, f"not an integer or fraction literal: {token!r}")
     _check_digits(token, line)
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ScenarioParseError(line, f"zero denominator in {token!r}") from None
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    if not int(den):
+        raise ScenarioParseError(line, f"zero denominator in {token!r}")
+    return Fraction(int(num), int(den))
 
 
 def _integer(token: str, line: int) -> int:

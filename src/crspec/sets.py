@@ -47,7 +47,9 @@ Distance semantics:
 Everything here is immutable and safe to share between threads.  An
 :class:`IntervalUnion` computes its hash once, when it is built, from its
 grid, and a :class:`PointSet` from its members, since sets are the keys of
-the per-relation memos in :mod:`crspec.relations`.
+the per-relation memos in :mod:`crspec.relations`.  A value worked out on
+first use, such as a metric's grid, is kept by :class:`memo_property` in the
+instance's own dict, with no lock.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from operator import lt
@@ -64,6 +65,28 @@ from typing import Iterable, Sequence, Union
 from .errors import EmptySetError
 
 RationalLike = Union[int, str, Fraction]
+
+
+class memo_property:
+    """A property computed on first read and kept in the instance's dict.
+
+    It is a non-data descriptor, so every later read is a plain instance-dict
+    hit.  Unlike ``functools.cached_property`` before Python 3.12, the first
+    read takes no class-wide lock: two threads that race both compute, and
+    each stores an equal value.  It writes the dict directly, so it works on
+    frozen dataclasses.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -404,7 +427,11 @@ class PointSet:
     """A set of point indices into a finite metric space, sorted and unique.
 
     The hash is computed once, when the set is built, since point sets key
-    the per-relation memos as interval unions do.
+    the per-relation memos as interval unions do.  ``PointSet(members)``
+    checks that the members strictly increase; the sets that the library
+    builds sorted by construction (:meth:`of`, :meth:`point`, :meth:`empty`,
+    a relation's images and successor sets) come from :meth:`_presorted`,
+    which skips that check.
     """
 
     members: tuple[int, ...]
@@ -419,16 +446,25 @@ class PointSet:
         return self._hash
 
     @classmethod
+    def _presorted(cls, members: tuple[int, ...]) -> "PointSet":
+        """The set of members that already strictly increase; not checked again."""
+        s = object.__new__(cls)
+        fields = s.__dict__
+        fields["members"] = members
+        fields["_hash"] = hash(members)
+        return s
+
+    @classmethod
     def of(cls, indices: Iterable[int]) -> "PointSet":
-        return cls(tuple(sorted(set(indices))))
+        return cls._presorted(tuple(sorted(set(indices))))
 
     @classmethod
     def empty(cls) -> "PointSet":
-        return cls(())
+        return cls._presorted(())
 
     @classmethod
     def point(cls, i: int) -> "PointSet":
-        return cls((i,))
+        return cls._presorted((i,))
 
     @property
     def is_empty(self) -> bool:
@@ -506,7 +542,7 @@ class FiniteMetricSpace:
             raise ValueError(f"point index {i} out of range 0..{self.n - 1}")
         return PointSet.point(i)
 
-    @cached_property
+    @memo_property
     def grid(self) -> tuple:
         """(D, rows, columns, entry, skip_shared): D*d(i, j) as ints by row and by
         column, D the lcm of the entries' denominators, each int's original entry,
@@ -574,7 +610,7 @@ class FiniteMetricSpace:
         den, rows, _, _, _ = self.grid
         # an int m is at most eps * den exactly when it is at most its floor
         bound = eps.numerator * den // eps.denominator
-        return PointSet(
+        return PointSet._presorted(
             tuple(i for i, row in enumerate(rows) if min(map(row.__getitem__, am)) <= bound)
         )
 

@@ -40,7 +40,6 @@ specification; each distinct pair of sets is measured once per relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -58,7 +57,7 @@ from .relations import (
     cell_of,
     rat,
 )
-from .sets import PointSet
+from .sets import PointSet, memo_property
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ class Specification:
         """Build segments from (base, first, last) triples."""
         return cls(tuple(relation.orbit_segment(b, k, l) for b, k, l in triples))
 
-    @cached_property
+    @memo_property
     def requirements(self) -> tuple[tuple[int, int, int], ...]:
         """(segment i, step j, tracer power) triples; power equals j."""
         return tuple(
@@ -85,7 +84,7 @@ class Specification:
             for j in range(seg.first, seg.last + 1)
         )
 
-    @cached_property
+    @memo_property
     def targets(self) -> tuple:
         """The target set F^j(x_i) of each requirement (i, j, power), in the same order."""
         segments = self.segments
@@ -114,7 +113,7 @@ class InitialSpecification(Specification):
             tuple(relation.orbit_segment(b, 0, l) for b, l in pairs), tuple(gaps)
         )
 
-    @cached_property
+    @memo_property
     def requirements(self) -> tuple[tuple[int, int, int], ...]:
         """Segment i's tracer powers are shifted by the lengths and gaps before it."""
         reqs = []
@@ -162,7 +161,7 @@ class TraceReport:
 
     @property
     def passed(self) -> bool:
-        return all(e.distance <= self.eps for e in self.entries)
+        return _within(self.entries, self.eps)
 
     @property
     def worst(self) -> TraceEntry:
@@ -173,6 +172,18 @@ class TraceReport:
             if e.segment == segment and e.step == step:
                 return e
         raise KeyError((segment, step))
+
+
+def _within(entries, eps: Fraction) -> bool:
+    """Whether every entry's distance is at most eps.
+
+    Each test cross-multiplies the reduced numerators and denominators, read
+    from their slots as :func:`~crspec.sets.common_grid` reads them: d <= eps
+    exactly when d.num * eps.den <= eps.num * d.den, as denominators are
+    positive.  No ``Fraction.__le__`` runs.
+    """
+    num, den = eps._numerator, eps._denominator
+    return all(e.distance._numerator * den <= num * e.distance._denominator for e in entries)
 
 
 @dataclass(frozen=True)
@@ -242,7 +253,7 @@ def _cell_witness(cell, rep, report, zero_bases, eps):
     reads them.  Each power-0 requirement (i, 0) asks |y - x_i| <= eps, so
     together they pin y to the closed window [max x_i - eps, min x_i + eps].
     """
-    if not all(e.distance <= eps for e in report.entries if e.tracer_power >= 1):
+    if not _within((e for e in report.entries if e.tracer_power >= 1), eps):
         return None
     if not zero_bases:
         return rep

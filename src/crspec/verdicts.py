@@ -479,7 +479,7 @@ def _suite_hausdorff_implies_plain(seed: int, count: int) -> PropertyVerdict:
     failures = []
     for idx in range(count):
         relation = randgen.random_box_relation(rng)
-        triples = randgen.random_spaced_triples(rng, relation, rng.randint(1, 3), rng.randint(1, 3))
+        triples = randgen.random_spaced_triples(rng, relation, rng.randrange(1, 4), rng.randrange(1, 4))
         spec = Specification.build(relation, triples)
         y = randgen.random_point(rng, relation)
         eps = randgen.random_fraction(rng)
@@ -496,10 +496,10 @@ def _suite_initial_round_trip(seed: int, count: int) -> PropertyVerdict:
     rng = random.Random(seed)
     failures = []
     for idx in range(count):
-        space = randgen.random_finite_space(rng, rng.randint(2, 6))
+        space = randgen.random_finite_space(rng, rng.randrange(2, 7))
         relation = randgen.random_finite_relation(rng, space, p1_full=True, p2_full=True)
         triples = randgen.random_spaced_triples(
-            rng, relation, rng.randint(2, 3), rng.randint(1, 3), max_len=2, max_first=2
+            rng, relation, rng.randrange(2, 4), rng.randrange(1, 4), max_len=2, max_first=2
         )
         spec = Specification.build(relation, triples)
         eps = space.diameter() / 2
@@ -518,13 +518,13 @@ def _suite_conjugacy_invariance(seed: int, count: int) -> PropertyVerdict:
     rng = random.Random(seed)
     failures = []
     for idx in range(count):
-        n = rng.randint(2, 6)
+        n = rng.randrange(2, 7)
         space, perm = randgen.random_isometric_space(rng, n)
         source = randgen.random_finite_relation(rng, space, p1_full=True)
         target = FiniteRelation.from_pairs(
             space, [(perm[a], perm[b]) for a, b in source.pairs()]
         )
-        triples = randgen.random_spaced_triples(rng, target, rng.randint(1, 2), rng.randint(1, 2))
+        triples = randgen.random_spaced_triples(rng, target, rng.randrange(1, 3), rng.randrange(1, 3))
         spec_target = Specification.build(target, triples)
         spec_source = conjugacy_transport(perm, spec_target, source)
         eps = randgen.random_fraction(rng, Fraction(0), space.diameter())
@@ -546,10 +546,10 @@ def _suite_function_agreement(seed: int, count: int) -> PropertyVerdict:
     rng = random.Random(seed)
     failures = []
     for idx in range(count):
-        space = randgen.random_finite_space(rng, rng.randint(2, 6))
+        space = randgen.random_finite_space(rng, rng.randrange(2, 7))
         relation = randgen.random_function_relation(rng, space)
         fmap = [row.index(True) for row in relation.adjacency]
-        triples = randgen.random_spaced_triples(rng, relation, rng.randint(1, 3), rng.randint(1, 3))
+        triples = randgen.random_spaced_triples(rng, relation, rng.randrange(1, 4), rng.randrange(1, 4))
         spec = Specification.build(relation, triples)
         y = rng.randrange(space.n)
         eps = randgen.random_fraction(rng, Fraction(0), space.diameter())

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import oracles
+import crspec.relations
 from crspec import (
     BadRangeError,
     EPSequence,
@@ -366,21 +367,29 @@ class TestSpliceTracer:
         assert len(outcomes) == 4
 
     @staticmethod
-    def _image_calls(monkeypatch, shift, spec):
-        """How many FiniteRelation.image calls a refused splice makes, and its error text."""
+    def _image_calls(monkeypatch, pairs, space, spec_of):
+        """How many finite images a refused splice computes, and its error text.
+
+        The relation is built from pairs once ``relations._finite_image``, which
+        its sweep's step calls, is counted; ``spec_of`` makes the spec on its shift.
+        """
         calls = []
-        image = FiniteRelation.image
+        image = crspec.relations._finite_image
         with monkeypatch.context() as patch, pytest.raises(NoPreimageError) as refused:
-            patch.setattr(FiniteRelation, "image", lambda rel, s: calls.append(s) or image(rel, s))
-            shift.splice_tracer(spec, F(1, 4))
+            patch.setattr(crspec.relations, "_finite_image", lambda *args: calls.append(args[-1]) or image(*args))
+            shift = ShiftSpace.of(FiniteRelation.from_pairs(space, pairs))
+            shift.splice_tracer(spec_of(shift), F(1, 4))
         return len(calls), str(refused.value)
 
     def test_a_refutation_costs_the_same_at_any_gap(self, two_points, monkeypatch):
         counts = set()
         for k in (10**3, 10**9):
-            swap = ShiftSpace.of(FiniteRelation.from_pairs(two_points, [(0, 1), (1, 0)]))
-            spec = ((swap.sequence((), (0, 1)), 0, 0), (swap.sequence((), (1, 0)), k, k))
-            calls, message = self._image_calls(monkeypatch, swap, spec)
+            calls, message = self._image_calls(
+                monkeypatch,
+                [(0, 1), (1, 0)],
+                two_points,
+                lambda swap: ((swap.sequence((), (0, 1)), 0, 0), (swap.sequence((), (1, 0)), k, k)),
+            )
             assert message == f"no admissible connection into position {k + 1}"
             counts.add(calls)
         assert len(counts) == 1
@@ -390,14 +399,13 @@ class TestSpliceTracer:
         # holds 0, so position a + 3 opens no symbol, however far off the final segment
         k = 10**9
         pairs = [(0, 1), (1, 2), (3, 0), (3, 3)]
-        dying = FiniteRelation.from_pairs(FiniteMetricSpace.discrete(4), pairs)
         zeros = EPSequence((), (0,))
         calls, message = self._image_calls(
-            monkeypatch, ShiftSpace.of(dying), ((zeros, k, k), (zeros, 2 * k, 2 * k))
+            monkeypatch, pairs, FiniteMetricSpace.discrete(4), lambda _: ((zeros, k, k), (zeros, 2 * k, 2 * k))
         )
         assert message == f"no admissible connection into position {k + 4}"
-        # F(X) = X, then F({0}), F({1}) and the empty F({2})
-        assert calls == 4
+        # F(X) = X, then F({1}) and the empty F({2}); F(0) is read off the successor lists
+        assert calls == 3
 
 
 def _outcome(call, *args):

@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,9 +19,19 @@ from crspec import (
     IntervalSpace,
     IntervalUnion,
     PointSet,
+    SpacedTemplate,
+    Specification,
     cell_decomposition,
     cell_of,
+    certify_common_image,
+    certify_eventual_hausdorff,
+    certify_full_image,
+    certify_trivial_fiber,
+    check_trace,
+    find_tracer,
+    implication_suite,
     normalize,
+    refute_property,
 )
 from crspec.randgen import (
     random_box_relation,
@@ -772,3 +784,90 @@ class TestBoxKernel:
                     assert a.contains(x) == (oracles.set_distance(a, IntervalUnion.point(x)) == 0)
                 seen["measured"] += 1
         assert min(seen.values()) > 100, seen
+
+
+def _monica_twin():
+    """A fresh monica: left half to 0, right half to 1, the point 1 fans out."""
+    return BoxRelation(IntervalSpace(0, 1), (box(0, F(1, 2), 0, 0), box(F(1, 2), 1, 1, 1), box(1, 1, 0, 1)))
+
+
+def _golden_twin():
+    """A fresh golden mean on three points of a line: 0 -> 0, 1, 2 and 1, 2 -> 0."""
+    space = FiniteMetricSpace(tuple(tuple(F(abs(i - j), 2) for j in range(3)) for i in range(3)))
+    return FiniteRelation.from_pairs(space, [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)])
+
+
+class TestFreedByReferenceCounting:
+    """Nothing a relation holds refers back to it, so dropping it frees it, its
+    memos, orbits and sets at once, with the cycle collector off; an orbit or a
+    segment taken from it keeps sweeping on its own."""
+
+    @staticmethod
+    def exercise(relation, base, y):
+        spec = Specification.build(relation, [(base, 2, 3), (base, 9, 10)])
+        for mode in ("plain", "hausdorff"):
+            find_tracer(relation, spec, F(1, 4), mode)
+            check_trace(relation, spec, y, F(1, 4), mode)
+        certify_common_image(relation, 8)
+        certify_full_image(relation, 8)
+        certify_eventual_hausdorff(relation, F(1, 4), 8)
+        certify_trivial_fiber(relation)
+        refuted = refute_property(relation, "HSP", F(1, 8), SpacedTemplate((base, 0, 1), ((base, 1),)), range(1, 9))
+        list(getattr(refuted, "instantiations", ()))
+
+    def test_a_dropped_relation_leaves_no_garbage(self):
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for make, base, y in ((_monica_twin, F(0), F(1, 3)), (_golden_twin, 1, 2)):
+                relation = make()
+                self.exercise(relation, base, y)
+                ref = weakref.ref(relation)
+                del relation
+                assert ref() is None
+            implication_suite(17, 5)
+            kept = len(gc.garbage)
+            gc.collect()
+            garbage = [type(o) for o in gc.garbage[kept:]]
+            del gc.garbage[kept:]
+        finally:
+            gc.set_debug(0)
+            gc.enable()
+        assert not [t for t in garbage if t.__module__.startswith("crspec")]
+
+    def test_an_orbit_outlives_its_relation(self):
+        for make, x in ((_monica_twin, F(1, 4)), (_monica_twin, F(1)), (_golden_twin, 1)):
+            kept = make()
+            expected = (kept.orbit(x).value_at(10**6), kept.orbit(x).close().swept_window)
+            orbit = make().orbit(x)
+            segment = make().orbit_segment(x, 0, 2)
+            assert orbit.value_at(10**6) == expected[0]
+            assert orbit.close().swept_window == expected[1]
+            assert segment.orbit.value_at(10**6) == expected[0]
+            assert segment.orbit.close().swept_window == expected[1]
+            assert segment.sets == kept.orbit_segment(x, 0, 2).sets
+
+
+class TestPresortedPointSets:
+    def test_internal_point_sets_equal_their_checked_twins(self):
+        # images, successor sets and points skip the ordering check; each must
+        # equal PointSet.of over the adjacency matrix, hash included
+        rng = random.Random(29)
+        for _ in range(200):
+            space = random_finite_space(rng, rng.randrange(1, 7))
+            relation = random_finite_relation(rng, space, p1_full=rng.random() < 0.5)
+            n = space.n
+            for x in range(n):
+                twin = PointSet.of(j for j in range(n) if relation.adjacency[x][j])
+                assert relation.first_image(x) == twin and hash(relation.first_image(x)) == hash(twin)
+                point = space.point(x)
+                assert point == PointSet((x,)) and hash(point) == hash(PointSet((x,)))
+            for _ in range(4):
+                s = PointSet.of(rng.sample(range(n), rng.randrange(n + 1)))
+                twin = PointSet.of(j for i in s.members for j in range(n) if relation.adjacency[i][j])
+                image = relation.image(s)
+                assert image == twin and hash(image) == hash(twin)
+                assert PointSet(image.members) == image
+        with pytest.raises(ValueError):
+            _golden_twin().first_image(3)

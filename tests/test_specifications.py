@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+import crspec.relations
 import crspec.specifications
 from crspec.relations import MODES
 from crspec import (
@@ -378,16 +379,23 @@ def _fresh_monica(unit):
     return BoxRelation(unit, (box(0, F(1, 2), 0, 0), box(F(1, 2), 1, 1, 1), box(1, 1, 0, 1)))
 
 
+def _count_box_images(monkeypatch) -> list:
+    """Record the set of every box image computed by relations built from here on:
+    the sweep's step and ``BoxRelation.image`` both call ``relations._box_image``."""
+    calls = []
+    image = crspec.relations._box_image
+
+    def counted(*data_and_set):
+        calls.append(data_and_set[-1])
+        return image(*data_and_set)
+
+    monkeypatch.setattr(crspec.relations, "_box_image", counted)
+    return calls
+
+
 class TestOrbitSweep:
     def test_image_calls_do_not_grow_with_the_exponents(self, unit, monkeypatch):
-        calls = []
-        image = BoxRelation.image
-
-        def counted(self, s):
-            calls.append(s)
-            return image(self, s)
-
-        monkeypatch.setattr(BoxRelation, "image", counted)
+        calls = _count_box_images(monkeypatch)
         counts = []
         for n in (10**2, 10**6):
             calls.clear()
@@ -419,14 +427,7 @@ class TestOrbitSweep:
         assert counts[0] > 0
 
     def test_each_swept_set_is_imaged_once(self, unit, monkeypatch):
-        calls = []
-        image = BoxRelation.image
-
-        def counted(self, s):
-            calls.append(s)
-            return image(self, s)
-
-        monkeypatch.setattr(BoxRelation, "image", counted)
+        calls = _count_box_images(monkeypatch)
         # monica's four cells sweep six sets, of which four are distinct:
         # {1/2} and (1/2, 1) both reach [0, 1], the orbit of the cell {1}
         relation = _fresh_monica(unit)
@@ -515,3 +516,37 @@ class TestOrbitSweep:
             triples = [(F(5, 24), 100, 101), (F(17, 24), 150, 151)]
             search(tiled, lambda r: find_tracer(r, Specification.build(r, triples), F(1, 8), mode))
         assert counts == {"hash": 0, "grid": 0}
+
+
+class TestVerdictsOnSlotInts:
+    """``TraceReport.passed`` and ``_cell_witness`` compare each distance with eps
+    by cross-multiplying slot ints; both must give ``Fraction``'s verdict."""
+
+    @staticmethod
+    def reports(rng):
+        for k in range(160):
+            if k % 2:
+                relation = random_box_relation(rng)
+            else:
+                relation = random_finite_relation(rng, random_finite_space(rng, rng.randrange(2, 7)))
+            triples = random_spaced_triples(rng, relation, rng.randrange(1, 4), rng.randrange(1, 3))
+            spec = Specification.build(relation, triples)
+            for mode in MODES:
+                yield check_trace(relation, spec, random_point(rng, relation), 0, mode)
+
+    def test_verdicts_equal_the_fraction_comparison(self):
+        rng = random.Random(31)
+        seen = {"pass": 0, "fail": 0, "at a distance": 0}
+        for report in self.reports(rng):
+            distances = sorted({e.distance for e in report.entries})
+            for eps in {F(0), F(-1, 3), *distances, *(d - F(1, 97) for d in distances), distances[-1] + 1}:
+                at = type(report)(report.mode, eps, report.entries)
+                expected = all(e.distance <= eps for e in report.entries)
+                assert at.passed == expected
+                seen["pass" if expected else "fail"] += 1
+                seen["at a distance"] += eps in distances
+                # with no power-0 base the cell is never read: rep, or None
+                positive = all(e.distance <= eps for e in report.entries if e.tracer_power >= 1)
+                witness = crspec.specifications._cell_witness(None, "rep", at, [], eps)
+                assert witness == ("rep" if positive else None)
+        assert min(seen.values()) > 300, seen
