@@ -78,21 +78,21 @@ def _worst(w: TraceEntry) -> str:
     return f"{w.distance} at (i={w.segment}, j={w.step})"
 
 
+class _EntryTable(tuple):
+    """A report's entries in a payload; :func:`json_text` writes each as one row.
+
+    It reads as the list of dicts ``{"distance": str(e.distance), "power":
+    e.tracer_power, "segment": e.segment, "step": e.step}``, one per entry.
+    """
+
+
 def _report_payload(report: TraceReport) -> dict:
     worst = report.worst
     return {
         "mode": report.mode,
         "eps": str(report.eps),
         "verdict": _passed(report.passed),
-        "entries": [
-            {
-                "segment": e.segment,
-                "step": e.step,
-                "power": e.tracer_power,
-                "distance": str(e.distance),
-            }
-            for e in report.entries
-        ],
+        "entries": _EntryTable(report.entries),
         "worst": {
             "segment": worst.segment,
             "step": worst.step,
@@ -126,6 +126,8 @@ def _no_tracer_payload(outcome: NoTracer) -> list[dict]:
 # one that builds the JSON data; run() assembles them into a CommandResult.
 # Only the human report calls the first and only a JSON report the second, so
 # a run with --quiet builds no detail line and one without --emit no payload.
+# A payload holds a report's entries as their table, which json_text writes
+# one formatted row per entry, so no entry becomes a dict.
 
 
 def _run_trace(scenario: Scenario, params: dict) -> tuple:
@@ -399,15 +401,16 @@ def render_json(report: Report) -> str:
 
 
 def json_text(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for the types a report holds.
+    """``json.dumps(value, indent=2, sort_keys=True)``, each entry table read as its list of dicts.
 
-    Those are dict with str keys, list, str, int, bool and None; anything
-    else raises TypeError.  Python's encoder falls back to its pure-Python
-    code whenever ``indent`` is set, with one call and one joined string per
-    value.  This writer gives the same text in one pass: it appends every
-    piece to one list of strings and joins that list once.  The loops over a
-    dict's items and a list's members write a scalar member in place, so
-    only a nested dict or list costs a call.
+    A report holds dicts with str keys, lists, entry tables, str, int, bool
+    and None; anything else raises TypeError.  Python's encoder falls back to
+    its pure-Python code whenever ``indent`` is set, with one call and one
+    joined string per value.  This writer gives the same text in one pass: it
+    appends every piece to one list of strings and joins that list once.  The
+    loops over a dict's items and a list's members write a scalar member in
+    place, so only a nested dict, list or table costs a call, and a table is
+    written one formatted row per entry.
     """
     out: list[str] = []
     _write(value, "\n", out)
@@ -454,7 +457,9 @@ def _write(value, newline: str, out: list[str]) -> None:
                 _write(item, inner, out)
             sep = "," + inner
         out += (newline, "]")
-    elif kind is dict or kind is list:
+    elif kind is _EntryTable and value:
+        _write_entries(value, newline, out)
+    elif kind is dict or kind is list or kind is _EntryTable:
         out.append("{}" if kind is dict else "[]")
     elif kind is str:
         out.append(encode_basestring_ascii(value))
@@ -466,16 +471,36 @@ def _write(value, newline: str, out: list[str]) -> None:
         raise TypeError(f"{kind.__name__} does not belong in a report")
 
 
+def _write_entries(entries: _EntryTable, newline: str, out: list[str]) -> None:
+    """Append an entry table as its list of dicts, one formatted string per entry.
+
+    Each row holds its keys in sorted order.  A distance's text goes in
+    without ``encode_basestring_ascii``: a ``Fraction`` prints as ``-``,
+    digits and ``/`` only, none of which JSON escapes.
+    """
+    inner = newline + "  "
+    key = inner + '  "'
+    rows = [
+        f'{{{key}distance": "{e.distance!s}",{key}power": {e.tracer_power},'
+        f'{key}segment": {e.segment},{key}step": {e.step}{inner}}}'
+        for e in entries
+    ]
+    out += ("[" + inner, ("," + inner).join(rows), newline, "]")
+
+
+# built once: each parse_args call fills a fresh namespace, so no call sees another's flags
+_PARSER = argparse.ArgumentParser(
+    prog="crspec",
+    description="Run a closed-relation dynamics scenario file and check its expectations.",
+)
+_PARSER.add_argument("--scenario", required=True, type=Path, help="scenario file to run")
+_PARSER.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+_PARSER.add_argument("--emit", type=Path, help="write the machine-readable JSON report here")
+_PARSER.add_argument("--quiet", action="store_true", help="suppress the human-readable report")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="crspec",
-        description="Run a closed-relation dynamics scenario file and check its expectations.",
-    )
-    parser.add_argument("--scenario", required=True, type=Path, help="scenario file to run")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    parser.add_argument("--emit", type=Path, help="write the machine-readable JSON report here")
-    parser.add_argument("--quiet", action="store_true", help="suppress the human-readable report")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         text = args.scenario.read_text(encoding="utf-8")

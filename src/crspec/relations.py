@@ -495,6 +495,27 @@ class Cell:
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "_hash", hash((ends, self.lo_closed, self.hi_closed, mask)))
 
+    @classmethod
+    def _swept(cls, lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool, pattern, mask) -> "Cell":
+        """The cell ``Cell(lo, hi, lo_closed, hi_closed, pattern)``, given the mask a sweep holds.
+
+        Its fields and derived values go in with one instance-dict update, as
+        :class:`~crspec.specifications.TraceEntry` fills its own.
+        """
+        cell = object.__new__(cls)
+        ends = (lo._numerator, lo._denominator, hi._numerator, hi._denominator)
+        cell.__dict__.update(
+            lo=lo,
+            hi=hi,
+            lo_closed=lo_closed,
+            hi_closed=hi_closed,
+            pattern=pattern,
+            _ends=ends,
+            mask=mask,
+            _hash=hash((ends, lo_closed, hi_closed, mask)),
+        )
+        return cell
+
     def __hash__(self):
         return self._hash
 
@@ -576,7 +597,8 @@ def cell_decomposition(relation: BoxRelation) -> CellDecomposition:
     does not change at 0.  Breakpoints are the relation's grid ints, and one
     sweep over them tags every piece: a box holds a breakpoint from its
     lower end to its upper end, and the open piece after it while it has not
-    ended.  Cells keep the original endpoints.  The result is kept on the
+    ended.  Cells keep the original endpoints and take the mask the sweep
+    holds, built with one instance-dict update each.  The result is kept on the
     relation object (a frozen dataclass still has a ``__dict__``), so it is
     freed with it.
     """
@@ -621,7 +643,8 @@ def cell_decomposition(relation: BoxRelation) -> CellDecomposition:
         pattern = frozenset(i for i in boxes if mask >> i & 1)
         # an even piece is a breakpoint, closed; an odd one the open interval after one
         lo_closed, hi_closed = first % 2 == 0, last % 2 == 0
-        cells.append(Cell(breaks[first // 2], breaks[(last + 1) // 2], lo_closed, hi_closed, pattern))
+        lo, hi = breaks[first // 2], breaks[(last + 1) // 2]
+        cells.append(Cell._swept(lo, hi, lo_closed, hi_closed, pattern, mask))
     decomposition = CellDecomposition(breaks, tuple(cells), tuple(grid), tuple(piece_cells))
     memo["_cell_decomposition"] = decomposition
     return decomposition

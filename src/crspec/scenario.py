@@ -306,7 +306,9 @@ class _Builder:
             a, b = Interval(vals[0], vals[1]), Interval(vals[2], vals[3])
         except ValueError as exc:
             raise ScenarioValidationError(line, str(exc)) from None
-        if not all(map(self.ambient.contains, vals)):
+        # each side is ordered, so its low end against lo and its high end against hi suffice
+        lo, hi = self.ambient.lo, self.ambient.hi
+        if not (lo <= a.lo and a.hi <= hi and lo <= b.lo and b.hi <= hi):
             raise ScenarioValidationError(line, f"box {a} x {b} leaves the ambient space {self.ambient}")
         self.boxes.append((a, b))
 

@@ -165,7 +165,18 @@ class TraceReport:
 
     @property
     def worst(self) -> TraceEntry:
-        return max(self.entries, key=lambda e: e.distance)
+        """The first entry of greatest distance, the one ``max`` by distance returns.
+
+        One pass over the entries compares slot ints as :func:`_within` does:
+        d > w exactly when d.num * w.den > w.num * d.den.
+        """
+        best = self.entries[0]
+        num, den = best.distance._numerator, best.distance._denominator
+        for e in self.entries:
+            d = e.distance
+            if d._numerator * den > num * d._denominator:
+                best, num, den = e, d._numerator, d._denominator
+        return best
 
     def entry(self, segment: int, step: int) -> TraceEntry:
         for e in self.entries:

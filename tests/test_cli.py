@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import re
 import sys
 from fractions import Fraction
@@ -10,9 +11,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crspec import ScenarioParseError, ScenarioValidationError, ShiftSpace, specifications, verdicts
+from crspec import (
+    ScenarioParseError,
+    ScenarioValidationError,
+    ShiftSpace,
+    Specification,
+    TraceEntry,
+    TraceReport,
+    check_trace,
+    specifications,
+    verdicts,
+)
 from crspec.cli import WORD_SYMBOLS, json_text, main, render_json, run
+from crspec.randgen import (
+    random_box_relation,
+    random_finite_relation,
+    random_finite_space,
+    random_point,
+    random_spaced_triples,
+)
 from crspec.scenario import MAX_REFUTED_VALUES, MAX_SPEC_ENTRIES, MAX_SUITE_COUNT, parse_scenario
+
+F = Fraction
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -456,6 +476,21 @@ class TestMain:
         digests = (hashlib.sha256(human).hexdigest(), hashlib.sha256(emit.read_bytes()).hexdigest())
         assert digests == REPORT_DIGESTS[name]
 
+    def test_calls_in_one_process_keep_their_own_flags(self, tmp_path, capsys):
+        # the parser is built once; each call's flags must reach that call alone
+        scenario = str(SCENARIOS / "monica.scn")
+        emit = tmp_path / "out.json"
+        for flagged in (True, False, True, False):
+            emit.unlink(missing_ok=True)
+            extra = ["--quiet", "--emit", str(emit)] if flagged else []
+            assert main(["--scenario", scenario, *extra]) == 0
+            out = capsys.readouterr().out
+            assert emit.exists() == flagged
+            assert (out == "") == flagged and ("all expectations met" in out) != flagged
+        assert main(["--scenario", scenario, "--seed", "7", "--quiet"]) == 0
+        assert main(["--scenario", scenario]) == 0
+        assert "(seed 0)" in capsys.readouterr().out
+
     def test_exit_two_on_missing_file(self, tmp_path, capsys):
         assert main(["--scenario", str(tmp_path / "nope.scn"), "--quiet"]) == 2
         capsys.readouterr()
@@ -659,6 +694,115 @@ class TestJsonText:
         with pytest.raises(TypeError):
             json_text(value)
 
+    @given(st.fractions())
+    def test_a_distance_needs_no_escape(self, value):
+        # entry tables write str(distance) between quotes as it stands
+        text = str(value)
+        assert re.fullmatch(r"-?\d+(/\d+)?", text) and json.dumps(text) == f'"{text}"'
+
+
+def _entry_dict(entry):
+    """A trace entry as the JSON report reads it: one dict, keys in any order."""
+    if not isinstance(entry, TraceEntry):
+        raise TypeError(f"{type(entry).__name__} does not belong in a report")
+    return {
+        "segment": entry.segment,
+        "step": entry.step,
+        "power": entry.tracer_power,
+        "distance": str(entry.distance),
+    }
+
+
+def _seeded_scenario(rng, kind):
+    """Scenario text over a seeded box, finite or shift-space relation, with a
+    trace at y, a search, a spaced and an initial refutation, and for the shift
+    space a ``mahavier trace``: every command whose payload holds a report."""
+    eps = rng.choice(["0", "1/8", "1/4", "1/2"])
+    if kind == "box":
+        relation = random_box_relation(rng, max_boxes=4, max_den=6)
+        lines = ["ambient interval 0 1"]
+        lines += [f"box {a.lo} {a.hi} {b.lo} {b.hi}" for a, b in relation.boxes]
+    else:
+        space = random_finite_space(rng, rng.randrange(2, 5))
+        relation = random_finite_relation(rng, space, density=0.5)
+        n = space.n
+        lines = [f"ambient finite {n}", "matrix metric"]
+        lines += ["  " + " ".join(map(str, row)) for row in space.dist]
+        lines += ["end", "matrix adjacency"]
+        lines += ["  " + " ".join("1" if a else "0" for a in row) for row in relation.adjacency]
+        lines.append("end")
+    x1, x2, y, h1, h2, i1, i2 = (random_point(rng, relation) for _ in range(7))
+    k = rng.randrange(3)
+    lines += ["spec S", f"  segment {x1} k {k} l {k + rng.randrange(3)}"]
+    lines += [f"  segment {x2} k {k + 4} l {k + 4 + rng.randrange(4)}", "end"]
+    for mode in ("plain", "hausdorff"):
+        lines += [f"trace S y {y} eps {eps} mode {mode}", f"trace S eps {eps} mode {mode}"]
+    lines += [f"refute HSP eps {eps} n 1 4", f"  segment {h1} k 0 l 1", f"  segment {h2} len 2", "end"]
+    lines += [f"refute ISP eps {eps} gaps 1 3", f"  segment {i1} l 1", f"  segment {i2} l 2", "end"]
+    if kind == "shift":
+        successors = relation.successors
+        for name in "ABC":
+            # follow random successors until a symbol repeats: a preperiod, then a cycle
+            path = [rng.randrange(len(successors))]
+            while path.count(path[-1]) == 1:
+                path.append(rng.choice(successors[path[-1]]))
+            start = path.index(path[-1])
+            pre = f"pre {' '.join(map(str, path[:start]))} " if start else ""
+            lines.append(f"seq {name} {pre}cycle {' '.join(map(str, path[start:-1]))}")
+        lines += ["mspec M", "  segment A k 0 l 2", f"  segment B k 3 l {3 + rng.randrange(4)}", "end"]
+        lines.append(f"mahavier trace M y C eps {eps}")
+    return "\n".join(lines) + "\n"
+
+
+class TestEntryTables:
+    """A report's entries go to the JSON writer as one table and come out one row
+    per entry; the text is json.dumps's with each entry read as its dict."""
+
+    def test_every_payload_writes_as_json_dumps(self):
+        rng = random.Random(24)
+        outcomes = set()
+        for trial in range(36):
+            kind = ("box", "finite", "shift")[trial % 3]
+            report = run(parse_scenario(_seeded_scenario(rng, kind)))
+            for result in report.results:
+                payload = result.payload
+                assert result.error is None, result.error
+                expected = json.dumps(payload, indent=2, sort_keys=True, default=_entry_dict)
+                assert json_text(payload) == expected
+                outcomes.add((result.kind, result.outcome))
+            text = render_json(report)
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert {("trace", "witness"), ("trace", "notracer")} <= outcomes
+        assert {("refute", "refutation"), ("refute", "inconclusive")} <= outcomes
+        assert {("trace", "pass"), ("trace", "fail")} <= outcomes
+        assert {("mahavier", "pass"), ("mahavier", "fail")} <= outcomes
+
+    def test_worst_is_the_entry_max_returns(self):
+        # max keeps the first of equal distances; ties and zeros are drawn on purpose
+        rng = random.Random(24)
+        distances = [F(0), F(0), F(1, 3), F(2, 6), F(1, 2), F(1), F(7, 5), F(14, 10)]
+        ties = 0
+        for _ in range(400):
+            drawn = distances[: rng.randrange(1, len(distances) + 1)]
+            entries = tuple(
+                TraceEntry(1 + j % 2, j, j, rng.choice(drawn), None, None)
+                for j in range(rng.randrange(1, 9))
+            )
+            worst = max(entries, key=lambda e: e.distance)
+            assert TraceReport("plain", F(1, 4), entries).worst is worst
+            ties += sum(e.distance == worst.distance for e in entries) > 1
+        for _ in range(60):
+            relation = random_box_relation(rng) if rng.random() < 0.5 else random_finite_relation(
+                rng, random_finite_space(rng, 4)
+            )
+            spec = Specification.build(relation, random_spaced_triples(rng, relation, 2, 2))
+            for mode in ("plain", "hausdorff"):
+                report = check_trace(relation, spec, random_point(rng, relation), F(1, 4), mode)
+                worst = max(report.entries, key=lambda e: e.distance)
+                assert report.worst is worst
+                ties += sum(e.distance == worst.distance for e in report.entries) > 1
+        assert ties > 100
+
 
 class TestLineNumbers:
     """Validation errors and negative eps exit 2 and name the line at fault."""
@@ -671,6 +815,24 @@ class TestLineNumbers:
                 4,
                 "box [0, 2] x [0, 1] leaves the ambient space [0, 1]",
                 id="box-outside",
+            ),
+            pytest.param(
+                "ambient interval -1 1\nbox -2 0 0 1\n",
+                2,
+                "box [-2, 0] x [0, 1] leaves the ambient space [-1, 1]",
+                id="box-outside-at-a-lo",
+            ),
+            pytest.param(
+                "ambient interval -1 1\nbox -1 1 -3/2 1\n",
+                2,
+                "box [-1, 1] x [-3/2, 1] leaves the ambient space [-1, 1]",
+                id="box-outside-at-b-lo",
+            ),
+            pytest.param(
+                "ambient interval -1 1\nbox 0 1/2 1/2 5/4\n",
+                2,
+                "box [0, 1/2] x [1/2, 5/4] leaves the ambient space [-1, 1]",
+                id="box-outside-at-b-hi",
             ),
             pytest.param(
                 "ambient finite 2\n# a metric that is not symmetric\nmatrix metric\n  0 1\n  2 0\nend\n"

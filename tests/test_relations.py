@@ -340,6 +340,14 @@ class TestGridCells:
             seen[origin] += 1
         assert min(seen.values()) >= 5, seen
 
+    def test_each_swept_cell_is_its_constructed_twin(self):
+        # the sweep builds each cell with one dict update; Cell(...) builds it field by field
+        for _, relation in self.relations():
+            for cell in cell_decomposition(relation).cells:
+                twin = Cell(cell.lo, cell.hi, cell.lo_closed, cell.hi_closed, cell.pattern)
+                assert twin == cell and hash(twin) == hash(cell) and repr(twin) == repr(cell)
+                assert twin.mask == cell.mask and twin.__dict__ == cell.__dict__
+
     def test_point_set_checks_the_ambient_ends_on_the_grid(self):
         tiny = F(1, 10**12)
         for _, relation in self.relations():
