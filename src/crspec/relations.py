@@ -475,11 +475,14 @@ class Cell:
     denominators from their slots, as :func:`~crspec.sets.common_grid` does,
     and keeps ``mask``, the pattern as a bit mask (bit i for box i).  Its
     hash is taken once, from those ints and the mask, since cells key the
-    orbit memo; ``is_point`` compares the ints, and the representative is one
-    ``Fraction`` built from them.  The representative and the text are kept
-    on the cell once first asked for, since every pass over a relation's
-    regions reads the one and every report line or payload entry naming the
-    cell the other.
+    orbit memo.  Like :class:`~crspec.specifications.TraceEntry`, a cell
+    fills its instance dict in one update, fields and derived values alike,
+    where a frozen dataclass's own ``__init__`` sets each through
+    ``object.__setattr__``.  ``is_point`` compares the ints, and the
+    representative is one ``Fraction`` built from them.  The representative
+    and the text are kept on the cell once first asked for, since every pass
+    over a relation's regions reads the one and every report line or payload
+    entry naming the cell the other.
     """
 
     lo: Fraction
@@ -488,23 +491,12 @@ class Cell:
     hi_closed: bool
     pattern: frozenset[int]
 
-    def __post_init__(self):
-        ends = (self.lo._numerator, self.lo._denominator, self.hi._numerator, self.hi._denominator)
-        mask = sum(1 << i for i in self.pattern)
-        object.__setattr__(self, "_ends", ends)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "_hash", hash((ends, self.lo_closed, self.hi_closed, mask)))
-
-    @classmethod
-    def _swept(cls, lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool, pattern, mask) -> "Cell":
-        """The cell ``Cell(lo, hi, lo_closed, hi_closed, pattern)``, given the mask a sweep holds.
-
-        Its fields and derived values go in with one instance-dict update, as
-        :class:`~crspec.specifications.TraceEntry` fills its own.
-        """
-        cell = object.__new__(cls)
+    def __init__(self, lo, hi, lo_closed, hi_closed, pattern):
         ends = (lo._numerator, lo._denominator, hi._numerator, hi._denominator)
-        cell.__dict__.update(
+        mask = 0
+        for i in pattern:
+            mask |= 1 << i
+        self.__dict__.update(
             lo=lo,
             hi=hi,
             lo_closed=lo_closed,
@@ -514,7 +506,6 @@ class Cell:
             mask=mask,
             _hash=hash((ends, lo_closed, hi_closed, mask)),
         )
-        return cell
 
     def __hash__(self):
         return self._hash
@@ -597,8 +588,7 @@ def cell_decomposition(relation: BoxRelation) -> CellDecomposition:
     does not change at 0.  Breakpoints are the relation's grid ints, and one
     sweep over them tags every piece: a box holds a breakpoint from its
     lower end to its upper end, and the open piece after it while it has not
-    ended.  Cells keep the original endpoints and take the mask the sweep
-    holds, built with one instance-dict update each.  The result is kept on the
+    ended.  Cells keep the original endpoints.  The result is kept on the
     relation object (a frozen dataclass still has a ``__dict__``), so it is
     freed with it.
     """
@@ -643,8 +633,7 @@ def cell_decomposition(relation: BoxRelation) -> CellDecomposition:
         pattern = frozenset(i for i in boxes if mask >> i & 1)
         # an even piece is a breakpoint, closed; an odd one the open interval after one
         lo_closed, hi_closed = first % 2 == 0, last % 2 == 0
-        lo, hi = breaks[first // 2], breaks[(last + 1) // 2]
-        cells.append(Cell._swept(lo, hi, lo_closed, hi_closed, pattern, mask))
+        cells.append(Cell(breaks[first // 2], breaks[(last + 1) // 2], lo_closed, hi_closed, pattern))
     decomposition = CellDecomposition(breaks, tuple(cells), tuple(grid), tuple(piece_cells))
     memo["_cell_decomposition"] = decomposition
     return decomposition

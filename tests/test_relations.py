@@ -333,20 +333,19 @@ class TestGridCells:
                 assert cell.is_point == (lo == hi)
                 fresh = (Fraction(str(lo)), Fraction(2 * hi.numerator, 2 * hi.denominator))
                 twin = Cell(*fresh, cell.lo_closed, cell.hi_closed, frozenset(cell.pattern))
-                assert twin == cell and hash(twin) == hash(cell)
+                assert twin == cell and hash(twin) == hash(cell) and repr(twin) == repr(cell)
                 assert twin.representative() == rep and str(twin) == str(cell)
+                # one dict update fills the fields and what is derived from them
+                ends = (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+                mask = sum(1 << i for i in cell.pattern)
+                assert (cell._ends, cell.mask) == (ends, mask)
+                assert hash(cell) == hash((ends, cell.lo_closed, cell.hi_closed, mask))
+                names = ("lo", "hi", "lo_closed", "hi_closed", "pattern")
+                assert repr(cell) == "Cell(" + ", ".join(f"{n}={getattr(cell, n)!r}" for n in names) + ")"
                 assert relation.first_image(twin) == relation.first_image(cell)
                 seen["point" if cell.is_point else "interval"] += 1
             seen[origin] += 1
         assert min(seen.values()) >= 5, seen
-
-    def test_each_swept_cell_is_its_constructed_twin(self):
-        # the sweep builds each cell with one dict update; Cell(...) builds it field by field
-        for _, relation in self.relations():
-            for cell in cell_decomposition(relation).cells:
-                twin = Cell(cell.lo, cell.hi, cell.lo_closed, cell.hi_closed, cell.pattern)
-                assert twin == cell and hash(twin) == hash(cell) and repr(twin) == repr(cell)
-                assert twin.mask == cell.mask and twin.__dict__ == cell.__dict__
 
     def test_point_set_checks_the_ambient_ends_on_the_grid(self):
         tiny = F(1, 10**12)
