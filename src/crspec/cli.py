@@ -286,7 +286,7 @@ def _run_mahavier(scenario: Scenario, params: dict) -> tuple:
         data = lambda: {"counts": counts, "matrix_counts": expected}
         return _passed(agree), label, headline, lambda: detail, data
     if sub == "mixing":
-        index = mixing_index(scenario.shift_space.transition_matrix(), params["tmax"])
+        index = mixing_index(scenario.relation, params["tmax"])
         label = f"mahavier mixing tmax {params['tmax']}"
         if index is None:
             headline = f"{label}: not primitive within {params['tmax']}"

@@ -48,8 +48,8 @@ from itertools import chain
 from operator import or_
 from typing import Sequence
 
-from .errors import BadRangeError, EmptyImageError, NoPreimageError
-from .relations import FiniteRelation, Orbit, successor_lists
+from .errors import EmptyImageError, NoPreimageError
+from .relations import FiniteRelation, Orbit, check_range, successor_lists
 from .sets import memo_property, rat
 from .specifications import TraceEntry, TraceReport
 
@@ -131,27 +131,25 @@ class TransitionMatrix:
     def of(cls, relation: FiniteRelation) -> "TransitionMatrix":
         return cls(relation.adjacency)
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
     @memo_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
         return successor_lists(self.entries)
 
 
-def mixing_index(matrix: TransitionMatrix, t_max: int) -> int | None:
+def mixing_index(matrix: FiniteRelation | TransitionMatrix, t_max: int) -> int | None:
     """Smallest t <= t_max with M^t entrywise positive, else None.
 
-    Each row of a power is an int bitmask: row i of M^(t+1) = M M^t is the
-    OR of the rows of M^t at the successors of i, one OR per edge.  No power
-    beyond Wielandt's bound (n-1)^2 + 1 is tried: a matrix with a positive
-    power has one by then.
+    M is a finite relation's adjacency, read off its successor lists, so the
+    relation or its ``TransitionMatrix`` will do.  Each row of a power is an
+    int bitmask: row i of M^(t+1) = M M^t is the OR of the rows of M^t at the
+    successors of i, one OR per edge.  No power beyond Wielandt's bound
+    (n-1)^2 + 1 is tried: a matrix with a positive power has one by then.
     """
     succ = matrix.successors
-    full = (1 << matrix.n) - 1
+    n = len(succ)
+    full = (1 << n) - 1
     power = [sum(1 << j for j in row) for row in succ]
-    for t in range(1, min(t_max, (matrix.n - 1) ** 2 + 1) + 1):
+    for t in range(1, min(t_max, (n - 1) ** 2 + 1) + 1):
         if all(row == full for row in power):
             return t
         power = [reduce(or_, [power[j] for j in row], 0) for row in succ]
@@ -192,10 +190,7 @@ class ShiftSpace:
         if not spec:
             raise ValueError("a specification needs at least one segment")
         for _, first, last in spec:
-            if first < 0:
-                raise BadRangeError(f"segment exponent {first} is negative")
-            if first > last:
-                raise BadRangeError(f"segment range [{first}, {last}] is empty")
+            check_range(first, last)
 
     def is_admissible(self, word: Sequence[int]) -> bool:
         self._check_symbols(word)
@@ -227,9 +222,6 @@ class ShiftSpace:
         for p in chain.from_iterable(levels[half - 1]):
             words.extend(map(p.__add__, after[p[-1]]))
         return words
-
-    def transition_matrix(self) -> TransitionMatrix:
-        return TransitionMatrix.of(self.relation)
 
     def sequence(self, preperiod: Sequence[int], cycle: Sequence[int]) -> EPSequence:
         """Build and admissibility-check an eventually periodic sequence."""

@@ -175,6 +175,14 @@ class Orbit:
         return len(self.close()._sets) - self._cycle_start
 
 
+def check_range(first: int, last: int) -> None:
+    """BadRangeError unless 0 <= first <= last: the exponents of one segment."""
+    if first < 0:
+        raise BadRangeError(f"segment exponent {first} is negative")
+    if first > last:
+        raise BadRangeError(f"segment range [{first}, {last}] is empty")
+
+
 @dataclass(frozen=True)
 class OrbitSegment:
     """The sets F^first(x), ..., F^last(x), read off the orbit of x.
@@ -190,10 +198,7 @@ class OrbitSegment:
     orbit: Orbit = field(repr=False)
 
     def __post_init__(self):
-        if self.first < 0:
-            raise BadRangeError(f"segment exponent {self.first} is negative")
-        if self.first > self.last:
-            raise BadRangeError(f"segment range [{self.first}, {self.last}] is empty")
+        check_range(self.first, self.last)
         if self.last >= 1:
             self.orbit.value_at(self.last)
 
@@ -326,10 +331,6 @@ class BoxRelation(_Iterates):
         """F(S): the union of the B_i whose domain side meets S.  May be empty."""
         return _box_image(self._den, self._domains, self._ranges, self._unions, s)
 
-    def union_of(self, mask: int) -> IntervalUnion:
-        """The union of the B_i with bit i set in mask, merged on the grid once per mask."""
-        return _union_of(self._den, self._ranges, self._unions, mask)
-
     def regions(self):
         """(cell, its representative) for each cell of the decomposition, in order."""
         for cell in cell_decomposition(self).cells:
@@ -340,7 +341,7 @@ class BoxRelation(_Iterates):
 
     def first_image(self, cell: "Cell") -> IntervalUnion:
         """F(y) for every y in the cell: the union of B_i over the cell's mask."""
-        return self.union_of(cell.mask)
+        return _union_of(self._den, self._ranges, self._unions, cell.mask)
 
     def project(self, which: int) -> IntervalUnion:
         if which not in (1, 2):
@@ -442,16 +443,11 @@ class FiniteRelation(_Iterates):
         if which not in (1, 2):
             raise ValueError("projection index must be 1 or 2")
         if which == 1:
-            return PointSet.of(i for i, row in enumerate(self.adjacency) if any(row))
-        return PointSet.of(
-            j for j in range(self.space.n) if any(row[j] for row in self.adjacency)
-        )
+            return PointSet.of(i for i, row in enumerate(self.successors) if row)
+        return PointSet.of(set().union(*self.successors))
 
     def inverse(self) -> "FiniteRelation":
-        n = self.space.n
-        return FiniteRelation(
-            self.space, tuple(tuple(self.adjacency[j][i] for j in range(n)) for i in range(n))
-        )
+        return FiniteRelation.from_pairs(self.space, ((j, i) for i, j in self.pairs()))
 
 
 def _finite_image(space, successors, s: PointSet) -> PointSet:
@@ -534,23 +530,6 @@ class Cell:
             return self.lo
         lo_num, lo_den, hi_num, hi_den = self._ends
         return Fraction(lo_num * hi_den + hi_num * lo_den, 2 * lo_den * hi_den)
-
-    def intersect_closed(self, lo: Fraction, hi: Fraction) -> "Cell | None":
-        """Intersection with a closed interval, or None when empty."""
-        new_lo, new_hi = max(self.lo, lo), min(self.hi, hi)
-        if new_lo > new_hi:
-            return None
-        lo_closed = self.lo_closed if new_lo == self.lo else True
-        hi_closed = self.hi_closed if new_hi == self.hi else True
-        if new_lo == new_hi and not (lo_closed and hi_closed):
-            return None
-        return Cell(new_lo, new_hi, lo_closed, hi_closed, self.pattern)
-
-    def pick_point(self, prefer: Fraction) -> Fraction:
-        """A deterministic member; `prefer` wins when it lies inside."""
-        if self.contains(prefer):
-            return prefer
-        return self.representative()
 
     def __str__(self):
         return self._text

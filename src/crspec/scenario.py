@@ -191,12 +191,13 @@ def _fields(
 # `mahavier words` prints every count in full, and Python prints no int of more
 # than 4,300 digits; n^1000 stays within that on any space of fewer than 10^4 points.
 MAX_WORD_LENGTH = 1000
-# A refutation's report holds a table for every tested value, a suite runs every
-# instance, and a check reports one entry per (segment, step) of its specification;
-# these keep one line's time and memory bounded (see the README).
+# A refutation reports a table per tested value, a suite runs every instance, a
+# check reports one entry per (segment, step), and a certificate tries each n0 up
+# to n0max; these keep one line's time and memory bounded (see the README).
 MAX_REFUTED_VALUES = 10_000
 MAX_SUITE_COUNT = 10_000
 MAX_SPEC_ENTRIES = 10_000
+MAX_N0 = 10_000
 
 
 def _count(kv: dict[str, list[str]], key: str, line: int) -> int:
@@ -409,6 +410,8 @@ class _Builder:
             params["eps"] = _eps(kv, line)
         if "n0max" in kv:
             params["n0max"] = _count(kv, "n0max", line)
+            if params["n0max"] > MAX_N0:
+                raise ScenarioParseError(line, f"'n0max' must be at most {MAX_N0}")
         return params, None
 
     def mahavier(self, line, tokens):

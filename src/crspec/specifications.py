@@ -263,13 +263,21 @@ def _cell_witness(cell, rep, report, zero_bases, eps):
     Entries with power >= 1 are constant on the cell, so the report at rep
     reads them.  Each power-0 requirement (i, 0) asks |y - x_i| <= eps, so
     together they pin y to the closed window [max x_i - eps, min x_i + eps].
+    Its meet with the cell keeps the cell's closedness at a shared end; the
+    witness is x_1 when the meet holds it, else the meet's midpoint.
     """
     if not _within((e for e in report.entries if e.tracer_power >= 1), eps):
         return None
     if not zero_bases:
         return rep
-    window = cell.intersect_closed(max(zero_bases) - eps, min(zero_bases) + eps)
-    return None if window is None else window.pick_point(zero_bases[0])
+    lo, hi = max(cell.lo, max(zero_bases) - eps), min(cell.hi, min(zero_bases) + eps)
+    lo_closed, hi_closed = lo != cell.lo or cell.lo_closed, hi != cell.hi or cell.hi_closed
+    if lo > hi or lo == hi and not (lo_closed and hi_closed):
+        return None
+    x = zero_bases[0]
+    if lo <= x <= hi and (x != lo or lo_closed) and (x != hi or hi_closed):
+        return x
+    return (lo + hi) / 2
 
 
 def _search(relation, spec, eps, mode) -> SearchResult:
@@ -325,10 +333,7 @@ def derive_initial(relation: Relation, spec: Specification) -> tuple[InitialSpec
                 f"segments at exponents {cur.last} and {nxt.first} leave no positive gap"
             )
         gaps.append(gap)
-    bases = tuple(
-        seg.base if seg.first == 0 else relation.iterate(seg.base, seg.first).min_point()
-        for seg in spec.segments
-    )
+    bases = tuple(seg.set_at(seg.first).min_point() for seg in spec.segments)
     segments = tuple(
         relation.orbit_segment(z, 0, seg.last - seg.first)
         for z, seg in zip(bases, spec.segments)

@@ -274,7 +274,7 @@ def test_criterion_7a_word_counts_follow_matrix_powers(golden_space):
 
 
 def test_criterion_7b_mixing_index(golden_space):
-    index = mixing_index(golden_space.transition_matrix(), 5)
+    index = mixing_index(golden_space.relation, 5)
     ok = (
         index == 2
         and not oracles.matrix_power_positive(golden_space.relation.adjacency, 1)

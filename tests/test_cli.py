@@ -30,7 +30,7 @@ from crspec.randgen import (
     random_point,
     random_spaced_triples,
 )
-from crspec.scenario import MAX_REFUTED_VALUES, MAX_SPEC_ENTRIES, MAX_SUITE_COUNT, parse_scenario
+from crspec.scenario import MAX_N0, MAX_REFUTED_VALUES, MAX_SPEC_ENTRIES, MAX_SUITE_COUNT, parse_scenario
 
 F = Fraction
 
@@ -459,6 +459,14 @@ class TestMain:
         path.write_text(INTERVAL + "suite count 10001 seed 7\n")
         assert main(["--scenario", str(path), "--quiet"]) == 2
         assert "line 3: 'count' must be at most 10000" in capsys.readouterr().err
+
+    def test_certify_n0max_is_capped(self, tmp_path, capsys):
+        assert MAX_N0 == 10_000
+        assert parse_scenario(INTERVAL + "certify full-image n0max 10000\n").commands[0].params["n0max"] == 10_000
+        path = tmp_path / "far.scn"
+        path.write_text(INTERVAL + "certify full-image n0max 10001\n")
+        assert main(["--scenario", str(path), "--quiet"]) == 2
+        assert "line 3: 'n0max' must be at most 10000" in capsys.readouterr().err
 
     def test_bad_segment_base_names_only_its_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

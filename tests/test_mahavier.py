@@ -251,7 +251,7 @@ class TestSupMetric:
 
 class TestMixing:
     def test_all_ones_is_immediately_positive(self, full_space):
-        assert mixing_index(full_space.transition_matrix(), 5) == 1
+        assert mixing_index(full_space.relation, 5) == 1
 
     def test_permutation_never_mixes(self, two_points):
         swap = FiniteRelation.from_pairs(two_points, [(0, 1), (1, 0)])
@@ -259,7 +259,7 @@ class TestMixing:
         assert mixing_index(TransitionMatrix.of(swap), 10**12) is None
 
     def test_golden_mean_mixes_at_two(self, golden_space):
-        assert mixing_index(golden_space.transition_matrix(), 5) == 2
+        assert mixing_index(golden_space.relation, 5) == 2
         assert not oracles.matrix_power_positive(golden_space.relation.adjacency, 1)
         assert oracles.matrix_power_positive(golden_space.relation.adjacency, 2)
 
@@ -275,7 +275,7 @@ class TestMixing:
         assert mixing_index(matrix, 17) == mixing_index(matrix, 10**12) == 17
 
     def test_witness_words_exist_at_the_index(self, golden_space):
-        t = mixing_index(golden_space.transition_matrix(), 5)
+        t = mixing_index(golden_space.relation, 5)
         ends = {(word[0], word[-1]) for word in golden_space.admissible_words(t + 1)}
         assert ends == set(product(range(2), repeat=2))
 
@@ -540,7 +540,8 @@ class TestKernelsAgainstDefinitions:
             want = next(
                 (t for t in range(1, 9) if oracles.matrix_power_positive(adj, t)), None
             )
-            assert mixing_index(shift.transition_matrix(), 8) == want
+            assert mixing_index(shift.relation, 8) == want
+            assert mixing_index(TransitionMatrix.of(shift.relation), 8) == want
 
     def test_shifted_is_repeated_shift(self):
         for rng, shift in _seeded_shifts(5):

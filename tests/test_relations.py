@@ -33,6 +33,7 @@ from crspec import (
     normalize,
     refute_property,
 )
+from crspec import relations
 from crspec.randgen import (
     random_box_relation,
     random_finite_relation,
@@ -173,6 +174,28 @@ class TestProjectInverse:
             assert inv.inverse() == relation
             assert inv.project(1) == relation.project(2)
             assert inv.project(2) == relation.project(1)
+
+    def test_finite_reads_match_the_adjacency(self):
+        # projections and inverse read the successor lists; the references
+        # read the matrix by rows and by columns, empty ones included
+        rng = random.Random(61)
+        seen = {"empty row": 0, "empty column": 0}
+        for _ in range(200):
+            space = random_finite_space(rng, rng.randint(1, 6))
+            relation = random_finite_relation(rng, space, density=0.3, p1_full=False)
+            adj, n = relation.adjacency, space.n
+            rows = [i for i in range(n) if any(adj[i])]
+            columns = [j for j in range(n) if any(adj[i][j] for i in range(n))]
+            seen["empty row"] += len(rows) < n
+            seen["empty column"] += len(columns) < n
+            assert relation.project(1) == PointSet.of(rows)
+            assert relation.project(2) == PointSet.of(columns)
+            inv = relation.inverse()
+            assert inv.adjacency == tuple(tuple(adj[j][i] for j in range(n)) for i in range(n))
+            assert inv.successors == tuple(
+                tuple(j for j in range(n) if adj[j][i]) for i in range(n)
+            )
+        assert min(seen.values()) >= 50, seen
 
     def test_surjectivity_probe(self, monica, constant, full_box):
         def check_surjectivity(relation):
@@ -756,7 +779,8 @@ class TestBoxKernel:
             count = len(sides)
             for mask in range(1 << count) if count <= 4 else (rng.getrandbits(count) for _ in range(16)):
                 chosen = [sides[k] for k in range(len(sides)) if mask >> k & 1]
-                built.append((relation.union_of(mask), chosen))
+                union = relations._union_of(relation._den, relation._ranges, relation._unions, mask)
+                built.append((union, chosen))
             cells = cell_decomposition(relation).cells
             for cell in cells:
                 built.append((relation.first_image(cell), [sides[i] for i in cell.pattern]))

@@ -11,6 +11,7 @@ import crspec.specifications
 from crspec.relations import MODES
 from crspec import (
     BoxRelation,
+    Cell,
     FiniteMetricSpace,
     FiniteRelation,
     InitialSpecification,
@@ -22,6 +23,7 @@ from crspec import (
     Specification,
     SizeMismatchError,
     SpacedTemplate,
+    TraceReport,
     TracerWitness,
     cell_decomposition,
     check_initial_trace,
@@ -38,6 +40,7 @@ from crspec.randgen import (
     random_box_relation,
     random_finite_relation,
     random_finite_space,
+    random_fraction,
     random_partition_relation,
     random_point,
     random_spaced_triples,
@@ -550,3 +553,51 @@ class TestVerdictsOnSlotInts:
                 witness = crspec.specifications._cell_witness(None, "rep", at, [], eps)
                 assert witness == ("rep" if positive else None)
         assert min(seen.values()) > 300, seen
+
+
+def _witness_through_a_cell(cell, zero_bases, eps):
+    """The witness as first written: the window built as a ``Cell``, then a point picked in it."""
+    new_lo = max(cell.lo, max(zero_bases) - eps)
+    new_hi = min(cell.hi, min(zero_bases) + eps)
+    if new_lo > new_hi:
+        return None
+    lo_closed = cell.lo_closed if new_lo == cell.lo else True
+    hi_closed = cell.hi_closed if new_hi == cell.hi else True
+    if new_lo == new_hi and not (lo_closed and hi_closed):
+        return None
+    window = Cell(new_lo, new_hi, lo_closed, hi_closed, cell.pattern)
+    prefer = zero_bases[0]
+    return prefer if window.contains(prefer) else window.representative()
+
+
+class TestCellWitness:
+    def test_the_window_picks_what_a_window_cell_picked(self):
+        # an empty report, so only the power-0 window decides
+        rng = random.Random(67)
+        seen = {"point cell": 0, "on an open end": 0, "empty": 0, "base": 0, "midpoint": 0}
+        cases = 0
+        while cases < 2000:
+            cells = cell_decomposition(random_box_relation(rng)).cells
+            picks = [x for c in cells for x in (c.lo, c.hi, c.representative())]
+            for cell in cells:
+                for _ in range(4):
+                    zero_bases = [
+                        rng.choice(picks) if rng.random() < 0.6 else random_fraction(rng)
+                        for _ in range(rng.randint(1, 3))
+                    ]
+                    eps = rng.choice((F(0), F(1, 8), F(1, 4), F(1, 2)))
+                    report = TraceReport("plain", eps, ())
+                    rep = cell.representative()
+                    got = crspec.specifications._cell_witness(cell, rep, report, zero_bases, eps)
+                    want = _witness_through_a_cell(cell, zero_bases, eps)
+                    assert got == want, (cell, zero_bases, eps)
+                    cases += 1
+                    ends = (max(zero_bases) - eps, min(zero_bases) + eps)
+                    seen["point cell"] += cell.is_point
+                    seen["on an open end"] += (cell.lo in ends and not cell.lo_closed) or (
+                        cell.hi in ends and not cell.hi_closed
+                    )
+                    seen["empty"] += want is None
+                    seen["base"] += want is not None and want == zero_bases[0]
+                    seen["midpoint"] += want is not None and want != zero_bases[0]
+        assert min(seen.values()) >= 50, seen
