@@ -162,22 +162,17 @@ def _certificate_payload(cert) -> dict:
         payload["n0"] = cert.n0
     if cert.eps is not None:
         payload["eps"] = str(cert.eps)
-    if cert.kind == "common-image":
-        payload["evidence"] = [
-            {"pair": [str(la), str(lb)], "common_point": str(pt)}
-            for (la, lb), pt in cert.evidence
-        ]
-    elif cert.kind == "full-image":
+    if cert.kind == "full-image":
         payload["evidence"] = [
             {"region": str(label), "image": str(image)} for label, image in cert.evidence
         ]
-    elif cert.kind in ("eventual-hausdorff", "eventual-equal"):
-        payload["evidence"] = [
-            {"pair": [str(la), str(lb)], "worst": str(worst)}
-            for (la, lb), worst in cert.evidence
-        ]
-    else:
+    elif cert.kind == "trivial-fiber":
         payload["evidence"] = {"x0": str(cert.evidence[0]), "fiber": str(cert.evidence[1])}
+    else:
+        name = "common_point" if cert.kind == "common-image" else "worst"
+        payload["evidence"] = [
+            {"pair": [str(la), str(lb)], name: str(value)} for (la, lb), value in cert.evidence
+        ]
     return payload
 
 

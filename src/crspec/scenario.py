@@ -521,7 +521,7 @@ class _Builder:
                 raise ScenarioValidationError(
                     min(shift_lines), "shift-space declarations need a finite ambient"
                 )
-            scenario.shift_space = ShiftSpace.of(relation)
+            scenario.shift_space = ShiftSpace(relation)
         for line, name, pre, cycle in self.raw_seqs:
             if name in scenario.sequences:
                 raise ScenarioValidationError(line, f"duplicate sequence name {name!r}")

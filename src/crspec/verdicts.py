@@ -58,6 +58,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Union
 
@@ -148,35 +149,25 @@ class Certificate:
 def certify_common_image(relation: Relation, n0_max: int) -> Certificate | None:
     """Smallest n0 <= n0_max with F^{n0}(x) and F^{n0}(y) meeting for all x, y.
 
-    Evidence lists one common point per region pair, the least one.  At each
-    n0 the regions are grouped by their n0-th set; each distinct pair of
-    sets is met once per call, by one merge of their sorted parts, and the
-    evidence is read off a table indexed by the groups.  Requires
-    p1(F) = X; a dying orbit raises EmptyImageError.
+    Evidence lists one common point per region pair, the least one.  Each
+    distinct pair of n0-th sets is met once per call, by one merge of their
+    sorted parts, and its answer is kept under both orders, so the evidence
+    of a region pair is read off that memo.  Requires p1(F) = X; a dying
+    orbit raises EmptyImageError.
     """
     orbits = _eventual_orbits(relation)
-    pairs = list(combinations(range(len(orbits)), 2))
-    commons: dict = {}  # (set, set) -> their least common point, or None
+    commons: dict = {}  # (set, set), both orders -> their least common point, or None
     for n0 in range(1, _last_n0(relation, n0_max, image=True) + 1):
         sets = [orbit.value_at(n0) for _, orbit in orbits]
-        group = {}
-        ids = [group.setdefault(s, len(group)) for s in sets]
-        distinct = list(group)
-        table = [[None] * len(distinct) for _ in distinct]
-        for ka, kb in combinations_with_replacement(range(len(distinct)), 2):
-            a, b = distinct[ka], distinct[kb]
+        for a, b in combinations_with_replacement(dict.fromkeys(sets), 2):
             if (a, b) not in commons:
-                commons[a, b] = a.first_common_point(b)
-            table[ka][kb] = table[kb][ka] = commons[a, b]
-            if table[ka][kb] is None:
+                commons[a, b] = commons[b, a] = a.first_common_point(b)
+            if commons[a, b] is None:
                 break
         else:
-            return Certificate(
-                "common-image",
-                n0,
-                None,
-                tuple(((orbits[a][0], orbits[b][0]), table[ids[a]][ids[b]]) for a, b in pairs),
-            )
+            pairs = combinations(zip((label for label, _ in orbits), sets), 2)
+            evidence = tuple(((la, lb), commons[a, b]) for (la, a), (lb, b) in pairs)
+            return Certificate("common-image", n0, None, evidence)
     return None
 
 
@@ -224,12 +215,7 @@ def certify_trivial_fiber(relation: Relation) -> Certificate | None:
     Such an x0 belongs to F(x) for every x, i.e. to the intersection of the
     per-region first images; the minimum of that intersection is reported.
     """
-    images = _first_images(relation)
-    common = images[0]
-    for img in images[1:]:
-        common = common.intersect(img)
-        if common.is_empty:
-            return None
+    common = reduce(lambda common, image: common.intersect(image), _first_images(relation))
     if common.is_empty:
         return None
     return Certificate("trivial-fiber", None, None, (common.min_point(), common))
@@ -238,35 +224,39 @@ def certify_trivial_fiber(relation: Relation) -> Certificate | None:
 def recheck(relation: Relation, certificate: Certificate) -> bool:
     """Re-evaluate a certificate's evidence against the relation.
 
-    Orbits and distances come from the relation's memos, so a recheck that
-    shares nothing with the certifier needs a freshly built relation.
+    Each kind reads only what its evidence needs: a trivial fiber reads the
+    first images and no orbit; a common or full image reads each region's
+    orbit at n0, swept only that far; only the eventual kinds close orbits.
+    The evidence must name exactly what the certifiers write, else the
+    recheck fails: every region, in ``regions()`` order, for a full image,
+    and every unordered region pair, in ``itertools.combinations`` order,
+    for the pair kinds.  Orbits and distances come from the relation's
+    memos, so a recheck that shares nothing with the certifier needs a
+    freshly built relation.
     """
-    orbits = dict(_eventual_orbits(relation))
-    kind = certificate.kind
-    if kind == "common-image":
-        return all(
-            orbits[la].value_at(certificate.n0).contains(point)
-            and orbits[lb].value_at(certificate.n0).contains(point)
-            for (la, lb), point in certificate.evidence
+    kind, n0, evidence = certificate.kind, certificate.n0, certificate.evidence
+    if kind == "trivial-fiber":
+        return len(evidence) == 2 and all(
+            image.contains(evidence[0]) for image in _first_images(relation)
         )
+    if kind not in ("common-image", "full-image", "eventual-hausdorff", "eventual-equal"):
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    labels = [region for region, _ in relation.regions()]
+    keys = labels if kind == "full-image" else list(combinations(labels, 2))
+    if [key for key, _ in evidence] != keys:
+        return False
     if kind == "full-image":
         full = relation.space.full()
-        return all(
-            orbits[label].value_at(certificate.n0) == full == stored
-            for label, stored in certificate.evidence
-        )
-    if kind in ("eventual-hausdorff", "eventual-equal"):
-        for (la, lb), stored in certificate.evidence:
-            worst = _eventual_worst(relation, orbits[la], orbits[lb], certificate.n0)
-            if worst != stored or worst > certificate.eps:
-                return False
-            if kind == "eventual-equal" and worst != 0:
-                return False
-        return True
-    if kind == "trivial-fiber":
-        x0 = certificate.evidence[0]
-        return all(image.contains(x0) for image in _first_images(relation))
-    raise ValueError(f"unknown certificate kind {kind!r}")
+        return all(relation.orbit(x).value_at(n0) == full == stored for x, stored in evidence)
+    if kind == "common-image":
+        level = {label: relation.orbit(label).value_at(n0) for label in labels}
+        return all(level[la].contains(pt) and level[lb].contains(pt) for (la, lb), pt in evidence)
+    orbits = dict(_eventual_orbits(relation))  # closed: a dying orbit raises, as in the certifier
+    for (la, lb), stored in evidence:
+        worst = _eventual_worst(relation, orbits[la], orbits[lb], n0)
+        if worst != stored or worst > certificate.eps or (kind == "eventual-equal" and worst != 0):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -257,6 +258,24 @@ class TestMain:
         captured = capsys.readouterr()
         assert code == 0, captured.out
         assert emit.exists()
+
+    @pytest.mark.parametrize("name", [p.name for p in sorted(SCENARIOS.glob("*.scn"))])
+    def test_a_bundled_scenario_leaves_no_garbage(self, name, capsys, tmp_path):
+        # with the collector off, what it finds after a run was never freed by reference counting
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            kept = len(gc.garbage)
+            code = main(["--scenario", str(SCENARIOS / name), "--emit", str(tmp_path / "out.json")])
+            gc.collect()
+            garbage = [type(o) for o in gc.garbage[kept:]]
+            del gc.garbage[kept:]
+        finally:
+            gc.set_debug(0)
+            gc.enable()
+        assert code == 0, capsys.readouterr().out
+        assert not [t for t in garbage if t.__module__.startswith("crspec")]
 
     def test_exit_one_on_missed_expectation(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

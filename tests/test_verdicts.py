@@ -256,6 +256,112 @@ class TestTrivialFiber:
         assert not recheck(constant, forged)
 
 
+def _primorial_fan():
+    """60 points, discrete metric: 0 enters cycles of lengths 2, 3, ..., 17, all reach 59.
+
+    Point 0's set orbit has period 2 * 3 * 5 * 7 * 11 * 13 * 17 = 510,510,
+    and X x {59} lies in the relation.
+    """
+    pairs, start = [(x, 59) for x in range(60)], 1
+    for length in (2, 3, 5, 7, 11, 13, 17):
+        cycle = range(start, start + length)
+        pairs += [(0, start)] + [(x, cycle[(k + 1) % length]) for k, x in enumerate(cycle)]
+        start += length
+    return FiniteRelation.from_pairs(FiniteMetricSpace.discrete(60), pairs)
+
+
+def _watch_orbits(monkeypatch) -> list:
+    """Record every call of an Orbit method or property, as (name, *args)."""
+    calls = []
+    for name, member in list(vars(Orbit).items()):
+        if isinstance(member, property):
+            def read(self, _get=member.fget, _name=name):
+                calls.append((_name,))
+                return _get(self)
+            monkeypatch.setattr(Orbit, name, property(read))
+        elif callable(member):
+            def call(self, *args, _f=member, _name=name):
+                calls.append((_name, *args))
+                return _f(self, *args)
+            monkeypatch.setattr(Orbit, name, call)
+    return calls
+
+
+class TestRecheck:
+    def test_evidence_must_cover_every_region_once(self, monica, fan):
+        certificates = [
+            certify_common_image(monica, 6),
+            certify_full_image(fan, 6),
+            certify_eventual_hausdorff(fan, F(1, 4), 6),
+            certify_eventual_hausdorff(fan, F(1, 8), 6),
+        ]
+        kinds = ["common-image", "full-image", "eventual-hausdorff", "eventual-equal"]
+        assert [cert.kind for cert in certificates] == kinds
+        for relation, cert in zip([monica, fan, fan, fan], certificates):
+            assert recheck(fresh(relation), cert)
+            foreign = cell_decomposition(fan if relation is monica else monica).cells[1]
+            evidence = cert.evidence
+            assert len(evidence) >= 3
+            assert foreign not in [label for label, _ in relation.regions()]
+            label, value = evidence[0]
+            alien = (foreign, label[1]) if cert.kind != "full-image" else foreign
+            forgeries = [
+                (),
+                evidence[1:],
+                evidence[:-1],
+                evidence + evidence[-1:],
+                evidence[:1] + evidence[:1] + evidence[2:],
+                ((alien, value),) + evidence[1:],
+            ]
+            for forged in forgeries:
+                assert not recheck(fresh(relation), Certificate(cert.kind, cert.n0, cert.eps, forged))
+
+    def test_empty_evidence_rechecks_false_where_no_certificate_exists(self, unit):
+        relation = BoxRelation(unit, (box(0, F(1, 2), 0, 0), box(F(1, 2), 1, 1, 1)))
+        assert certify_common_image(relation, 12) is None
+        assert certify_full_image(relation, 12) is None
+        assert certify_eventual_hausdorff(relation, F(1, 4), 12) is None
+        assert certify_trivial_fiber(relation) is None
+        for kind, eps in [
+            ("common-image", None),
+            ("full-image", None),
+            ("eventual-hausdorff", F(1, 4)),
+            ("eventual-equal", F(0)),
+            ("trivial-fiber", None),
+        ]:
+            assert not recheck(relation, Certificate(kind, 1, eps, ()))
+
+    def test_an_eventual_recheck_closes_every_orbit(self):
+        # one region, so no pair: the orbit is still closed, and its death raises as it does
+        # in the certifier
+        stuck = FiniteRelation.from_pairs(FiniteMetricSpace.discrete(1), [])
+        for kind in ("eventual-hausdorff", "eventual-equal"):
+            with pytest.raises(EmptyImageError):
+                recheck(stuck, Certificate(kind, 1, F(1, 4), ()))
+
+    def test_a_fiber_reads_no_orbit(self, monkeypatch):
+        relation = _primorial_fan()
+        cert = certify_trivial_fiber(relation)
+        assert cert.evidence[0] == 59
+        calls = _watch_orbits(monkeypatch)
+        assert recheck(relation, cert)
+        assert calls == []
+
+    def test_an_image_certificate_reads_orbits_only_at_n0(self, monkeypatch):
+        # the certifier still closes every orbit, so the evidence is built by hand
+        relation = _primorial_fan()
+        images = [relation.first_image(x) for x in range(60)]
+        evidence = tuple(
+            ((a, b), images[a].first_common_point(images[b]))
+            for a, b in itertools.combinations(range(60), 2)
+        )
+        assert None not in [point for _, point in evidence]
+        calls = _watch_orbits(monkeypatch)
+        assert recheck(relation, Certificate("common-image", 1, None, evidence))
+        assert {call[0] for call in calls} == {"__init__", "_push", "value_at"}
+        assert {call[1] for call in calls if call[0] == "value_at"} == {1}
+
+
 class TestRefutations:
     def test_monica_hsp(self, monica):
         template = SpacedTemplate((F(0), 2, 3), ((F(1), 1),))
