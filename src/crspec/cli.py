@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
@@ -78,12 +79,20 @@ def _worst(w: TraceEntry) -> str:
     return f"{w.distance} at (i={w.segment}, j={w.step})"
 
 
-class _EntryTable(tuple):
-    """A report's entries in a payload; :func:`json_text` writes each as one row.
+class _Table(tuple):
+    """Library objects that a payload holds as one JSON list; :func:`json_text`
+    writes each as one formatted row.
 
-    It reads as the list of dicts ``{"distance": str(e.distance), "power":
-    e.tracer_power, "segment": e.segment, "step": e.step}``, one per entry.
+    ``rows(items, newline)`` returns each item's row, the text of its dict
+    with its keys in sorted order, ``newline`` ending each line at the row's
+    own indent.  :func:`_entry_rows`, :func:`_region_rows`,
+    :func:`_pair_rows` and :func:`_image_rows` give the dicts each reads as.
     """
+
+    def __new__(cls, rows: Callable[..., list[str]], items):
+        table = tuple.__new__(cls, items)
+        table.rows = rows
+        return table
 
 
 def _report_payload(report: TraceReport) -> dict:
@@ -92,7 +101,7 @@ def _report_payload(report: TraceReport) -> dict:
         "mode": report.mode,
         "eps": str(report.eps),
         "verdict": _passed(report.passed),
-        "entries": _EntryTable(report.entries),
+        "entries": _Table(_entry_rows, report.entries),
         "worst": {
             "segment": worst.segment,
             "step": worst.step,
@@ -110,24 +119,14 @@ def _report_lines(report: TraceReport) -> list[str]:
     return lines
 
 
-def _no_tracer_payload(outcome: NoTracer) -> list[dict]:
-    return [
-        {
-            "region": str(f.region),
-            "representative": str(f.representative),
-            "report": _report_payload(f.report),
-        }
-        for f in outcome.failures
-    ]
-
-
 # Each runner takes a command's parameters and returns the outcome, the
 # command's label, the headline, a function that builds the detail lines and
 # one that builds the JSON data; run() assembles them into a CommandResult.
 # Only the human report calls the first and only a JSON report the second, so
 # a run with --quiet builds no detail line and one without --emit no payload.
-# A payload holds a report's entries as their table, which json_text writes
-# one formatted row per entry, so no entry becomes a dict.
+# A payload holds a report's entries, a search's failed regions and a
+# certificate's per-region or per-pair evidence as tables, which json_text
+# writes one formatted row per item, so none of them becomes a dict.
 
 
 def _run_trace(scenario: Scenario, params: dict) -> tuple:
@@ -146,7 +145,8 @@ def _run_trace(scenario: Scenario, params: dict) -> tuple:
             f"  region {f.region} (rep {f.representative}): worst {_worst(f.report.worst)}"
             for f in result.failures
         ]
-        return "notracer", label, headline, detail, lambda: {"regions": _no_tracer_payload(result)}
+        data = lambda: {"regions": _Table(_region_rows, result.failures)}
+        return "notracer", label, headline, detail, data
     headline = f"{label}: witness y = {result.y} in region {result.region}"
     data = lambda: {
         "y": str(result.y),
@@ -163,16 +163,12 @@ def _certificate_payload(cert) -> dict:
     if cert.eps is not None:
         payload["eps"] = str(cert.eps)
     if cert.kind == "full-image":
-        payload["evidence"] = [
-            {"region": str(label), "image": str(image)} for label, image in cert.evidence
-        ]
+        payload["evidence"] = _Table(_image_rows, cert.evidence)
     elif cert.kind == "trivial-fiber":
         payload["evidence"] = {"x0": str(cert.evidence[0]), "fiber": str(cert.evidence[1])}
     else:
         name = "common_point" if cert.kind == "common-image" else "worst"
-        payload["evidence"] = [
-            {"pair": [str(la), str(lb)], name: str(value)} for (la, lb), value in cert.evidence
-        ]
+        payload["evidence"] = _Table(partial(_pair_rows, name), cert.evidence)
     return payload
 
 
@@ -223,7 +219,7 @@ def _run_refute(scenario: Scenario, params: dict) -> tuple:
     # an unsearched value's table is measured when read, and only a JSON report reads it
     data = lambda: {
         "instantiations": [
-            {"value": inst.value, "regions": _no_tracer_payload(inst.outcome)}
+            {"value": inst.value, "regions": _Table(_region_rows, inst.outcome.failures)}
             for inst in result.instantiations
         ],
     }
@@ -396,16 +392,16 @@ def render_json(report: Report) -> str:
 
 
 def json_text(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, each entry table read as its list of dicts.
+    """``json.dumps(value, indent=2, sort_keys=True)``, each table read as its list of dicts.
 
-    A report holds dicts with str keys, lists, entry tables, str, int, bool
-    and None; anything else raises TypeError.  Python's encoder falls back to
+    A report holds dicts with str keys, lists, tables, str, int, bool and
+    None; anything else raises TypeError.  Python's encoder falls back to
     its pure-Python code whenever ``indent`` is set, with one call and one
     joined string per value.  This writer gives the same text in one pass: it
     appends every piece to one list of strings and joins that list once.  The
     loops over a dict's items and a list's members write a scalar member in
     place, so only a nested dict, list or table costs a call, and a table is
-    written one formatted row per entry.
+    written one formatted row per item.
     """
     out: list[str] = []
     _write(value, "\n", out)
@@ -452,9 +448,9 @@ def _write(value, newline: str, out: list[str]) -> None:
                 _write(item, inner, out)
             sep = "," + inner
         out += (newline, "]")
-    elif kind is _EntryTable and value:
-        _write_entries(value, newline, out)
-    elif kind is dict or kind is list or kind is _EntryTable:
+    elif kind is _Table:
+        out.append(_rows_text(value.rows, value, newline))
+    elif kind is dict or kind is list:
         out.append("{}" if kind is dict else "[]")
     elif kind is str:
         out.append(encode_basestring_ascii(value))
@@ -466,21 +462,73 @@ def _write(value, newline: str, out: list[str]) -> None:
         raise TypeError(f"{kind.__name__} does not belong in a report")
 
 
-def _write_entries(entries: _EntryTable, newline: str, out: list[str]) -> None:
-    """Append an entry table as its list of dicts, one formatted string per entry.
+# Table rows.  Cell, point-set and interval-union text goes through
+# encode_basestring_ascii; a Fraction, or an int point, is written as it
+# stands: it prints as ``-``, digits and ``/`` only, none of which JSON escapes.
 
-    Each row holds its keys in sorted order.  A distance's text goes in
-    without ``encode_basestring_ascii``: a ``Fraction`` prints as ``-``,
-    digits and ``/`` only, none of which JSON escapes.
-    """
+
+def _rows_text(rows: Callable[..., list[str]], items, newline: str) -> str:
+    """The text of items as a JSON list of ``rows(items, inner)``; ``[]`` when empty."""
+    if not items:
+        return "[]"
     inner = newline + "  "
+    return "[" + inner + ("," + inner).join(rows(items, inner)) + newline + "]"
+
+
+def _entry_rows(entries, inner: str) -> list[str]:
+    """{"distance", "power", "segment", "step"} per trace entry."""
     key = inner + '  "'
-    rows = [
+    return [
         f'{{{key}distance": "{e.distance!s}",{key}power": {e.tracer_power},'
         f'{key}segment": {e.segment},{key}step": {e.step}{inner}}}'
         for e in entries
     ]
-    out += ("[" + inner, ("," + inner).join(rows), newline, "]")
+
+
+def _region_rows(failures, inner: str) -> list[str]:
+    """{"region", "report", "representative"} per failed region, the report as
+    :func:`_report_payload` gives it."""
+    key, at = inner + '  "', inner + "    "
+    field, worst_key = at + '"', at + '  "'
+    rows = []
+    for f in failures:
+        report = f.report
+        worst = report.worst
+        rows.append(
+            f'{{{key}region": {encode_basestring_ascii(str(f.region))},{key}report": {{'
+            f'{field}entries": {_rows_text(_entry_rows, report.entries, at)},'
+            f'{field}eps": "{report.eps!s}",{field}mode": {encode_basestring_ascii(report.mode)},'
+            f'{field}verdict": "{_passed(report.passed)}",{field}worst": {{'
+            f'{worst_key}distance": "{worst.distance!s}",{worst_key}segment": {worst.segment},'
+            f'{worst_key}step": {worst.step}{at}}}{inner}  }},'
+            f'{key}representative": "{f.representative!s}"{inner}}}'
+        )
+    return rows
+
+
+def _pair_rows(name: str, pairs, inner: str) -> list[str]:
+    """{"pair": [label, label], name: value} per region pair."""
+    key, label = inner + '  "', inner + "    "
+    first = name < "pair"
+    rows = []
+    for (la, lb), value in pairs:
+        pair = (
+            f'{key}pair": [{label}{encode_basestring_ascii(str(la))},'
+            f'{label}{encode_basestring_ascii(str(lb))}{inner}  ]'
+        )
+        named = f'{key}{name}": "{value!s}"'
+        rows.append(f"{{{named},{pair}{inner}}}" if first else f"{{{pair},{named}{inner}}}")
+    return rows
+
+
+def _image_rows(evidence, inner: str) -> list[str]:
+    """{"image", "region"} per region of a full-image certificate."""
+    key = inner + '  "'
+    return [
+        f'{{{key}image": {encode_basestring_ascii(str(image))},'
+        f'{key}region": {encode_basestring_ascii(str(label))}{inner}}}'
+        for label, image in evidence
+    ]
 
 
 # built once: each parse_args call fills a fresh namespace, so no call sees another's flags

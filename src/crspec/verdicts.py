@@ -204,9 +204,11 @@ def certify_eventual_hausdorff(relation: Relation, eps, n0_max: int) -> Certific
     return None
 
 
-def _first_images(relation: Relation) -> list:
-    """F(y) for one y in each cell or point; unlike an orbit's, these may be empty."""
-    return [relation.first_image(region) for region, _ in relation.regions()]
+def _fiber(relation: Relation):
+    """The intersection of F(y) over one y in each cell or point: every x0 with
+    X x {x0} inside F.  Unlike an orbit's sets, it may be empty."""
+    images = (relation.first_image(region) for region, _ in relation.regions())
+    return reduce(lambda common, image: common.intersect(image), images)
 
 
 def certify_trivial_fiber(relation: Relation) -> Certificate | None:
@@ -215,7 +217,7 @@ def certify_trivial_fiber(relation: Relation) -> Certificate | None:
     Such an x0 belongs to F(x) for every x, i.e. to the intersection of the
     per-region first images; the minimum of that intersection is reported.
     """
-    common = reduce(lambda common, image: common.intersect(image), _first_images(relation))
+    common = _fiber(relation)
     if common.is_empty:
         return None
     return Certificate("trivial-fiber", None, None, (common.min_point(), common))
@@ -225,8 +227,10 @@ def recheck(relation: Relation, certificate: Certificate) -> bool:
     """Re-evaluate a certificate's evidence against the relation.
 
     Each kind reads only what its evidence needs: a trivial fiber reads the
-    first images and no orbit; a common or full image reads each region's
-    orbit at n0, swept only that far; only the eventual kinds close orbits.
+    first images and no orbit, and must store their intersection and its
+    least point, as the certifier does; a common or full image reads each
+    region's orbit at n0, swept only that far; only the eventual kinds close
+    orbits.
     The evidence must name exactly what the certifiers write, else the
     recheck fails: every region, in ``regions()`` order, for a full image,
     and every unordered region pair, in ``itertools.combinations`` order,
@@ -236,9 +240,8 @@ def recheck(relation: Relation, certificate: Certificate) -> bool:
     """
     kind, n0, evidence = certificate.kind, certificate.n0, certificate.evidence
     if kind == "trivial-fiber":
-        return len(evidence) == 2 and all(
-            image.contains(evidence[0]) for image in _first_images(relation)
-        )
+        fiber = _fiber(relation)
+        return not fiber.is_empty and tuple(evidence) == (fiber.min_point(), fiber)
     if kind not in ("common-image", "full-image", "eventual-hausdorff", "eventual-equal"):
         raise ValueError(f"unknown certificate kind {kind!r}")
     labels = [region for region, _ in relation.regions()]

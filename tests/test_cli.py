@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crspec import (
+    RegionFailure,
     ScenarioParseError,
     ScenarioValidationError,
     ShiftSpace,
@@ -728,22 +729,55 @@ class TestJsonText:
         assert re.fullmatch(r"-?\d+(/\d+)?", text) and json.dumps(text) == f'"{text}"'
 
 
-def _entry_dict(entry):
-    """A trace entry as the JSON report reads it: one dict, keys in any order."""
-    if not isinstance(entry, TraceEntry):
-        raise TypeError(f"{type(entry).__name__} does not belong in a report")
+def _table_dict(item):
+    """A trace entry or a failed region as the JSON report reads it: one dict,
+    keys in any order; json.dumps asks for it as ``default``."""
+    if isinstance(item, TraceEntry):
+        return {
+            "segment": item.segment,
+            "step": item.step,
+            "power": item.tracer_power,
+            "distance": str(item.distance),
+        }
+    if not isinstance(item, RegionFailure):
+        raise TypeError(f"{type(item).__name__} does not belong in a report")
+    report, worst = item.report, item.report.worst
     return {
-        "segment": entry.segment,
-        "step": entry.step,
-        "power": entry.tracer_power,
-        "distance": str(entry.distance),
+        "region": str(item.region),
+        "representative": str(item.representative),
+        "report": {
+            "mode": report.mode,
+            "eps": str(report.eps),
+            "verdict": "pass" if report.passed else "fail",
+            "entries": report.entries,
+            "worst": {"segment": worst.segment, "step": worst.step, "distance": str(worst.distance)},
+        },
     }
+
+
+def _evidence_read(payload):
+    """The payload with a certificate's evidence table read as its list of dicts.
+
+    json.dumps writes the table's tuples as lists without asking ``default``,
+    so the per-region and per-pair evidence is read here, by kind.
+    """
+    cert = payload.get("certificate")
+    if cert is None or cert["kind"] == "trivial-fiber":
+        return payload
+    if cert["kind"] == "full-image":
+        evidence = [{"region": str(label), "image": str(image)} for label, image in cert["evidence"]]
+    else:
+        name = "common_point" if cert["kind"] == "common-image" else "worst"
+        evidence = [{"pair": [str(a), str(b)], name: str(value)} for (a, b), value in cert["evidence"]]
+    return {**payload, "certificate": {**cert, "evidence": evidence}}
 
 
 def _seeded_scenario(rng, kind):
     """Scenario text over a seeded box, finite or shift-space relation, with a
-    trace at y, a search, a spaced and an initial refutation, and for the shift
-    space a ``mahavier trace``: every command whose payload holds a report."""
+    trace at y, a search, a spaced and an initial refutation, for the shift
+    space a ``mahavier trace``, and one ``certify`` line per condition: every
+    command whose payload holds a table.  randgen draws p1(F) = X, so no
+    orbit dies."""
     eps = rng.choice(["0", "1/8", "1/4", "1/2"])
     if kind == "box":
         relation = random_box_relation(rng, max_boxes=4, max_den=6)
@@ -778,23 +812,31 @@ def _seeded_scenario(rng, kind):
             lines.append(f"seq {name} {pre}cycle {' '.join(map(str, path[start:-1]))}")
         lines += ["mspec M", "  segment A k 0 l 2", f"  segment B k 3 l {3 + rng.randrange(4)}", "end"]
         lines.append(f"mahavier trace M y C eps {eps}")
+    lines += ["certify common-image n0max 6", "certify full-image n0max 6"]
+    lines += [f"certify eventual-hausdorff eps {eps} n0max 6", "certify trivial-fiber"]
     return "\n".join(lines) + "\n"
 
 
 class TestEntryTables:
-    """A report's entries go to the JSON writer as one table and come out one row
-    per entry; the text is json.dumps's with each entry read as its dict."""
+    """A report's entries, a search's failed regions and a certificate's evidence
+    go to the JSON writer as tables and come out one row per item; the text is
+    json.dumps's with each item read as its dict."""
 
     def test_every_payload_writes_as_json_dumps(self):
         rng = random.Random(24)
+        texts = [_seeded_scenario(rng, ("box", "finite", "shift")[trial % 3]) for trial in range(36)]
+        # one region, so the pair evidence is an empty table
+        single = "certify common-image n0max 6\ncertify eventual-hausdorff eps 0 n0max 6\n"
+        texts.append(INTERVAL + single)
         outcomes = set()
-        for trial in range(36):
-            kind = ("box", "finite", "shift")[trial % 3]
-            report = run(parse_scenario(_seeded_scenario(rng, kind)))
+        for source in texts:
+            report = run(parse_scenario(source))
             for result in report.results:
                 payload = result.payload
                 assert result.error is None, result.error
-                expected = json.dumps(payload, indent=2, sort_keys=True, default=_entry_dict)
+                expected = json.dumps(
+                    _evidence_read(payload), indent=2, sort_keys=True, default=_table_dict
+                )
                 assert json_text(payload) == expected
                 outcomes.add((result.kind, result.outcome))
             text = render_json(report)
@@ -803,6 +845,14 @@ class TestEntryTables:
         assert {("refute", "refutation"), ("refute", "inconclusive")} <= outcomes
         assert {("trace", "pass"), ("trace", "fail")} <= outcomes
         assert {("mahavier", "pass"), ("mahavier", "fail")} <= outcomes
+        assert {("certify", "certificate"), ("certify", "notfound")} <= outcomes
+        # report is the last text's, the one-region relation's
+        certificates = [json.loads(json_text(r.payload))["certificate"] for r in report.results]
+        assert [(c["kind"], c["evidence"]) for c in certificates] == [
+            ("common-image", []),
+            ("eventual-equal", []),
+        ]
+        assert json_text(report.results[0].payload).count('"evidence": []') == 1
 
     def test_worst_is_the_entry_max_returns(self):
         # max keeps the first of equal distances; ties and zeros are drawn on purpose

@@ -255,6 +255,19 @@ class TestTrivialFiber:
         forged = Certificate(cert.kind, cert.n0, cert.eps, (F(1, 2), cert.evidence[1]))
         assert not recheck(constant, forged)
 
+    def test_recheck_needs_the_fiber_itself(self, constant, unit):
+        # x0 = 1 lies in every first image, but the stored fiber must be their
+        # intersection and x0 its least point
+        union = crspec.sets.IntervalUnion
+        assert certify_trivial_fiber(constant).evidence == (1, union.closed(1, 1))
+        assert recheck(fresh(constant), certify_trivial_fiber(constant))
+        for fiber in (union.closed(0, 1), "anything"):
+            assert not recheck(constant, Certificate("trivial-fiber", None, None, (1, fiber)))
+        wide = BoxRelation(unit, (box(0, 1, F(1, 2), 1),))
+        cert = certify_trivial_fiber(wide)
+        assert cert.evidence == (F(1, 2), union.closed(F(1, 2), 1)) and recheck(wide, cert)
+        assert not recheck(wide, Certificate(cert.kind, None, None, (F(3, 4), cert.evidence[1])))
+
 
 def _primorial_fan():
     """60 points, discrete metric: 0 enters cycles of lengths 2, 3, ..., 17, all reach 59.
