@@ -14,11 +14,13 @@ distances, membership, intersection) works on ints.  ``Fraction`` values are
 made only where a caller reads them: ``parts``, ``min_point``,
 ``max_point``, the text, and a returned distance or common point.
 
-Where two unions meet is worked out once, by :meth:`IntervalUnion.intersect`,
-one merge of their sorted parts; the least common point, containment and
-membership read its result.  ``set_distance`` and ``hausdorff`` keep walks of
-their own: they read the gaps and gap midpoints that an intersection drops,
-and they run on every search, where an endpoint form was about 3x slower.
+Two unions are read on the lcm of their denominators, and a union already
+on it keeps its own ends, so each operation reads each union's ends once.
+:meth:`IntervalUnion.intersect` and the least common point walk one merge of
+the sorted parts, the latter only to the first overlap; membership of a point
+is one bisection.  ``set_distance`` and ``hausdorff`` keep walks of their
+own, over the gaps and gap midpoints that an intersection drops; a directed
+Hausdorff term is kept doubled, so that every gap midpoint is an int.
 
 A finite metric space checks and freezes its matrix in C-level passes and
 converts only entries that are not yet ``Fraction`` values.  On first use it
@@ -243,7 +245,8 @@ class IntervalUnion:
         return not self.ends
 
     def contains(self, x: RationalLike) -> bool:
-        return not self.intersect(IntervalUnion.point(x)).is_empty
+        x = rat(x)
+        return _holds(self.ends, x._numerator * self.den, x._denominator)
 
     def min_point(self) -> Fraction:
         if self.is_empty:
@@ -259,24 +262,17 @@ class IntervalUnion:
         return normalize(self.parts + other.parts)
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        """One merge of the two sorted part lists; the overlaps of parts are the parts."""
-        den, ea, eb = _shared_grid(self, other, 1)
-        out: list[int] = []
-        i = j = 0
-        while i < len(ea) and j < len(eb):
-            lo, hi = max(ea[i], eb[j]), min(ea[i + 1], eb[j + 1])
-            if lo <= hi:
-                out += (lo, hi)
-            if ea[i + 1] < eb[j + 1]:
-                i += 2
-            else:
-                j += 2
-        return IntervalUnion.on_grid(den, out)
+        """The overlaps of the two unions' parts are the parts."""
+        den, ea, eb = _shared_grid(self, other)
+        return IntervalUnion.on_grid(den, [end for part in _overlaps(ea, eb) for end in part])
 
     def first_common_point(self, other: "IntervalUnion") -> Fraction | None:
-        """The least point of both unions, or None when they do not meet."""
-        common = self.intersect(other)
-        return None if common.is_empty else common.min_point()
+        """The least point of both unions, or None when they do not meet: the
+        lower end of the first overlap, with the merge stopped there."""
+        den, ea, eb = _shared_grid(self, other)
+        for lo, _ in _overlaps(ea, eb):
+            return Fraction(lo, den)
+        return None
 
     def subset_of(self, other: "IntervalUnion") -> bool:
         return self.intersect(other) == self
@@ -344,7 +340,7 @@ class IntervalSpace:
         """inf of pairwise distances between two non-empty closed sets."""
         if a.is_empty or b.is_empty:
             raise EmptySetError("set_distance needs non-empty sets")
-        den, ea, eb = _shared_grid(a, b, 1)
+        den, ea, eb = _shared_grid(a, b)
         # walk both sorted part lists; the nearest pair of parts is adjacent in the merge
         best, i, j = None, 0, 0
         while i < len(ea) and j < len(eb):
@@ -364,8 +360,8 @@ class IntervalSpace:
         """Hausdorff distance between two non-empty closed sets, exact."""
         if a.is_empty or b.is_empty:
             raise EmptySetError("hausdorff needs non-empty sets")
-        den, ea, eb = _shared_grid(a, b, 2)
-        return Fraction(max(_directed_hausdorff(ea, eb), _directed_hausdorff(eb, ea)), den)
+        den, ea, eb = _shared_grid(a, b)
+        return Fraction(max(_directed_hausdorff(ea, eb), _directed_hausdorff(eb, ea)), 2 * den)
 
     def neighborhood(self, eps: RationalLike, a: IntervalUnion) -> IntervalUnion:
         """Closed eps-neighborhood of a non-empty set, clipped to the ambient."""
@@ -383,42 +379,78 @@ class IntervalSpace:
         return f"[{self.lo}, {self.hi}]"
 
 
-def _shared_grid(a: IntervalUnion, b: IntervalUnion, factor: int) -> tuple:
-    """(den, ends of a, ends of b): both unions' endpoints as ints over one den,
-    which is factor times the lcm of the unions' own denominators."""
+def _shared_grid(a: IntervalUnion, b: IntervalUnion) -> tuple:
+    """(den, ends of a, ends of b): both unions' endpoints as ints over the lcm
+    of their denominators; a union already on that den keeps its own ends."""
     da, ea = a.den, a.ends
     db, eb = b.den, b.ends
-    if da == db and factor == 1:
+    if da == db:
         return da, ea, eb
     den = lcm(da, db)
-    fa, fb = factor * den // da, factor * den // db
-    return factor * den, [v * fa for v in ea], [v * fb for v in eb]
+    if den != da:
+        fa = den // da
+        ea = [v * fa for v in ea]
+    if den != db:
+        fb = den // db
+        eb = [v * fb for v in eb]
+    return den, ea, eb
 
 
-def _distance_to(ends: Sequence[int], x: int) -> int:
-    """d(x, B) for the union B with sorted endpoints ends, all on one integer grid."""
-    i = bisect_left(ends, x)
-    if i & 1:
-        return 0
-    if i == 0:
-        return ends[0] - x
-    if i == len(ends):
-        return x - ends[-1]
-    return min(ends[i] - x, x - ends[i - 1])
+def _overlaps(ea: Sequence[int], eb: Sequence[int]):
+    """(lo, hi) of each overlap of two unions' parts, in order, their ends on
+    one grid: one merge of the two sorted part lists, run as far as it is read."""
+    i = j = 0
+    while i < len(ea) and j < len(eb):
+        lo, hi = max(ea[i], eb[j]), min(ea[i + 1], eb[j + 1])
+        if lo <= hi:
+            yield lo, hi
+        if ea[i + 1] < eb[j + 1]:
+            i += 2
+        else:
+            j += 2
+
+
+def _holds(ends: Sequence[int], num: int, den: int) -> bool:
+    """Whether the union with these grid ends holds the value num / den (den > 0).
+
+    With c the ceiling of num / den, the value lies in (c - 1, c].  One
+    bisection finds the first end at or above c: an odd index is a part's
+    upper end whose part holds (c - 1, c], and an even one a lower end,
+    which holds the value only when equal to it.
+    """
+    i = bisect_left(ends, -(-num // den))
+    return i & 1 == 1 or (i < len(ends) and ends[i] * den == num)
 
 
 def _directed_hausdorff(ea: Sequence[int], eb: Sequence[int]) -> int:
-    """sup over a in A of d(a, B), on a grid doubled so that B's gap midpoints lie on it.
+    """Twice sup over a in A of d(a, B), both unions' ends on one integer grid.
 
     d(., B) is piecewise linear with local maxima only at gap midpoints of
     B, so endpoints of A's parts plus those midpoints that fall inside A are
-    the only candidates; a midpoint lies half its gap away from B.
+    the only candidates.  A midpoint lies half its gap away from B: in
+    doubled units the gap itself, and twice the midpoint is eb[k] + eb[k + 1].
     """
-    far = max(_distance_to(eb, x) for x in ea)
-    for k in range(1, len(eb) - 1, 2):
-        half = (eb[k + 1] - eb[k]) // 2
-        if half > far and _distance_to(ea, eb[k] + half) == 0:
-            far = half
+    last = len(eb)
+    far = 0
+    for x in ea:
+        i = bisect_left(eb, x)
+        if i & 1:
+            continue
+        if i == 0:
+            d = eb[0] - x
+        elif i == last:
+            d = x - eb[-1]
+        else:
+            d = eb[i] - x
+            if x - eb[i - 1] < d:
+                d = x - eb[i - 1]
+        if d > far:
+            far = d
+    far *= 2
+    for k in range(1, last - 1, 2):
+        lo, hi = eb[k], eb[k + 1]
+        if hi - lo > far and _holds(ea, lo + hi, 2):
+            far = hi - lo
     return far
 
 

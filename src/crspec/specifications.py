@@ -228,9 +228,10 @@ class NoTracer:
 SearchResult = Union[TracerWitness, NoTracer]
 
 
-def _report(relation, spec, y, eps, mode) -> TraceReport:
-    """The report at y; {y} is built only when a power-0 requirement reads it."""
-    orbit = relation.orbit(y)
+def _report(relation, spec, y, eps, mode, region) -> TraceReport:
+    """The report at y, a point of ``region``, whose orbit it reads; {y} is
+    built only when a power-0 requirement reads it."""
+    orbit = relation.orbit(region)
     origin = None
     entries = []
     for (i, j, power), target in zip(spec.requirements, spec.targets):
@@ -247,14 +248,14 @@ def _report(relation, spec, y, eps, mode) -> TraceReport:
 
 def check_trace(relation: Relation, spec: Specification, y, eps, mode: str) -> TraceReport:
     """Exact distances for every (i, j) the spec requires, spaced or initial."""
-    return _report(relation, spec, y, eps, mode)
+    return _report(relation, spec, y, eps, mode, y)
 
 
 def check_initial_trace(
     relation: Relation, spec: InitialSpecification, y, eps, mode: str
 ) -> TraceReport:
     """The initial name of :func:`check_trace`, over the same body."""
-    return _report(relation, spec, y, eps, mode)
+    return _report(relation, spec, y, eps, mode, y)
 
 
 def _cell_witness(cell, rep, report, zero_bases, eps):
@@ -284,13 +285,15 @@ def _search(relation, spec, eps, mode) -> SearchResult:
     """Decide each region exactly from the report at its representative.
 
     A point region is yielded as its own representative, so its report
-    decides it; a cell is decided by :func:`_cell_witness`.
+    decides it; a cell is decided by :func:`_cell_witness`.  Each report
+    reads the orbit of the region at hand, so no point is mapped back to
+    its cell.
     """
     eps = rat(eps)
     zero_bases = [spec.segments[i - 1].base for i, _, power in spec.requirements if power == 0]
     failures = []
     for region, rep in relation.regions():
-        report = check_trace(relation, spec, rep, eps, mode)
+        report = _report(relation, spec, rep, eps, mode, region)
         if region is rep:
             if report.passed:
                 return TracerWitness(rep, region, report)
@@ -298,7 +301,7 @@ def _search(relation, spec, eps, mode) -> SearchResult:
             y = _cell_witness(region, rep, report, zero_bases, eps)
             if y is not None:
                 if y != rep:
-                    report = check_trace(relation, spec, y, eps, mode)
+                    report = _report(relation, spec, y, eps, mode, region)
                 if not report.passed:
                     raise AssertionError("cell-level pass must yield a passing witness")
                 return TracerWitness(y, region, report)

@@ -358,6 +358,55 @@ class TestIntegerKernel:
             for x in points:
                 assert a.contains(x) == any(p.lo <= x <= p.hi for p in a.parts)
 
+    @staticmethod
+    def kernel_pairs():
+        """Seeded pairs of unions in [-1, 2], drawn to reach every branch of the walks.
+
+        One union of a pair is often a point, or a union with an end, at a
+        gap midpoint of the other: a gap of odd length on the common grid
+        puts that midpoint halfway between two grid points.
+        """
+        rng = random.Random(28)
+
+        def drawn():
+            # 1-4 parts at distinct ends k/den, so none merge; about a third of them points
+            den = rng.choice((1, 2, 3, 4, 6, 8, 12))
+            ends = sorted(rng.sample(range(-den, 2 * den + 1), 2 * min(rng.randint(1, 4), den + 1)))
+            parts = [(lo, lo if rng.random() < 0.3 else hi) for lo, hi in zip(ends[::2], ends[1::2])]
+            return normalize([Interval(F(lo, den), F(hi, den)) for lo, hi in parts])
+
+        for _ in range(800):
+            a, b = drawn(), drawn()
+            gaps = [(p.hi + q.lo) / 2 for p, q in zip(b.parts, b.parts[1:])]
+            recipe = rng.randrange(3)
+            if recipe == 1 and gaps:
+                a = IntervalUnion.point(rng.choice(gaps))
+            elif recipe == 2 and gaps:
+                m = rng.choice(gaps)
+                a = a.union(IntervalUnion.closed(m, m + F(rng.randint(0, 4), a.den)))
+            yield (a, b) if rng.getrandbits(1) else (b, a)
+
+    def test_interval_kernel_branches_match_the_grid_oracle(self):
+        seen = {"odd gap": 0, "midpoint on an end": 0, "point against union": 0, "multi against multi": 0, "two dens": 0}
+        for a, b in self.kernel_pairs():
+            assert WIDE.hausdorff(a, b) == oracles.hausdorff(a, b)
+            assert WIDE.set_distance(a, b) == oracles.set_distance(a, b)
+            assert a.first_common_point(b) == oracles.least_common_point(a, b)
+            d = lcm(a.den, b.den)
+            ends = {e for u in (a, b) for p in u.parts for e in (p.lo, p.hi)}
+            for u, v in ((a, b), (b, a)):
+                gaps = [(p.hi, q.lo) for p, q in zip(u.parts, u.parts[1:])]
+                for lo, hi in gaps:
+                    assert v.contains((lo + hi) / 2) == any(p.lo <= (lo + hi) / 2 <= p.hi for p in v.parts)
+                seen["odd gap"] += any((hi - lo) * d % 2 for lo, hi in gaps)
+                seen["midpoint on an end"] += any((lo + hi) / 2 in ends for lo, hi in gaps)
+                seen["point against union"] += len(u.parts) == 1 and u.parts[0].is_point and not (
+                    len(v.parts) == 1 and v.parts[0].is_point
+                )
+            seen["multi against multi"] += len(a.parts) > 1 and len(b.parts) > 1
+            seen["two dens"] += a.den != b.den
+        assert min(seen.values()) >= 100, seen
+
     @given(union_pairs(), st.integers(1, 6))
     def test_grid_is_canonical_and_any_multiple_reduces_to_it(self, pair, k):
         a, _ = pair

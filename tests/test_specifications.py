@@ -454,19 +454,49 @@ class TestOrbitSweep:
         assert ref() is None
 
     def test_finite_search_stops_at_the_first_witness(self, two_points, monkeypatch):
+        # each report the search builds, by the point it is built at
         checked = []
-        check = crspec.specifications.check_trace
+        report = crspec.specifications._report
 
-        def counted(relation, spec, y, eps, mode):
+        def counted(relation, spec, y, *rest):
             checked.append(y)
-            return check(relation, spec, y, eps, mode)
+            return report(relation, spec, y, *rest)
 
-        monkeypatch.setattr(crspec.specifications, "check_trace", counted)
+        monkeypatch.setattr(crspec.specifications, "_report", counted)
         full = FiniteRelation.from_pairs(two_points, [(0, 0), (0, 1), (1, 0), (1, 1)])
         spec = Specification.build(full, [(0, 0, 1)])
         result = find_tracer(full, spec, F(0), "plain")
         assert isinstance(result, TracerWitness) and result.y == 0
         assert checked == [0]
+
+    def test_searches_map_no_point_to_its_cell(self, unit, monkeypatch):
+        # A search reads each region's orbit by the region it holds, so no
+        # report maps its point back to a cell: only building a segment does,
+        # once per base.  Counts, unlike wall times, hold on any machine.
+        rng = random.Random(20)
+        cuts = [F(0), *sorted(F(k, 24) for k in rng.sample(range(1, 24), 11)), F(1)]
+        images = [F(rng.randint(0, 24), 24) for _ in range(12)]
+        relation = BoxRelation(unit, tuple(box(lo, hi, y, y) for lo, hi, y in zip(cuts, cuts[1:], images)))
+        assert len(cell_decomposition(relation).cells) == 23
+        # two power-0 requirements a unit apart fail in every cell, so each search reads all 23
+        spec = Specification.build(relation, [(F(0), 0, 3), (F(1), 0, 3)])
+        template = SpacedTemplate((F(1, 3), 2, 3), ((F(2, 3), 1),))
+        calls = []
+        cell_of = crspec.relations.cell_of
+
+        def counted(relation, x):
+            calls.append(x)
+            return cell_of(relation, x)
+
+        monkeypatch.setattr(crspec.relations, "cell_of", counted)
+        for mode in MODES:
+            result = find_tracer(relation, spec, F(1, 24), mode)
+            assert isinstance(result, NoTracer) and len(result.failures) == 23
+        assert calls == []
+        result = refute_property(relation, "HSP", F(1, 24), template, (1, 2))
+        assert isinstance(result, Refutation)
+        assert [len(i.outcome.failures) for i in result.instantiations] == [23, 23]
+        assert calls == [F(1, 3), F(2, 3)]
 
     def test_searches_hash_no_fraction_and_build_no_grid(self, unit, monkeypatch):
         # Once the relation and its cells exist, a search builds, keys and
