@@ -79,20 +79,20 @@ def _worst(w: TraceEntry) -> str:
     return f"{w.distance} at (i={w.segment}, j={w.step})"
 
 
-class _Table(tuple):
+class _Table:
     """Library objects that a payload holds as one JSON list; :func:`json_text`
     writes each as one formatted row.
 
     ``rows(items, newline)`` returns each item's row, the text of its dict
     with its keys in sorted order, ``newline`` ending each line at the row's
-    own indent.  :func:`_entry_rows`, :func:`_region_rows`,
-    :func:`_pair_rows` and :func:`_image_rows` give the dicts each reads as.
+    own indent; the ``_*_rows`` functions below give the dicts each reads as.
+    The items are held, not copied, so each is read only as its row is written.
     """
 
-    def __new__(cls, rows: Callable[..., list[str]], items):
-        table = tuple.__new__(cls, items)
-        table.rows = rows
-        return table
+    __slots__ = ("rows", "items")
+
+    def __init__(self, rows: Callable[..., list[str]], items):
+        self.rows, self.items = rows, items
 
 
 def _report_payload(report: TraceReport) -> dict:
@@ -216,13 +216,8 @@ def _run_refute(scenario: Scenario, params: dict) -> tuple:
             lines.append(f"  ... and {more} more instantiations, all refuted")
         return lines
 
-    # an unsearched value's table is measured when read, and only a JSON report reads it
-    data = lambda: {
-        "instantiations": [
-            {"value": inst.value, "regions": _Table(_region_rows, inst.outcome.failures)}
-            for inst in result.instantiations
-        ],
-    }
+    # an unsearched value's table is searched when read, and only a JSON report reads it
+    data = lambda: {"instantiations": _Table(_instantiation_rows, result.instantiations)}
     return "refutation", label, f"{label}: refuted for every tested value", detail, data
 
 
@@ -449,7 +444,7 @@ def _write(value, newline: str, out: list[str]) -> None:
             sep = "," + inner
         out += (newline, "]")
     elif kind is _Table:
-        out.append(_rows_text(value.rows, value, newline))
+        out.append(_rows_text(value.rows, value.items, newline))
     elif kind is dict or kind is list:
         out.append("{}" if kind is dict else "[]")
     elif kind is str:
@@ -504,6 +499,16 @@ def _region_rows(failures, inner: str) -> list[str]:
             f'{key}representative": "{f.representative!s}"{inner}}}'
         )
     return rows
+
+
+def _instantiation_rows(instantiations, inner: str) -> list[str]:
+    """{"regions", "value"} per tested value, each value's table read as its row is written."""
+    key, indent = inner + '  "', inner + "  "
+    return [
+        f'{{{key}regions": {_rows_text(_region_rows, inst.outcome.failures, indent)},'
+        f'{key}value": {inst.value}{inner}}}'
+        for inst in instantiations
+    ]
 
 
 def _pair_rows(name: str, pairs, inner: str) -> list[str]:

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .errors import CRSpecError, ScenarioParseError, ScenarioValidationError
+from .errors import BadRangeError, CRSpecError, ScenarioParseError, ScenarioValidationError
 from .mahavier import EPSequence, ShiftSpace
-from .relations import MODES, BoxRelation, FiniteRelation
+from .relations import MODES, BoxRelation, FiniteRelation, check_range
 from .sets import FiniteMetricSpace, Interval, IntervalSpace, validate_metric
 from .specifications import InitialSpecification, Specification
 from .verdicts import PROPERTIES, InitialTemplate, SpacedTemplate
@@ -224,6 +224,10 @@ def _segment(tokens: list[str], line: int, keys: tuple[str, ...]) -> tuple[str, 
     exponents = [_integer(token, line) for token in tokens[3::2]]
     if min(exponents) < 0:
         raise ScenarioParseError(line, "segment exponents must be non-negative")
+    try:
+        check_range(exponents[0], exponents[-1])
+    except BadRangeError as exc:
+        raise ScenarioParseError(line, str(exc)) from None
     return tokens[1], exponents
 
 
@@ -239,7 +243,7 @@ def _segments(body, line: int, keys: tuple[str, ...], tail_keys: tuple[str, ...]
         (*_segment(seg, segline, tail_keys if idx and tail_keys else keys), segline)
         for idx, (segline, seg) in enumerate(body)
     ]
-    entries = sum(max(0, exps[-1] - (exps[0] if len(exps) == 2 else 0) + 1) for _, exps, _ in segments)
+    entries = sum(exps[-1] - (exps[0] if len(exps) == 2 else 0) + 1 for _, exps, _ in segments)
     if entries > MAX_SPEC_ENTRIES:
         raise ScenarioParseError(
             line, f"a block's segments hold at most {MAX_SPEC_ENTRIES} (segment, step) entries"
@@ -535,8 +539,6 @@ class _Builder:
             resolved = []
             for seqname, (first, last), segline in segments:
                 _known(scenario.sequences, seqname, segline, "sequence")
-                if first > last:
-                    raise ScenarioValidationError(segline, "segment needs 0 <= k <= l")
                 resolved.append((scenario.sequences[seqname], first, last))
             scenario.mspecs[name] = tuple(resolved)
 

@@ -14,8 +14,8 @@ claims to decide them.  It produces three kinds of evidence instead:
   per-cell failure table for each instantiation.  Because tracer search is
   exact on cells, a refutation is a proof for the tested range, not a
   sampling result.  Each phase class of values past the orbits' transient
-  is searched once; a later value in it is not searched: its table is
-  each region's report, built when read (see below).
+  is searched once; a later value's table is the search's own, run only
+  when the table is read (see below).
 * an :class:`Inconclusive` outcome carrying the tracer that defeated the
   attempted refutation.
 
@@ -44,8 +44,8 @@ or the second segment's first tracer power ``last_1 + m``) exceeds T,
 every moving exponent does, so two such values v = v0 (mod P) compare the
 same pairs of sets and have the same table, entry for entry, up to the
 shift (i - 1)(v - v0) of the exponents.  :func:`refute_property` searches
-the first value of each phase class past T; a later one is not
-searched: its table is each region's report, built when read.
+the first value of each phase class past T; a later one's table is the
+search's own, run when read.
 It reads (T, P) only from orbits that some search has already swept to
 their first repeat; while one is open, or has died, every value is
 searched in full.
@@ -68,7 +68,6 @@ from .sets import rat
 from .specifications import (
     InitialSpecification,
     NoTracer,
-    RegionFailure,
     Specification,
     TracerWitness,
     check_trace,
@@ -275,19 +274,14 @@ class SpacedTemplate:
     tail: tuple[tuple, ...]
 
     def instantiate(self, relation: Relation, n: int) -> Specification:
-        base, first, last = self.head
-        triples = [(base, first, last)]
-        for b, length in self.tail:
-            start = last + n
-            triples.append((b, start, start + length))
-            last = start + length
-        return Specification.build(relation, triples)
+        triples = [self.head, *((b, 0, 0) for b, _ in self.tail)]
+        return self.respaced(Specification.build(relation, triples), n)
 
     def respaced(self, spec: Specification, n: int) -> Specification:
-        """The instance at spacing n, from spec, the instance at another spacing.
+        """The instance at spacing n, from spec, a specification of the same bases.
 
         Each tail segment keeps its base's point set and orbit and takes the
-        exponents of spacing n; the head segment is spec's own.
+        exponents of spacing n, sweeping its orbit; the head is spec's own.
         """
         segments = [spec.segments[0]]
         for seg, (_, length) in zip(spec.segments[1:], self.tail):
@@ -343,10 +337,9 @@ class Instantiation:
 class _Instantiations(Sequence):
     """The tables of a refutation's values; slices are tuples.
 
-    A searched value reads its own table.  Any other value is in a phase
-    class whose search refuted every region, so its table is each region's
-    report, built when read, on the template respaced from ``spec``: no
-    base's point set or orbit is looked up again.
+    A searched value reads its own table.  Any other value's phase class was
+    refuted, so its table is the search's own, run when read on the template
+    respaced from ``spec`` (a witness there is a fault): no base is looked up again.
     """
 
     relation: Relation
@@ -363,15 +356,14 @@ class _Instantiations(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
-        value, relation = self.values[index], self.relation
+        value = self.values[index]
         if value in self.searched:
             return Instantiation(value, self.searched[value])
         spec = self.template.respaced(self.spec, value)
-        failures = tuple(
-            RegionFailure(region, rep, check_trace(relation, spec, rep, self.eps, self.mode))
-            for region, rep in relation.regions()
-        )
-        return Instantiation(value, NoTracer(failures))
+        result = find_tracer(self.relation, spec, self.eps, self.mode)
+        if isinstance(result, TracerWitness):
+            raise AssertionError(f"value {value} has a tracer, but its phase class was refuted")
+        return Instantiation(value, result)
 
     def __eq__(self, other):
         if isinstance(other, (tuple, _Instantiations)):
@@ -411,8 +403,8 @@ def refute_property(
     class was already searched (see the module docstring).  The result is a
     Refutation only if every instantiation yields NoTracer, and an
     Inconclusive at the first value that admits a tracer.  A searched value
-    keeps its table; any other value's table is each region's report, built
-    when read, so every recorded distance is measured and replays exactly.
+    keeps its table; any other value's table is the search's own, run when
+    read, so every recorded distance is measured and replays exactly.
     The template is instantiated once, at the first value, and respaced for
     every value, so each base's point set and orbit are found once.
     """

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crspec import (
+    Instantiation,
     RegionFailure,
     ScenarioParseError,
     ScenarioValidationError,
@@ -24,7 +26,7 @@ from crspec import (
     specifications,
     verdicts,
 )
-from crspec.cli import WORD_SYMBOLS, json_text, main, render_json, run
+from crspec.cli import WORD_SYMBOLS, _Table, json_text, main, render_json, run
 from crspec.randgen import (
     random_box_relation,
     random_finite_relation,
@@ -327,6 +329,24 @@ class TestMain:
         bad.write_text(MONICA_HEADER + block + "trace S y 0 eps 1 mode plain\n")
         assert main(["--scenario", str(bad), "--quiet"]) == 2
         assert f"line {line}: segment exponents must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "head, block",
+        [
+            pytest.param(INTERVAL, "spec T\n  segment 0 k 5 l 2\n  segment 1 k 9 l 10\nend\n", id="spec"),
+            pytest.param(TWO_POINTS + "seq z cycle 0\n", "mspec M\n  segment z k 5 l 2\nend\n", id="mspec"),
+            pytest.param(
+                INTERVAL, "refute HSP eps 1/4 n 1 2\n  segment 0 k 5 l 2\n  segment 1 len 1\nend\n", id="refute"
+            ),
+        ],
+    )
+    def test_exit_two_on_an_empty_segment_range(self, head, block, tmp_path, capsys):
+        # every block refuses k > l as it reads the segment, naming the segment's own line
+        bad = tmp_path / "bad.scn"
+        bad.write_text(head + block)
+        assert main(["--scenario", str(bad), "--quiet"]) == 2
+        line = head.count("\n") + 2
+        assert f"line {line}: segment range [5, 2] is empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "line, key",
@@ -730,8 +750,13 @@ class TestJsonText:
 
 
 def _table_dict(item):
-    """A trace entry or a failed region as the JSON report reads it: one dict,
-    keys in any order; json.dumps asks for it as ``default``."""
+    """A table as the list of its items, and a trace entry, a failed region or a
+    tested value as the JSON report reads it: one dict, keys in any order;
+    json.dumps asks for each as ``default``."""
+    if isinstance(item, _Table):
+        return list(item.items)
+    if isinstance(item, Instantiation):
+        return {"value": item.value, "regions": item.outcome.failures}
     if isinstance(item, TraceEntry):
         return {
             "segment": item.segment,
@@ -758,17 +783,18 @@ def _table_dict(item):
 def _evidence_read(payload):
     """The payload with a certificate's evidence table read as its list of dicts.
 
-    json.dumps writes the table's tuples as lists without asking ``default``,
-    so the per-region and per-pair evidence is read here, by kind.
+    Its items are tuples, which json.dumps writes as lists without asking
+    ``default``, so the per-region and per-pair evidence is read here, by kind.
     """
     cert = payload.get("certificate")
     if cert is None or cert["kind"] == "trivial-fiber":
         return payload
+    items = cert["evidence"].items
     if cert["kind"] == "full-image":
-        evidence = [{"region": str(label), "image": str(image)} for label, image in cert["evidence"]]
+        evidence = [{"region": str(label), "image": str(image)} for label, image in items]
     else:
         name = "common_point" if cert["kind"] == "common-image" else "worst"
-        evidence = [{"pair": [str(a), str(b)], name: str(value)} for (a, b), value in cert["evidence"]]
+        evidence = [{"pair": [str(a), str(b)], name: str(value)} for (a, b), value in items]
     return {**payload, "certificate": {**cert, "evidence": evidence}}
 
 
@@ -829,11 +855,15 @@ class TestEntryTables:
         single = "certify common-image n0max 6\ncertify eventual-hausdorff eps 0 n0max 6\n"
         texts.append(INTERVAL + single)
         outcomes = set()
+        unsearched = 0  # tested values whose table is searched only as the writer reads it
         for source in texts:
             report = run(parse_scenario(source))
             for result in report.results:
                 payload = result.payload
                 assert result.error is None, result.error
+                if "instantiations" in payload:
+                    tables = payload["instantiations"].items
+                    unsearched += sum(value not in tables.searched for value in tables.values)
                 expected = json.dumps(
                     _evidence_read(payload), indent=2, sort_keys=True, default=_table_dict
                 )
@@ -846,6 +876,7 @@ class TestEntryTables:
         assert {("trace", "pass"), ("trace", "fail")} <= outcomes
         assert {("mahavier", "pass"), ("mahavier", "fail")} <= outcomes
         assert {("certify", "certificate"), ("certify", "notfound")} <= outcomes
+        assert unsearched > 0
         # report is the last text's, the one-region relation's
         certificates = [json.loads(json_text(r.payload))["certificate"] for r in report.results]
         assert [(c["kind"], c["evidence"]) for c in certificates] == [
@@ -853,6 +884,26 @@ class TestEntryTables:
             ("eventual-equal", []),
         ]
         assert json_text(report.results[0].payload).count('"evidence": []') == 1
+
+    def test_refutation_tables_are_written_one_at_a_time(self, monkeypatch):
+        # each unsearched value's table is searched as its row is written and let
+        # go after it, so when one is built only the one before it is still held
+        held, built = [], []
+        getitem = verdicts._Instantiations.__getitem__
+
+        def tracked(tables, index):
+            inst = getitem(tables, index)
+            if inst.value not in tables.searched:
+                held.append(sum(ref() is not None for ref in built))
+                built.append(weakref.ref(inst.outcome.failures[0]))
+            return inst
+
+        monkeypatch.setattr(verdicts._Instantiations, "__getitem__", tracked)
+        text = MONICA_HEADER + "refute HSP eps 1/4 n 1 40\n  segment 0 k 2 l 3\n  segment 1 len 1\nend\n"
+        report = run(parse_scenario(text))
+        assert report.results[0].outcome == "refutation" and held == []
+        assert json.loads(render_json(report))["commands"][0]["data"]["instantiations"][-1]["value"] == 40
+        assert len(held) == 39 and max(held) == 1
 
     def test_worst_is_the_entry_max_returns(self):
         # max keeps the first of equal distances; ties and zeros are drawn on purpose

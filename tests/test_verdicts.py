@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import crspec.relations
 import crspec.sets
 import crspec.verdicts
 import oracles
@@ -509,7 +510,8 @@ class TestPhaseWindow:
 
     @staticmethod
     def counting(monkeypatch):
-        """A list that grows by one for every tracer search refute_property runs."""
+        """A list that grows by one for every tracer search in verdicts: those
+        refute_property runs, and one for each unsearched table read later."""
         calls = []
         search = crspec.verdicts.find_tracer
 
@@ -565,10 +567,11 @@ class TestPhaseWindow:
                 got = refute_property(fresh(relation), prop, eps, template, values)
             except CRSpecError as exc:
                 got = type(exc), str(exc)
+            searched = len(calls)  # before the comparison reads the unsearched tables
             assert got == expected, (k, prop, template, values)
             if isinstance(expected, tuple) and expected[0] is EmptyImageError:
                 dying += 1
-            if isinstance(expected, Refutation) and len(calls) < len(values):
+            if isinstance(expected, Refutation) and searched < len(values):
                 orbits = [relation.orbit(r).close() for r, _ in relation.regions()]
                 seen[kind] += 1
                 seen["initial" if prop in INITIAL_PROPERTIES else "spaced"] += 1
@@ -643,6 +646,39 @@ class TestPhaseWindow:
                 assert len(list(result.instantiations)) == n
                 counts.append(len(calls))
         assert counts == [3, 3, 2, 2]
+
+    def test_reading_the_tables_maps_no_point_to_its_cell(self, unit, monkeypatch):
+        # An unsearched value's table is the search's own, which reads each
+        # region's orbit by the region it holds: only building the two bases maps
+        # a point to its cell.  The relation is the 23-cell one of TestOrbitSweep.
+        rng = random.Random(20)
+        cuts = [F(0), *sorted(F(k, 24) for k in rng.sample(range(1, 24), 11)), F(1)]
+        images = [F(rng.randint(0, 24), 24) for _ in range(12)]
+        relation = BoxRelation(unit, tuple(box(lo, hi, y, y) for lo, hi, y in zip(cuts, cuts[1:], images)))
+        assert len(cell_decomposition(relation).cells) == 23
+        template = SpacedTemplate((F(1, 3), 2, 3), ((F(2, 3), 1),))
+        calls = []
+        cell_of = crspec.relations.cell_of
+
+        def counted(relation, x):
+            calls.append(x)
+            return cell_of(relation, x)
+
+        monkeypatch.setattr(crspec.relations, "cell_of", counted)
+        result = refute_property(relation, "HSP", F(1, 24), template, range(1, 41))
+        assert isinstance(result, Refutation)
+        assert len(result.instantiations) - len(result.instantiations.searched) >= 30
+        assert [len(i.outcome.failures) for i in result.instantiations] == [23] * 40
+        assert calls == [F(1, 3), F(2, 3)]
+
+    def test_an_unsearched_value_with_a_tracer_is_a_fault(self, constant):
+        # a hand-built table set that puts a value with a tracer in a refuted phase class
+        template = SpacedTemplate((F(1, 2), 0, 1), ((F(1, 3), 1),))
+        spec = template.instantiate(constant, 1)
+        assert isinstance(find_tracer(constant, spec, F(1, 4), "plain"), TracerWitness)
+        tables = crspec.verdicts._Instantiations(constant, template, spec, F(1, 4), "plain", (1, 2), {})
+        with pytest.raises(AssertionError, match="^value 2 has a tracer"):
+            tables[1]
 
     def test_the_tables_read_as_the_tuple_they_were(self, unit):
         monica = BoxRelation(unit, (box(0, F(1, 2), 0, 0), box(F(1, 2), 1, 1, 1), box(1, 1, 0, 1)))
