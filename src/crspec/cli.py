@@ -512,16 +512,24 @@ def _instantiation_rows(instantiations, inner: str) -> list[str]:
 
 
 def _pair_rows(name: str, pairs, inner: str) -> list[str]:
-    """{"pair": [label, label], name: value} per region pair."""
+    """{"pair": [label, label], name: value} per region pair.
+
+    A certificate's values are few objects, read off the relation's memos, so
+    each object's text is made once, keyed by ``id``: the evidence holds every
+    value while the rows are written, and ``Fraction.__hash__`` runs in Python.
+    """
     key, label = inner + '  "', inner + "    "
     first = name < "pair"
     rows = []
+    texts: dict[int, str] = {}
     for (la, lb), value in pairs:
         pair = (
             f'{key}pair": [{label}{encode_basestring_ascii(str(la))},'
             f'{label}{encode_basestring_ascii(str(lb))}{inner}  ]'
         )
-        named = f'{key}{name}": "{value!s}"'
+        named = texts.get(id(value))
+        if named is None:
+            named = texts[id(value)] = f'{key}{name}": "{value!s}"'
         rows.append(f"{{{named},{pair}{inner}}}" if first else f"{{{pair},{named}{inner}}}")
     return rows
 

@@ -26,16 +26,17 @@ transients and periods, not the gaps.
 Every kernel costs per edge and per position read.  Words follow each
 symbol's successor list, ``FiniteRelation.successors``.  ``admissible_words(L)``
 extends words one symbol at a time only up to L - L // 2 symbols; each word
-of length L is then one tuple concatenation, run in C, of a prefix of
-L // 2 symbols and a suffix that may follow it.  So a call builds at most
-the symbols that the words of lengths 1..L hold together.  ``mixing_index``
-keeps each row of a matrix power as an int bitmask, so the next power costs
-one OR per edge, and it stops at Wielandt's bound (n-1)^2 + 1 whatever
-``t_max`` is.  ``EPSequence.shifted(j)`` drops the preperiod and rotates the
-cycle in one step, so a trace check at exponent 10^6 costs what it costs at
-10.  A trace check shifts and measures each distinct pair of phases of a
-segment once: a segment's sup-metric scans number at most the larger
-preperiod plus the lcm of the two cycle lengths, whatever its length.
+of length L is then a prefix of L // 2 symbols joined to a suffix that may
+follow it by ``operator.add`` mapped over ``repeat(prefix)``: one C-level
+tuple concatenation per word.  So a call builds at most the symbols that
+the words of lengths 1..L hold together.  ``mixing_index`` keeps each row
+of a matrix power as an int bitmask, so the next power costs one OR per
+edge, and it stops at Wielandt's bound (n-1)^2 + 1 whatever ``t_max`` is.
+``EPSequence.shifted(j)`` drops the preperiod and rotates the cycle in one
+step, so a trace check at exponent 10^6 costs what it costs at 10.  A trace
+check shifts and measures each distinct pair of phases of a segment once: a
+segment's sup-metric scans number at most the larger preperiod plus the lcm
+of the two cycle lengths, whatever its length.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
-from operator import or_
+from itertools import chain, repeat
+from operator import add, or_
 from typing import Sequence
 
 from .errors import EmptyImageError, NoPreimageError
@@ -204,9 +205,10 @@ class ShiftSpace:
         are built one symbol at a time, grouped by first symbol, and those of
         h = length // 2 symbols on the way.  ``after[a]`` lists the m-symbol
         words that may follow a, and each h-symbol prefix p is joined to
-        ``after[p[-1]]`` by one tuple concatenation per word, in C.  No call
-        builds more symbols than the words of every length up to ``length``
-        hold together.
+        ``after[p[-1]]`` by ``operator.add`` mapped over ``repeat(p)``: one
+        C-level tuple concatenation per word, with no bound-method call.  No
+        call builds more symbols than the words of every length up to
+        ``length`` hold together.
         """
         if length < 1:
             raise ValueError("word length must be positive")
@@ -220,7 +222,8 @@ class ShiftSpace:
         after = [list(chain.from_iterable(levels[-1][b] for b in row)) for row in succ]
         words: list[tuple[int, ...]] = []
         for p in chain.from_iterable(levels[half - 1]):
-            words.extend(map(p.__add__, after[p[-1]]))
+            tails = after[p[-1]]
+            words.extend(map(add, repeat(p, len(tails)), tails))
         return words
 
     def sequence(self, preperiod: Sequence[int], cycle: Sequence[int]) -> EPSequence:

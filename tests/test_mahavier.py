@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
 import oracles
+import crspec.mahavier
 import crspec.relations
 from crspec import (
     BadRangeError,
@@ -52,6 +53,22 @@ class TestAdmissibleWords:
             expected = oracles.path_counts(relation.adjacency, 6)
             got = [len(shift.admissible_words(k)) for k in range(1, 7)]
             assert got == expected
+
+    def test_one_join_per_word(self, monkeypatch, golden_space):
+        # every word of two or more symbols is one call of the module's add, a
+        # prefix joined to a suffix, and no call joins anything else
+        joins = []
+
+        def counting(prefix, suffix):
+            joins.append(None)
+            return prefix + suffix
+
+        monkeypatch.setattr(crspec.mahavier, "add", counting)
+        for shift in (golden_space, *_benchmark_scale_shifts(32, count=1)):
+            for length in range(1, 8):
+                joins.clear()
+                words = shift.admissible_words(length)
+                assert len(joins) == (len(words) if length >= 2 else 0)
 
 
 class TestEPSequence:
@@ -501,6 +518,15 @@ def _seeded_shifts(seed, count=20):
         yield rng, ShiftSpace.of(FiniteRelation.from_pairs(space, pairs or [(0, 0)]))
 
 
+def _benchmark_scale_shifts(seed, count):
+    """Shift spaces of random relations on 20 points, each pair an edge with probability 0.2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        space = random_finite_space(rng, 20)
+        pairs = [(i, j) for i in range(20) for j in range(20) if rng.random() < 0.2]
+        yield ShiftSpace.of(FiniteRelation.from_pairs(space, pairs))
+
+
 def _random_sequence(rng, shift):
     """A random admissible eventually periodic sequence, or None."""
     adj = shift.relation.adjacency
@@ -517,17 +543,22 @@ class TestKernelsAgainstDefinitions:
     def test_admissible_words_are_the_filtered_product(self):
         # lengths 1..9 join the halves at every split h = L // 2, odd and even;
         # the product filter is the oracle up to length 4, where it stays
-        # cheap, and a one-symbol-at-a-time extension at every length
-        for _, shift in _seeded_shifts(3, count=40):
+        # cheap, and a one-symbol-at-a-time extension at every length.  At the
+        # benchmark's scale, 20 points of density 0.2, each prefix joins a list
+        # of up to hundreds of suffixes; there the lengths are 1..7 and the
+        # product filter stops at 3
+        small = ((shift, 9, 4) for _, shift in _seeded_shifts(3, count=40))
+        large = ((shift, 7, 3) for shift in _benchmark_scale_shifts(31, count=3))
+        for shift, longest, filtered in chain(small, large):
             adj = shift.relation.adjacency
             succ = [[b for b in range(shift.n) if adj[a][b]] for a in range(shift.n)]
             extended = [(a,) for a in range(shift.n)]
-            for length in range(1, 10):
+            for length in range(1, longest + 1):
                 got = shift.admissible_words(length)
                 assert type(got) is list and all(type(w) is tuple for w in got)
                 assert all(u < v for u, v in zip(got, got[1:]))
                 assert got == extended
-                if length <= 4:
+                if length <= filtered:
                     assert got == [
                         w for w in product(range(shift.n), repeat=length)
                         if all(adj[a][b] for a, b in zip(w, w[1:]))
