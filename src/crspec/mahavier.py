@@ -50,8 +50,8 @@ from operator import add, or_
 from typing import Sequence
 
 from .errors import EmptyImageError, NoPreimageError
-from .relations import FiniteRelation, Orbit, check_range, successor_lists
-from .sets import memo_property, rat
+from .relations import FiniteRelation, Orbit, check_range, successor_masks
+from .sets import bit_indices, memo_property, rat
 from .specifications import TraceEntry, TraceReport
 
 
@@ -130,30 +130,35 @@ class TransitionMatrix:
 
     @classmethod
     def of(cls, relation: FiniteRelation) -> "TransitionMatrix":
-        return cls(relation.adjacency)
+        """The relation's matrix, its ``masks`` memo filled with the relation's own."""
+        matrix = cls(relation.adjacency)
+        matrix.__dict__["masks"] = relation.masks
+        return matrix
 
     @memo_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        return successor_lists(self.entries)
+    def masks(self) -> tuple[int, ...]:
+        return successor_masks(self.entries)
 
 
 def mixing_index(matrix: FiniteRelation | TransitionMatrix, t_max: int) -> int | None:
     """Smallest t <= t_max with M^t entrywise positive, else None.
 
-    M is a finite relation's adjacency, read off its successor lists, so the
-    relation or its ``TransitionMatrix`` will do.  Each row of a power is an
-    int bitmask: row i of M^(t+1) = M M^t is the OR of the rows of M^t at the
-    successors of i, one OR per edge.  No power beyond Wielandt's bound
-    (n-1)^2 + 1 is tried: a matrix with a positive power has one by then.
+    M is a finite relation's adjacency, read off its successor masks, so the
+    relation or its ``TransitionMatrix`` will do.  Each row of a power is a
+    finite set, an int mask: row i of M^(t+1) = M M^t is the OR of the rows
+    of M^t at the bits of row i of M, one OR per edge.  No power beyond
+    Wielandt's bound (n-1)^2 + 1 is tried: a matrix with a positive power
+    has one by then.
     """
-    succ = matrix.successors
-    n = len(succ)
+    masks = matrix.masks
+    n = len(masks)
     full = (1 << n) - 1
-    power = [sum(1 << j for j in row) for row in succ]
+    succ = [bit_indices(row) for row in masks]
+    power = masks
     for t in range(1, min(t_max, (n - 1) ** 2 + 1) + 1):
         if all(row == full for row in power):
             return t
-        power = [reduce(or_, [power[j] for j in row], 0) for row in succ]
+        power = [reduce(or_, map(power.__getitem__, row), 0) for row in succ]
     return None
 
 

@@ -8,8 +8,9 @@ Two concrete relation kinds cover every construction in this library:
   finite interval union and can be computed without approximation.
 * :class:`FiniteRelation` -- an adjacency matrix over a finite metric space.
   The matrix is checked and frozen in C-level passes (only a matrix holding
-  something other than bools is converted entry by entry), and an image is
-  one ``set().union`` over the successor tuples of its members.
+  something other than bools is converted entry by entry).  A finite set is
+  an int mask, bit i for point i, and the relation keeps one successor mask
+  per point, so an image is the OR of the masks at the set's bits.
 
 For box relations the ambient interval splits into finitely many *cells*
 (maximal subintervals, possibly half-open, plus isolated points) on which the
@@ -64,7 +65,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress
+from functools import reduce
+from itertools import chain, compress, count, repeat
+from operator import or_
 from typing import Union
 
 from .errors import BadRangeError, EmptyImageError
@@ -98,7 +101,7 @@ class Orbit:
 
     An orbit holds its sets, their positions, and the relation's ``step``,
     which holds the memo of image steps and the image data (the grid ints,
-    domain masks and unions of a box relation, or the successor lists of a
+    domain masks and unions of a box relation, or the successor masks of a
     finite one), never the relation.  So the orbit and the memos are freed
     when the last of the relation and the orbits taken from it goes, and an
     orbit that outlives its relation still sweeps.
@@ -114,12 +117,13 @@ class Orbit:
 
     def _push(self, s: AmbientSet) -> None:
         """Record s as the next iterate, or as the repeat or death that ends the sweep."""
+        n = len(self._sets)
         if s.is_empty:
-            self._death = len(self._sets) + 1
-        elif s in self._seen:
-            self._cycle_start = self._seen[s]
+            self._death = n + 1
+        # one hash of s: its first position, or n once recorded there
+        elif (first := self._seen.setdefault(s, n)) < n:
+            self._cycle_start = first
         else:
-            self._seen[s] = len(self._sets)
             self._sets.append(s)
 
     def _sweep(self, j: int | None) -> None:
@@ -381,17 +385,20 @@ def _union_of(den, ranges, unions, mask: int) -> IntervalUnion:
     return union
 
 
-def successor_lists(rows: tuple[tuple[bool, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """For each row of a square boolean matrix, the indices of its true entries, ascending."""
-    return tuple(tuple(compress(range(len(rows)), row)) for row in rows)
+def successor_masks(rows: tuple[tuple[bool, ...], ...]) -> tuple[int, ...]:
+    """For each row of a square boolean matrix, the int mask of its true entries
+    (bit j for column j), summed in one C-level pass over the rows."""
+    bits = [1 << j for j in range(len(rows))]
+    return tuple(map(sum, map(compress, repeat(bits), rows)))
 
 
 @dataclass(frozen=True)
 class FiniteRelation(_Iterates):
     """A relation on a finite metric space, as a boolean adjacency matrix.
 
-    Building one also lists ``successors``: for each point i, the points j
-    with (i, j) in F, ascending.  Images are read off those lists.
+    Building one keeps ``masks``, one int per point i with bit j set for
+    each (i, j) in F, and images are read off them.  ``successors``, the
+    same points j as ascending tuples, is listed on first read.
     """
 
     space: FiniteMetricSpace
@@ -405,8 +412,13 @@ class FiniteRelation(_Iterates):
         n = self.space.n
         if len(rows) != n or set(map(len, rows)) - {n}:
             raise ValueError("adjacency matrix must match the space size")
-        successors = self.__dict__["successors"] = successor_lists(rows)
-        self._start_memos(_finite_image, self.space, successors)
+        masks = self.__dict__["masks"] = successor_masks(rows)
+        self._start_memos(_finite_image, n, masks)
+
+    @memo_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        rows = self.adjacency
+        return tuple(tuple(compress(range(len(rows)), row)) for row in rows)
 
     @classmethod
     def from_pairs(cls, space: FiniteMetricSpace, pairs) -> "FiniteRelation":
@@ -425,7 +437,7 @@ class FiniteRelation(_Iterates):
         return self.space.point(x)
 
     def image(self, s: PointSet) -> PointSet:
-        return _finite_image(self.space, self.successors, s)
+        return _finite_image(self.space.n, self.masks, s)
 
     def regions(self):
         """(x, x) for each point x of the space, in order."""
@@ -435,27 +447,35 @@ class FiniteRelation(_Iterates):
         return x
 
     def first_image(self, x: int) -> PointSet:
-        """F(x): the successors of x, once ``point_set`` has checked that x is a point."""
-        self.point_set(x)
-        return PointSet._presorted(self.successors[x])
+        """F(x): the successors of x, once x is checked to be a point 0..n-1."""
+        masks = self.masks
+        if not 0 <= x < len(masks):
+            raise ValueError(f"point index {x} out of range 0..{len(masks) - 1}")
+        return PointSet._of_mask(masks[x])
 
     def project(self, which: int) -> PointSet:
         if which not in (1, 2):
             raise ValueError("projection index must be 1 or 2")
         if which == 1:
-            return PointSet.of(i for i, row in enumerate(self.successors) if row)
-        return PointSet.of(set().union(*self.successors))
+            return PointSet(compress(count(), self.masks))
+        return PointSet._of_mask(reduce(or_, self.masks))
 
     def inverse(self) -> "FiniteRelation":
         return FiniteRelation.from_pairs(self.space, ((j, i) for i, j in self.pairs()))
 
 
-def _finite_image(space, successors, s: PointSet) -> PointSet:
-    """F(S) from a finite relation's successor lists alone: their union, sorted."""
-    if s.is_empty:
-        return s
-    members = space.points_of(s, "image")
-    return PointSet._presorted(tuple(sorted(set().union(*map(successors.__getitem__, members)))))
+def _finite_image(n: int, masks: tuple[int, ...], s: PointSet) -> PointSet:
+    """F(S) from a finite relation's successor masks alone: the OR of the masks
+    at S's bits, taken lowest bit first, with no member tuple built."""
+    mask = s.mask
+    if mask >> n:
+        raise ValueError(f"image: {s} is not a set of points 0..{n - 1}")
+    image = 0
+    while mask:
+        low = mask & -mask
+        image |= masks[low.bit_length() - 1]
+        mask ^= low
+    return PointSet._of_mask(image)
 
 
 Relation = Union[BoxRelation, FiniteRelation]

@@ -28,7 +28,8 @@ from .sets import FiniteMetricSpace, Interval, IntervalSpace, validate_metric
 from .specifications import InitialSpecification, Specification
 from .verdicts import PROPERTIES, InitialTemplate, SpacedTemplate
 
-_RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+# ASCII digits only: "\d" also matches every other Unicode decimal digit, which int() reads
+_RATIONAL = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
 EXPECTATIONS = (
     "pass",
@@ -120,7 +121,7 @@ def _rational(token: str, line: int) -> Fraction:
 
 
 def _integer(token: str, line: int) -> int:
-    if not re.match(r"^-?\d+$", token):
+    if not re.match(r"^-?[0-9]+$", token):
         raise ScenarioParseError(line, f"not an integer literal: {token!r}")
     _check_digits(token, line)
     return int(token)

@@ -1,10 +1,10 @@
 """Exact closed-set arithmetic on the two ambient space kinds.
 
 Sets on an interval ambient are canonical finite unions of closed rational
-intervals (:class:`IntervalUnion`); sets on a finite metric space are sorted
-index tuples (:class:`PointSet`).  All endpoints and distances are exact
-rationals, so every comparison in the library is exact: equalities like
-``hausdorff == 1`` are meaningful, not approximate.
+intervals (:class:`IntervalUnion`); a set on a finite metric space is an int
+mask, bit i for point i (:class:`PointSet`).  All endpoints and distances
+are exact rationals, so every comparison in the library is exact:
+equalities like ``hausdorff == 1`` are meaningful, not approximate.
 
 An interval union *is* its integer grid: ``den``, the lcm of its endpoints'
 reduced denominators, and ``ends``, the endpoints lo_0, hi_0, lo_1, hi_1, ...
@@ -22,10 +22,11 @@ is one bisection.  ``set_distance`` and ``hausdorff`` keep walks of their
 own, over the gaps and gap midpoints that an intersection drops; a directed
 Hausdorff term is kept doubled, so that every gap midpoint is an int.
 
-A finite metric space checks and freezes its matrix in C-level passes and
-converts only entries that are not yet ``Fraction`` values.  On first use it
-puts the entries on one integer grid the same way (see :func:`common_grid`),
-by row and by column, and a distance returns the original matrix entry.
+A finite metric space checks and freezes its matrix in C-level passes,
+reading the lcm of its entries' denominators on the way, and converts only
+entries that are not yet ``Fraction`` values.  On first use it puts the
+entries on that grid (see :func:`common_grid`), by row and by column, and a
+distance returns the original matrix entry.
 The grid also records whether the diagonal is zero and no entry negative,
 which every matrix that passes :func:`validate_metric` satisfies.  Then a
 point of both sets is at distance 0 from the other set: ``set_distance`` is
@@ -48,7 +49,7 @@ Distance semantics:
 
 Everything here is immutable and safe to share between threads.  An
 :class:`IntervalUnion` computes its hash once, when it is built, from its
-grid, and a :class:`PointSet` from its members, since sets are the keys of
+grid, and a :class:`PointSet` hashes as its mask, since sets are the keys of
 the per-relation memos in :mod:`crspec.relations`.  A value worked out on
 first use, such as a metric's grid, is kept by :class:`memo_property` in the
 instance's own dict, with no lock.
@@ -59,9 +60,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import reduce
+from itertools import chain, compress, count, repeat
 from math import gcd, lcm
-from operator import lt
+from operator import lshift, or_
 from typing import Iterable, Sequence, Union
 
 from .errors import EmptySetError
@@ -103,16 +105,18 @@ def rat(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
-def common_grid(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+def common_grid(values: Sequence[Fraction], den: int | None = None) -> tuple[int, list[int]]:
     """(den, ints): the rationals as ints over den, the lcm of their denominators.
 
     Every value is a ``Fraction``, and its reduced numerator and denominator
     are read from its slots: ``numerator``, ``denominator`` and
     ``as_integer_ratio`` are Python-level calls, which cost more than the
     arithmetic on the 400 entries of a 20-point metric.  This is the one
-    routine that turns ``Fraction`` values into grid ints.
+    routine that turns ``Fraction`` values into grid ints; a caller that
+    already knows the lcm passes it as ``den``.
     """
-    den = lcm(*{v._denominator for v in values})
+    if den is None:
+        den = lcm(*{v._denominator for v in values})
     return den, [v._numerator * (den // v._denominator) for v in values]
 
 
@@ -174,7 +178,19 @@ def normalize(parts: Iterable[Interval]) -> "IntervalUnion":
     return IntervalUnion.on_grid(den, merged_ends(sorted(_pairs(ints))))
 
 
-class IntervalUnion:
+class _Frozen:
+    """Refuses assignment and deletion; subclasses fill their slots through ``__set__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class IntervalUnion(_Frozen):
     """Canonical finite union of closed rational intervals, held on its integer grid.
 
     Its grid ``(den, ends)`` is the module docstring's; parts are sorted,
@@ -203,12 +219,6 @@ class IntervalUnion:
         if g == 1:
             return _fill(cls.__new__(cls), den, tuple(ends))
         return _fill(cls.__new__(cls), den // g, tuple(e // g for e in ends))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not IntervalUnion:
@@ -454,77 +464,111 @@ def _directed_hausdorff(ea: Sequence[int], eb: Sequence[int]) -> int:
     return far
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """A set of point indices into a finite metric space, sorted and unique.
+class PointSet(_Frozen):
+    """A set of point indices into a finite metric space, held as one int mask.
 
-    The hash is computed once, when the set is built, since point sets key
-    the per-relation memos as interval unions do.  ``PointSet(members)``
-    checks that the members strictly increase; the sets that the library
-    builds sorted by construction (:meth:`of`, :meth:`point`, :meth:`empty`,
-    a relation's images and successor sets) come from :meth:`_presorted`,
-    which skips that check.
+    Bit i of ``mask`` stands for point i, so the mask alone is the set: it
+    is hashed and compared on it, and union, intersection, inclusion,
+    membership and the least (common) point are single int operations.
+    ``members``, the indices in ascending order, is read off the mask once,
+    on first use, by printing and by the distance kernels.  ``PointSet(members)``
+    and :meth:`of` take the indices in any order, repeats included; no mask
+    holds a negative index, so one is refused when the set is built.  Two
+    slots and no instance dict: an orbit can keep 10^5 sets and more.
     """
 
-    members: tuple[int, ...]
+    __slots__ = ("mask", "_members")
 
-    def __post_init__(self):
-        members = self.members
-        if not all(map(lt, members, members[1:])):
-            raise ValueError("members must be strictly increasing; use PointSet.of()")
-        object.__setattr__(self, "_hash", hash(members))
-
-    def __hash__(self):
-        return self._hash
+    def __init__(self, members: Iterable[int]):
+        try:
+            _set_mask(self, reduce(or_, map(lshift, repeat(1), members), 0))
+        except ValueError:
+            raise ValueError("point indices must be non-negative") from None
 
     @classmethod
-    def _presorted(cls, members: tuple[int, ...]) -> "PointSet":
-        """The set of members that already strictly increase; not checked again."""
+    def _of_mask(cls, mask: int) -> "PointSet":
+        """The set whose mask is the non-negative int mask."""
         s = object.__new__(cls)
-        fields = s.__dict__
-        fields["members"] = members
-        fields["_hash"] = hash(members)
+        _set_mask(s, mask)
         return s
 
     @classmethod
     def of(cls, indices: Iterable[int]) -> "PointSet":
-        return cls._presorted(tuple(sorted(set(indices))))
+        return cls(indices)
 
     @classmethod
     def empty(cls) -> "PointSet":
-        return cls._presorted(())
+        return cls._of_mask(0)
 
     @classmethod
     def point(cls, i: int) -> "PointSet":
-        return cls._presorted((i,))
+        return cls._of_mask(1 << i)
+
+    def __eq__(self, other):
+        if other.__class__ is not PointSet:
+            return NotImplemented
+        return self.mask == other.mask
+
+    def __hash__(self):
+        # an int too wide for a hash is hashed again by the interpreter
+        return self.mask
+
+    def __reduce__(self):
+        return PointSet._of_mask, (self.mask,)
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        """The indices of the set bits, ascending."""
+        try:
+            return self._members
+        except AttributeError:
+            _set_members(self, bit_indices(self.mask))
+            return self._members
 
     @property
     def is_empty(self) -> bool:
-        return not self.members
+        return not self.mask
 
     def contains(self, i: int) -> bool:
-        return i in self.members
+        return i >= 0 and self.mask >> i & 1 == 1
 
     def min_point(self) -> int:
-        if self.is_empty:
+        mask = self.mask
+        if not mask:
             raise EmptySetError("empty set has no minimum")
-        return self.members[0]
+        return (mask & -mask).bit_length() - 1
 
     def union(self, other: "PointSet") -> "PointSet":
-        return PointSet.of(self.members + other.members)
+        return PointSet._of_mask(self.mask | other.mask)
 
     def intersect(self, other: "PointSet") -> "PointSet":
-        return PointSet.of(set(self.members) & set(other.members))
+        return PointSet._of_mask(self.mask & other.mask)
 
     def first_common_point(self, other: "PointSet") -> int | None:
         """The least member of both sets, or None when they do not meet."""
-        return min(set(self.members).intersection(other.members), default=None)
+        common = self.mask & other.mask
+        return (common & -common).bit_length() - 1 if common else None
 
     def subset_of(self, other: "PointSet") -> bool:
-        return set(self.members) <= set(other.members)
+        return not self.mask & ~other.mask
 
     def __str__(self):
         return "{" + ", ".join(str(m) for m in self.members) + "}"
+
+    def __repr__(self):
+        return f"PointSet(members={self.members!r})"
+
+
+_set_mask, _set_members = PointSet.mask.__set__, PointSet._members.__set__
+
+
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_indices(mask: int) -> tuple[int, ...]:
+    """The indices of a non-negative int's set bits, ascending: its binary
+    digits, lowest first, as bytes 0 and 1 select from ``count()``."""
+    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_FLAGS)))
 
 
 @dataclass(frozen=True)
@@ -541,21 +585,26 @@ class FiniteMetricSpace:
     """A finite metric space given by its full rational distance matrix.
 
     The matrix is checked and frozen in C-level passes: its shape by the
-    lengths of its rows, its entries by the set of their types, and only a
-    matrix holding something other than a ``Fraction`` is converted entry by
-    entry (which refuses floats).  The integer grid is built on first use.
+    lengths of its rows, and its entries in the one pass that reads their
+    reduced denominators, whose lcm the integer grid keeps.  A ``Fraction``,
+    or an instance of a subclass of it, is kept as given; a matrix holding
+    anything else is converted through :func:`rat`, which refuses floats.
+    The integer grid is built on first use.
     """
 
     dist: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
         rows = tuple(map(tuple, self.dist))
-        if set(map(type, chain.from_iterable(rows))) != {Fraction}:
+        try:
+            dens = {v._denominator for row in rows for v in row}
+        except AttributeError:
             rows = tuple(tuple(map(rat, row)) for row in rows)
-        object.__setattr__(self, "dist", rows)
+            dens = {v._denominator for row in rows for v in row}
         n = len(rows)
         if n == 0 or set(map(len, rows)) != {n}:
             raise ValueError("distance matrix must be square and non-empty")
+        self.__dict__.update(dist=rows, _den=lcm(*dens))
 
     @classmethod
     def discrete(cls, n: int) -> "FiniteMetricSpace":
@@ -567,7 +616,7 @@ class FiniteMetricSpace:
         return len(self.dist)
 
     def full(self) -> PointSet:
-        return PointSet.of(range(self.n))
+        return PointSet._of_mask((1 << self.n) - 1)
 
     def point(self, i: int) -> PointSet:
         if not 0 <= i < self.n:
@@ -584,7 +633,7 @@ class FiniteMetricSpace:
         the other set, so the distances below skip it.
         """
         flat = list(chain.from_iterable(self.dist))
-        den, ints = common_grid(flat)
+        den, ints = common_grid(flat, self._den)
         rows = tuple(zip(*[iter(ints)] * self.n))
         skip_shared = not any(ints[:: self.n + 1]) and min(ints) >= 0
         return den, rows, tuple(zip(*rows)), dict(zip(ints, flat)), skip_shared
@@ -602,19 +651,19 @@ class FiniteMetricSpace:
     def points_of(self, s: PointSet, what: str) -> tuple[int, ...]:
         """The members of a non-empty set of this space's points, in order.
 
-        Members are sorted, so the two ends decide whether each is a point 0..n-1.
+        The set is a point set of this space when its mask has no bit from n up.
         """
-        members = s.members
-        if not members:
+        mask = s.mask
+        if not mask:
             raise EmptySetError(f"{what} needs non-empty sets")
-        if members[0] < 0 or members[-1] >= len(self.dist):
+        if mask >> len(self.dist):
             raise ValueError(f"{what}: {s} is not a set of points 0..{len(self.dist) - 1}")
-        return members
+        return s.members
 
     def set_distance(self, a: PointSet, b: PointSet) -> Fraction:
         am, bm = self.points_of(a, "set_distance"), self.points_of(b, "set_distance")
         _, rows, _, entry, skip_shared = self.grid
-        if skip_shared and not set(am).isdisjoint(bm):
+        if skip_shared and a.mask & b.mask:
             return entry[0]
         return entry[min(min(map(rows[i].__getitem__, bm)) for i in am)]
 
@@ -629,7 +678,7 @@ class FiniteMetricSpace:
         _, rows, cols, entry, skip_shared = self.grid
         only_a, only_b = am, bm
         if skip_shared:
-            only_a, only_b = set(am).difference(bm), set(bm).difference(am)
+            only_a, only_b = bit_indices(a.mask & ~b.mask), bit_indices(b.mask & ~a.mask)
         ab = max((min(map(rows[i].__getitem__, bm)) for i in only_a), default=0)
         ba = max((min(map(cols[j].__getitem__, am)) for j in only_b), default=0)
         return entry[max(ab, ba)]
@@ -642,9 +691,7 @@ class FiniteMetricSpace:
         den, rows, _, _, _ = self.grid
         # an int m is at most eps * den exactly when it is at most its floor
         bound = eps.numerator * den // eps.denominator
-        return PointSet._presorted(
-            tuple(i for i, row in enumerate(rows) if min(map(row.__getitem__, am)) <= bound)
-        )
+        return PointSet(i for i, row in enumerate(rows) if min(map(row.__getitem__, am)) <= bound)
 
 
 def validate_metric(space: FiniteMetricSpace) -> MetricCheck:

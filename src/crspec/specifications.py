@@ -153,11 +153,15 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class TraceReport:
-    """All compared distances for one candidate tracer, with the verdict."""
+    """All compared distances for one candidate tracer, with the verdict; its
+    instance dict is filled in one update, as a :class:`TraceEntry`'s is."""
 
     mode: str
     eps: Fraction
     entries: tuple[TraceEntry, ...]
+
+    def __init__(self, mode, eps, entries):
+        self.__dict__.update(mode=mode, eps=eps, entries=entries)
 
     @property
     def passed(self) -> bool:

@@ -106,10 +106,11 @@ class TestParsing:
         assert len(scenario.commands) == 1
 
     def test_decimal_literals_rejected(self):
-        text = "ambient interval 0 1\nbox 0 0.5 1 1\n"
-        with pytest.raises(ScenarioParseError) as err:
-            parse_scenario(text)
-        assert err.value.line == 2
+        # U+0661 is ARABIC-INDIC DIGIT ONE, a Unicode decimal digit that int() reads as 1
+        for box in ("box 0 0.5 1 1", "box 0 \u0661 0 1"):
+            with pytest.raises(ScenarioParseError) as err:
+                parse_scenario(f"ambient interval 0 1\n{box}\n")
+            assert err.value.line == 2
 
     def test_empty_file_rejected(self):
         with pytest.raises(ScenarioParseError):

@@ -1,4 +1,5 @@
 import gc
+import pickle
 import random
 import re
 import weakref
@@ -13,6 +14,7 @@ from crspec import (
     BoxRelation,
     Cell,
     EmptyImageError,
+    EmptySetError,
     FiniteMetricSpace,
     FiniteRelation,
     Interval,
@@ -21,6 +23,7 @@ from crspec import (
     PointSet,
     SpacedTemplate,
     Specification,
+    TransitionMatrix,
     cell_decomposition,
     cell_of,
     certify_common_image,
@@ -30,6 +33,7 @@ from crspec import (
     check_trace,
     find_tracer,
     implication_suite,
+    mixing_index,
     normalize,
     refute_property,
 )
@@ -587,7 +591,9 @@ class TestFiniteRelation:
         cycle = FiniteRelation.from_pairs(FiniteMetricSpace.discrete(3), [(2, 0), (0, 1), (1, 2)])
         assert cycle.image(PointSet.of([0, 2])) == PointSet.of([0, 1])
         assert cycle.image(PointSet.empty()) == PointSet.empty()
-        for outside in (PointSet.of([-1]), PointSet.of([5]), PointSet.of([0, 3])):
+        with pytest.raises(ValueError, match="non-negative"):
+            PointSet.of([-1])
+        for outside in (PointSet.of([5]), PointSet.of([0, 3])):
             with pytest.raises(ValueError, match=re.escape(f"{outside} is not a set of points 0..2")):
                 cycle.image(outside)
 
@@ -902,3 +908,72 @@ class TestPresortedPointSets:
                 assert PointSet(image.members) == image
         with pytest.raises(ValueError):
             _golden_twin().first_image(3)
+
+
+def _tuple_mixing_index(succ, t_max):
+    """mixing_index in the tuple form: each row of M^t as a frozenset of columns."""
+    n = len(succ)
+    power = [frozenset(row) for row in succ]
+    for t in range(1, min(t_max, (n - 1) ** 2 + 1) + 1):
+        if all(len(row) == n for row in power):
+            return t
+        power = [frozenset().union(*(power[j] for j in row)) for row in succ]
+    return None
+
+
+class TestPointSetMasks:
+    def test_masks_match_the_tuple_form(self):
+        # every mask operation against the sorted member tuples that point sets
+        # were before they became masks, on relations of up to 64 points
+        rng = random.Random(20)
+        spaces = {}
+        for _ in range(1000):
+            n = rng.randint(1, 64)
+            if n not in spaces:
+                # distances k / 12, compared here as the ints k; an odd n gets a
+                # nonzero diagonal entry, so no point is skipped as shared
+                k = [[0 if i == j else rng.randint(1, 36) for j in range(n)] for i in range(n)]
+                k[0][0] = 4 * (n % 2)
+                spaces[n] = FiniteMetricSpace([[F(v, 12) for v in row] for row in k]), k
+            space, k = spaces[n]
+            density = rng.choice((0, 0.03, 0.1, 0.3, 0.6))
+            adjacency = [[rng.random() < density for _ in range(n)] for _ in range(n)]
+            succ = [tuple(j for j in range(n) if row[j]) for row in adjacency]
+            relation = FiniteRelation(space, adjacency)
+            assert relation.successors == tuple(succ)
+            assert [relation.first_image(x).members for x in range(n)] == succ
+            assert relation.project(1).members == tuple(i for i in range(n) if succ[i])
+            assert relation.project(2).members == tuple(sorted(set().union(*succ)))
+
+            a, b = (tuple(sorted(rng.sample(range(n), min(rng.randint(0, n), rng.randint(0, n))))) for _ in "ab")
+            sa, sb = PointSet.of([*reversed(a), *a[:2]]), PointSet(b)
+            assert (sa.members, sb.members, sa.is_empty) == (a, b, not a)
+            assert str(sa) == "{" + ", ".join(map(str, a)) + "}"
+            assert (sa == sb) == (a == b) and PointSet(a) == sa and hash(PointSet(a)) == hash(sa)
+            assert pickle.loads(pickle.dumps(sa)) == sa
+            assert sa.union(sb).members == tuple(sorted(set(a) | set(b)))
+            assert sa.intersect(sb).members == tuple(sorted(set(a) & set(b)))
+            assert sa.subset_of(sb) == (set(a) <= set(b))
+            assert sa.first_common_point(sb) == min(set(a) & set(b), default=None)
+            for i in (-1, 0, n - 1, n, 64):
+                assert sa.contains(i) == (i in a)
+            if a:
+                assert sa.min_point() == a[0]
+            else:
+                with pytest.raises(EmptySetError):
+                    sa.min_point()
+            assert relation.image(sa).members == tuple(sorted(set().union(*(succ[i] for i in a))))
+            if a and b:
+                assert space.set_distance(sa, sb) == F(min(k[i][j] for i in a for j in b), 12)
+                assert space.hausdorff(sa, sb) == F(
+                    max(max(min(k[i][j] for j in b) for i in a), max(min(k[j][i] for j in a) for i in b)), 12
+                )
+                eps = rng.randint(1, 36)
+                near = tuple(i for i in range(n) if min(k[i][j] for j in a) <= eps)
+                assert space.neighborhood(F(eps, 12), sa).members == near
+
+            t_max = rng.randint(1, 12)
+            want = _tuple_mixing_index(succ, t_max)
+            assert mixing_index(relation, t_max) == want
+            assert mixing_index(TransitionMatrix.of(relation), t_max) == want
+            assert mixing_index(TransitionMatrix(relation.adjacency), t_max) == want
